@@ -124,7 +124,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="periodicity value assigned when variance is exactly zero")
     parser.add_argument("--log-base", choices=("e", "10"), default="e")
     parser.add_argument("--shards", type=int, default=1,
-                        help="partition conversations over this many workers (result is identical)")
+                        help="split conversations into this many groups, run one after another "
+                             "in this process on the buffered trace (result cannot change)")
 
 
 def cmd_synth(args) -> int:

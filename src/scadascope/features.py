@@ -32,7 +32,6 @@ SECONDS_PER_HOUR = 3600.0
 class RankingConfig:
     pr_cap: float = DEFAULT_PR_CAP
     log_base: str = "e"  # "e" or "10", for the durability log
-    role_sensitive_popularity: bool = True
 
     def __post_init__(self) -> None:
         if self.log_base not in ("e", "10"):
@@ -112,12 +111,6 @@ class PortUsageIndex:
     def pair_count(self, port: int, role: str) -> int:
         return len(self.pairs_by_port_role.get((port, role), ()))
 
-    def pair_count_any_role(self, port: int) -> int:
-        both = self.pairs_by_port_role.get((port, SRC), set()) | self.pairs_by_port_role.get(
-            (port, DST), set()
-        )
-        return len(both)
-
 
 def compute_pR(stats: FtStats, cap: float = DEFAULT_PR_CAP) -> float:
     """Periodicity: mean over population variance of the inter-arrival times.
@@ -152,14 +145,14 @@ def compute_cR(key: FtKey, index: PortUsageIndex) -> float:
     return max(a / b, b / a)
 
 
-def compute_uR(key: FtKey, index: PortUsageIndex, role_sensitive: bool = True) -> float:
-    """Service popularity: ratio of distinct device pairs using each port, >= 1."""
-    if role_sensitive:
-        a = index.pair_count(key.src_port, SRC)
-        b = index.pair_count(key.dst_port, DST)
-    else:
-        a = index.pair_count_any_role(key.src_port)
-        b = index.pair_count_any_role(key.dst_port)
+def compute_uR(key: FtKey, index: PortUsageIndex) -> float:
+    """Service popularity: ratio of distinct device pairs using each port, >= 1.
+
+    Pairs are counted per role: the source port among 5-tuples where it is
+    the source, the destination port where it is the destination.
+    """
+    a = index.pair_count(key.src_port, SRC)
+    b = index.pair_count(key.dst_port, DST)
     if a == 0 or b == 0:
         raise ValueError(f"port usage missing for {key}")
     return max(a / b, b / a)
@@ -197,7 +190,7 @@ def rank(
             pR=compute_pR(stats, cap=config.pr_cap),
             dR=compute_dR(stats, log_base=config.log_base),
             cR=compute_cR(key, index),
-            uR=compute_uR(key, index, role_sensitive=config.role_sensitive_popularity),
+            uR=compute_uR(key, index),
             sR=compute_sR(key, max_seg),
         )
         entries.append(RankedFt(key=key, n=stats.n, fv=fv))

@@ -12,6 +12,7 @@ import json
 import logging
 import struct
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -184,10 +185,12 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
     """Yield PacketRecords from the canonical JSON-lines format, in file order.
 
     Each line is an object with keys ts, src_ip, src_port, dst_ip, dst_port,
-    proto, size.  Bad lines raise RecordFormatError naming the line number.
+    proto, size, checked as ``record_from_dict`` says.  Bad lines raise
+    RecordFormatError naming the line number.
     """
     if stats is None:
         stats = IngestStats()
+    scan = json.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
@@ -195,40 +198,106 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
                 continue
             stats.frames += 1
             try:
-                obj = json.loads(line)
+                obj, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            try:
+                if end != len(line):
+                    # Not one whole JSON value: json.loads words the error.
+                    obj = json.loads(line)
+                rec = _build_record(obj)
             except json.JSONDecodeError as exc:
                 raise RecordFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            rec = record_from_dict(obj, where=f"{path}:{lineno}")
+            except _InvalidRecord as exc:
+                raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc.__cause__
             stats.yielded += 1
             yield rec
 
 
+class _InvalidRecord(ValueError):
+    """Why one record failed; the caller prefixes where it came from."""
+
+
 def record_from_dict(obj: dict, where: str = "record") -> PacketRecord:
-    """Validate one parsed record object and build a PacketRecord."""
+    """Validate one parsed record object and build a PacketRecord.
+
+    ``ts`` is a finite, non-negative int or float; ports are ints in
+    [0, 65535]; ``size`` is an int >= 1; ``proto`` is one of TRANSPORTS and
+    both addresses are non-empty strings.  A bool is not a number here and
+    nothing is coerced: ``"3"`` or ``80.9`` as a port is an error, not 3 or 80.
+    """
     try:
-        ts = float(obj["ts"])
+        return _build_record(obj)
+    except _InvalidRecord as exc:
+        raise RecordFormatError(f"{where}: {exc}") from exc.__cause__
+
+
+_INF = float("inf")
+
+
+def _build_record(obj: dict) -> PacketRecord:
+    try:
+        ts = obj["ts"]
+        if type(ts) is not float:
+            ts = _float_ts(ts)
         src_ip = obj["src_ip"]
-        src_port = int(obj["src_port"])
+        src_port = obj["src_port"]
+        if type(src_port) is not int:
+            _raise_not_int("src_port", src_port)
         dst_ip = obj["dst_ip"]
-        dst_port = int(obj["dst_port"])
+        dst_port = obj["dst_port"]
+        if type(dst_port) is not int:
+            _raise_not_int("dst_port", dst_port)
         proto = obj["proto"]
-        size = int(obj["size"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RecordFormatError(f"{where}: missing or malformed field ({exc})") from exc
-    if ts < 0:
-        raise RecordFormatError(f"{where}: negative timestamp {ts}")
-    for name, port in (("src_port", src_port), ("dst_port", dst_port)):
-        if not 0 <= port <= 65535:
-            raise RecordFormatError(f"{where}: {name} out of range: {port}")
-    if proto not in TRANSPORTS:
-        raise RecordFormatError(f"{where}: unknown proto {proto!r}")
+        size = obj["size"]
+        if type(size) is not int:
+            _raise_not_int("size", size)
+    except (KeyError, TypeError) as exc:
+        raise _InvalidRecord(f"missing or malformed field ({exc})") from exc
+    if not 0.0 <= ts < _INF:
+        if ts < 0:
+            raise _InvalidRecord(f"negative timestamp {ts}")
+        raise _InvalidRecord(f"ts must be finite, got {ts}")
+    if not 0 <= src_port <= 65535:
+        raise _InvalidRecord(f"src_port out of range: {src_port}")
+    if not 0 <= dst_port <= 65535:
+        raise _InvalidRecord(f"dst_port out of range: {dst_port}")
+    if type(proto) is not str or proto not in TRANSPORTS:
+        raise _InvalidRecord(f"unknown proto {proto!r}")
     if size < 1:
-        raise RecordFormatError(f"{where}: size must be >= 1, got {size}")
-    if not isinstance(src_ip, str) or not src_ip or not isinstance(dst_ip, str) or not dst_ip:
-        raise RecordFormatError(f"{where}: endpoint addresses must be non-empty strings")
+        raise _InvalidRecord(f"size must be >= 1, got {size}")
+    if type(src_ip) is not str or not src_ip or type(dst_ip) is not str or not dst_ip:
+        raise _InvalidRecord("endpoint addresses must be non-empty strings")
     return PacketRecord(
         ts, sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port, sys.intern(proto), size
     )
+
+
+# Values of the wrong type that ``float()``/``int()`` would also refuse keep
+# the wording those calls give them; the others (bools, numeric strings,
+# fractional ports and sizes) are named as the wrong type.
+
+
+def _float_ts(value) -> float:
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise _InvalidRecord(f"ts must be finite, got {value}") from None
+    _raise_refused(value, float)
+    raise _InvalidRecord(f"ts must be a number, got {value!r}")
+
+
+def _raise_not_int(name: str, value) -> None:
+    _raise_refused(value, int)
+    raise _InvalidRecord(f"{name} must be an integer, got {value!r}")
+
+
+def _raise_refused(value, cast) -> None:
+    try:
+        cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _InvalidRecord(f"missing or malformed field ({exc})") from exc
 
 
 def filter_packets(
@@ -258,30 +327,48 @@ def ensure_time_order(
 
     Mild disorder (within ``reorder_window`` seconds) is repaired with a
     buffer; anything worse raises OutOfOrderError unless ``force_sort`` is
-    set, which buffers the whole stream and sorts it.
+    set, which buffers the whole stream and sorts it.  Equal timestamps keep
+    their arrival order.
+
+    Records that arrive in order wait in a FIFO until they are
+    ``reorder_window`` older than the newest one.  A record older than the
+    newest moves the FIFO into a heap keyed by (ts, arrival); everything in
+    the heap precedes everything in the FIFO, so the heap drains first.
     """
     if force_sort:
         yield from sorted(records, key=lambda r: r.ts)
         return
+    held: deque[PacketRecord] = deque()
     heap: list[tuple[float, int, PacketRecord]] = []
     seq = 0
     high = float("-inf")
-    last = float("-inf")
+    out = None  # the record yielded last
     for rec in records:
-        if rec.ts < last:
-            raise OutOfOrderError(
-                f"timestamp {rec.ts:.6f} arrived after {last:.6f} was emitted; "
-                f"disorder exceeds the {reorder_window}s reorder window (use force sort)"
-            )
-        heapq.heappush(heap, (rec.ts, seq, rec))
-        seq += 1
-        high = max(high, rec.ts)
+        ts = rec.ts
+        if ts >= high:
+            held.append(rec)
+            high = ts
+        else:
+            if out is not None and ts < out.ts:
+                raise OutOfOrderError(
+                    f"timestamp {ts:.6f} arrived after {out.ts:.6f} was emitted; "
+                    f"disorder exceeds the {reorder_window}s reorder window (use force sort)"
+                )
+            for old in held:
+                heapq.heappush(heap, (old.ts, seq, old))
+                seq += 1
+            held.clear()
+            heapq.heappush(heap, (ts, seq, rec))
+            seq += 1
         while heap and high - heap[0][0] >= reorder_window:
-            last, _, out = heapq.heappop(heap)
+            out = heapq.heappop(heap)[2]
+            yield out
+        while held and high - held[0].ts >= reorder_window:
+            out = held.popleft()
             yield out
     while heap:
-        last, _, out = heapq.heappop(heap)
-        yield out
+        yield heapq.heappop(heap)[2]
+    yield from held
 
 
 def sniff_format(path: str) -> str:

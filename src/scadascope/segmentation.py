@@ -41,11 +41,7 @@ class CommunicationSegment:
     seg_size: int
     packet_count: int
     initiator: Endpoint
-
-    @property
-    def responder(self) -> Endpoint:
-        a, b = self.key
-        return b if self.initiator == a else a
+    responder: Endpoint
 
     def to_json(self) -> str:
         (a_ip, a_port), (b_ip, b_port) = self.key
@@ -115,43 +111,60 @@ def segment_stream(
     """
     if t_comm <= 0:
         raise ValueError(f"t_comm must be positive, got {t_comm}")
-    open_segs: dict[ConversationKey, CommunicationSegment] = {}
+    # Both directional (ip, port, ip, port) keys of a conversation map to an
+    # entry (cell, src, dst).  ``cell`` is the conversation's one-item list
+    # holding its open segment, shared by both directions; src and dst are
+    # that direction's endpoints.  A packet so finds the open segment, and a
+    # new segment its initiator and responder, without building the
+    # direction-free key.  The two keys go in together when a conversation is
+    # first seen and keep their place, so the entries run in first-seen order
+    # with each conversation's cell once or twice in a row.
+    entries: dict[
+        tuple[str, int, str, int], tuple[list[CommunicationSegment], Endpoint, Endpoint]
+    ] = {}
+    get = entries.get
     for rec in records:
-        key = conversation_key(rec)
-        seg = open_segs.get(key)
-        if seg is not None and rec.ts - seg.end_ts < t_comm:
-            seg.end_ts = rec.ts
+        ts = rec.ts
+        fwd = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port)
+        entry = get(fwd)
+        if entry is None:
+            src = (rec.src_ip, rec.src_port)
+            dst = (rec.dst_ip, rec.dst_port)
+            cell = [CommunicationSegment(conversation_key(rec), ts, ts, rec.size, 1, src, dst)]
+            entries[fwd] = (cell, src, dst)
+            entries[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = (cell, dst, src)
+            continue
+        cell, src, dst = entry
+        seg = cell[0]
+        if ts - seg.end_ts < t_comm:
+            seg.end_ts = ts
             seg.seg_size += rec.size
             seg.packet_count += 1
             continue
-        if seg is not None:
-            yield seg
-        open_segs[key] = CommunicationSegment(
-            key=key,
-            start_ts=rec.ts,
-            end_ts=rec.ts,
-            seg_size=rec.size,
-            packet_count=1,
-            initiator=(rec.src_ip, rec.src_port),
-        )
-    yield from open_segs.values()
-
-
-def ft_of_segment(seg: CommunicationSegment) -> FtKey:
-    src = seg.initiator
-    dst = seg.responder
-    return FtKey(src[0], src[1], dst[0], dst[1], seg.seg_size)
+        yield seg
+        cell[0] = CommunicationSegment(seg.key, ts, ts, rec.size, 1, src, dst)
+    flushed = None
+    for cell, _, _ in entries.values():
+        if cell is not flushed:
+            yield cell[0]
+            flushed = cell
 
 
 def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, FtStats]:
     """Bucket segments by 5-tuple, recording start times in arrival order."""
-    table: dict[FtKey, FtStats] = {}
+    starts: dict[tuple[Endpoint, Endpoint, int], list[float]] = {}
+    get = starts.get
     for seg in segments:
-        key = ft_of_segment(seg)
-        stats = table.get(key)
-        if stats is None:
-            stats = table[key] = FtStats(key)
-        stats.start_times.append(seg.start_ts)
+        ft = (seg.initiator, seg.responder, seg.seg_size)
+        times = get(ft)
+        if times is None:
+            starts[ft] = [seg.start_ts]
+        else:
+            times.append(seg.start_ts)
+    table: dict[FtKey, FtStats] = {}
+    for ((src_ip, src_port), (dst_ip, dst_port), size), times in starts.items():
+        key = FtKey(src_ip, src_port, dst_ip, dst_port, size)
+        table[key] = FtStats(key, times)
     return table
 
 
@@ -180,7 +193,8 @@ def aggregate_records(
     """Segment and aggregate a record stream, optionally sharded by conversation.
 
     Sharding partitions conversations, so the result is identical for any
-    shard count; it exists so large traces can be fanned out.
+    shard count.  With more than one shard the whole stream is buffered and
+    the shards run one after another in this process.
     """
     if shards <= 1:
         return aggregate_ft(segment_stream(records, t_comm))

@@ -7,10 +7,42 @@ the feature formulas directly with the statistics module.
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
 
 PR_CAP = 1e6
+
+
+class RefOutOfOrder(Exception):
+    pass
+
+
+def ref_time_order(records, reorder_window=1.0):
+    """Windowed reordering through one heap of (ts, arrival, record).
+
+    Raises RefOutOfOrder with the library's message when a record is older
+    than one already yielded.
+    """
+    heap = []
+    seq = 0
+    high = float("-inf")
+    last = float("-inf")
+    for rec in records:
+        if rec.ts < last:
+            raise RefOutOfOrder(
+                f"timestamp {rec.ts:.6f} arrived after {last:.6f} was emitted; "
+                f"disorder exceeds the {reorder_window}s reorder window (use force sort)"
+            )
+        heapq.heappush(heap, (rec.ts, seq, rec))
+        seq += 1
+        high = max(high, rec.ts)
+        while heap and high - heap[0][0] >= reorder_window:
+            last, _, out = heapq.heappop(heap)
+            yield out
+    while heap:
+        last, _, out = heapq.heappop(heap)
+        yield out
 
 
 def ref_conversation_key(rec):

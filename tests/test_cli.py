@@ -145,6 +145,21 @@ def test_missing_input_is_exit_2():
     assert main(["--quiet", "analyze", "/nonexistent/trace.jsonl"]) == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("ts", "NaN"), ("ts", "Infinity"), ("src_port", "true"), ("dst_port", "80.9"), ("size", '"3"')],
+)
+def test_coerced_record_value_is_exit_2(tmp_path, caplog, field, value):
+    obj = {"ts": 1.5, "src_ip": "10.0.0.1", "src_port": 20000, "dst_ip": "10.0.0.2",
+           "dst_port": 502, "proto": "tcp", "size": 100}
+    good = json.dumps(obj)
+    bad = good.replace(f'"{field}": {json.dumps(obj[field])}', f'"{field}": {value}')
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text(good + "\n" + bad + "\n")
+    assert main(["--quiet", "analyze", str(trace)]) == EXIT_INPUT_ERROR
+    assert f"{trace}:2: {field} must be" in caplog.text
+
+
 def test_missing_truth_is_exit_2(tmp_path, d1):
     report_path = tmp_path / "report.json"
     main(["--quiet", "analyze", str(d1["trace"]), "--out", str(report_path)])

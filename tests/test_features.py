@@ -157,8 +157,8 @@ def test_popularity_role_agnostic_flag():
     ]
     index = index_of(*fts)
     key = FtKey("a", 7, "b", 9, 100)
-    assert compute_uR(key, index, role_sensitive=True) == 1.0
-    assert compute_uR(key, index, role_sensitive=False) == 1.0  # 2 pairs each side
+    # port 7 is a source in one pair and port 9 a destination in one pair
+    assert compute_uR(key, index) == 1.0
 
 
 # --- size feature ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scadascope import ingest
 from scadascope.ingest import (
@@ -25,6 +25,7 @@ from scadascope.ingest import (
 )
 from scadascope.synth import generate, write_records
 
+from reference import RefOutOfOrder, ref_time_order
 from scenarios import dataset1_like
 
 
@@ -148,6 +149,12 @@ def test_read_records_single_line(tmp_path):
         ("size", -10, "size"),
         ("ts", -1.0, "negative"),
         ("proto", "gre", "proto"),
+        ("ts", float("nan"), "ts must be finite"),
+        ("ts", float("inf"), "ts must be finite"),
+        ("ts", True, "ts must be a number"),
+        ("src_port", True, "src_port must be an integer"),
+        ("dst_port", 80.9, "dst_port must be an integer"),
+        ("size", "3", "size must be an integer"),
     ],
 )
 def test_read_records_validation(tmp_path, field, value, fragment):
@@ -296,6 +303,52 @@ def test_ensure_time_order_force_sort():
 def test_ensure_time_order_force_sort_always_sorted(times):
     out = list(ensure_time_order([rec(ts=t) for t in times], force_sort=True))
     assert [r.ts for r in out] == sorted(times)
+
+
+def _drain(stream, error):
+    """Records yielded before the stream ended, and the message it raised."""
+    out = []
+    try:
+        for item in stream:
+            out.append(item)
+    except error as exc:
+        return out, str(exc)
+    return out, None
+
+
+@st.composite
+def timestamp_runs(draw):
+    """Quarter-second timestamps: in order, with repeats, then jittered back.
+
+    A jitter below the window is repairable disorder; one at or above it may
+    be too late.  Quarters are exact in binary, so ties with the window edge
+    and equal timestamps both occur.
+    """
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.5]), max_size=60))
+    jitter = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.75, 1.0, 1.5, 4.0]),
+            min_size=len(steps),
+            max_size=len(steps),
+        )
+    )
+    times, t = [], 10.0
+    for step, back in zip(steps, jitter):
+        t += step
+        times.append(t - back)
+    return times
+
+
+@given(timestamp_runs(), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+@example([10.0, 10.0, 10.0, 9.75, 10.0], 1.0)  # equal timestamps held when disorder starts
+@example([10.0, 10.5, 9.75, 11.0, 12.0, 10.75], 1.0)  # repaired, then too late
+@example([10.0, 9.75, 10.75, 9.7], 1.0)  # a heap entry leaves exactly at the window edge
+def test_ensure_time_order_matches_reference(times, window):
+    packets = [rec(ts=t, sport=i) for i, t in enumerate(times)]
+    got, got_err = _drain(ensure_time_order(packets, reorder_window=window), OutOfOrderError)
+    want, want_err = _drain(ref_time_order(packets, reorder_window=window), RefOutOfOrder)
+    assert [id(r) for r in got] == [id(r) for r in want]
+    assert got_err == want_err
 
 
 def test_sniff_format(tmp_path):

@@ -13,7 +13,6 @@ from scadascope.segmentation import (
     aggregate_ft,
     aggregate_records,
     conversation_key,
-    ft_of_segment,
     merge_ft_maps,
     segment_stream,
     total_segments,
@@ -68,7 +67,7 @@ def test_bidirectional_packets_share_segment():
     assert len(segs) == 1
     assert segs[0].seg_size == 340
     assert segs[0].initiator == ("10.0.0.5", 20000)
-    assert ft_of_segment(segs[0]) == FtKey("10.0.0.5", 20000, "10.0.0.9", 50000, 340)
+    assert list(aggregate_ft(segs)) == [FtKey("10.0.0.5", 20000, "10.0.0.9", 50000, 340)]
 
 
 def test_t_comm_must_be_positive():
@@ -241,3 +240,45 @@ def test_conversation_key_is_direction_free():
     a = pkt(0.0, src="10.0.0.5", sport=20000, dst="10.0.0.9", dport=50000)
     b = pkt(0.0, src="10.0.0.9", sport=50000, dst="10.0.0.5", dport=20000)
     assert conversation_key(a) == conversation_key(b)
+
+
+def test_segment_yield_order_is_pinned():
+    """Closed segments come out as they close, then open ones in first-seen order.
+
+    ``inspect --dump-segments`` writes segments in this order, so a change to
+    it changes the dump even though every sorted comparison above passes.
+    """
+    a_fd, a_master = ("10.0.0.6", 20000), ("10.0.0.9", 50000)
+    b_fd, b_master = ("10.0.0.2", 20000), ("10.0.0.8", 50001)
+    loop = ("10.0.0.3", 7000)  # source and destination endpoint are the same
+    # First seen A, B, C; sorted by key it would be B, C, A.
+
+    def on(ts, src, dst, size):
+        return PacketRecord(ts, src[0], src[1], dst[0], dst[1], "tcp", size)
+
+    packets = [
+        on(0.0, a_master, a_fd, 10),  # A first seen, opened from its larger endpoint
+        on(0.1, b_fd, b_master, 20),  # B first seen
+        on(0.2, loop, loop, 30),  # C first seen
+        on(0.3, a_fd, a_master, 11),
+        on(0.4, loop, loop, 31),
+        on(2.0, b_master, b_fd, 21),  # closes B's first segment, reopens B the other way
+        on(2.5, b_fd, b_master, 22),
+        on(3.0, a_master, a_fd, 12),  # closes A's first segment
+    ]
+    segs = list(segment_stream(packets, t_comm=1.0))
+    got = [(s.start_ts, s.seg_size, s.packet_count, s.initiator, s.responder) for s in segs]
+    assert got == [
+        (0.1, 20, 1, b_fd, b_master),
+        (0.0, 21, 2, a_master, a_fd),
+        (3.0, 12, 1, a_master, a_fd),
+        (2.0, 43, 2, b_master, b_fd),
+        (0.2, 61, 2, loop, loop),
+    ]
+    assert [s.key for s in segs] == [
+        (b_fd, b_master),
+        (a_fd, a_master),
+        (a_fd, a_master),
+        (b_fd, b_master),
+        (loop, loop),
+    ]
