@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import dataclass, asdict
@@ -40,8 +39,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_LOW_CONFIDENCE = 3
 
-PROGRESS_EVERY = 1_000_000
-
 
 @dataclass
 class RunManifest:
@@ -65,18 +62,6 @@ def _sha256_of(path: str) -> str:
     return digest.hexdigest()
 
 
-def _progress(records, quiet: bool):
-    if quiet:
-        yield from records
-        return
-    n = 0
-    for rec in records:
-        n += 1
-        if n % PROGRESS_EVERY == 0:
-            log.info("processed %d records", n)
-        yield rec
-
-
 def _filter_config(args) -> ingest.FilterConfig | None:
     """Service-port filtering is off unless one of the filter flags appears."""
     if args.filter_ports is None and not args.no_default_filter:
@@ -91,6 +76,10 @@ def _filter_config(args) -> ingest.FilterConfig | None:
 
 
 def _load_stream(args):
+    """The time-ordered, optionally filtered record stream of ``args.input``.
+
+    Returns (records, ingest stats, filter stats, filter config or None).
+    """
     stats = ingest.IngestStats()
     records = ingest.open_trace(args.input, stats)
     records = ingest.ensure_time_order(records, force_sort=args.force_sort)
@@ -98,18 +87,23 @@ def _load_stream(args):
     config = _filter_config(args)
     if config is not None:
         records = ingest.filter_packets(records, config, fstats)
-    return _progress(records, args.quiet), stats, fstats
+    return records, stats, fstats, config
 
 
-def _shards(args) -> int:
-    cap = os.environ.get("SCADASCOPE_THREADS")
-    shards = args.shards
-    if cap:
-        try:
-            shards = min(shards, max(1, int(cap)))
-        except ValueError:
-            log.warning("ignoring non-integer SCADASCOPE_THREADS=%r", cap)
-    return shards
+def _configs(args) -> tuple[RankingConfig, InferenceConfig]:
+    """Ranking and inference settings from the flags.
+
+    ``rank`` has no inference flags and gets the default InferenceConfig.
+    """
+    ranking = RankingConfig(pr_cap=args.pr_cap, log_base=args.log_base)
+    if "num_protocols" not in args:
+        return ranking, InferenceConfig()
+    return ranking, InferenceConfig(
+        num_scada_protocols=args.num_protocols,
+        fd_degree_threshold=args.fd_degree_threshold,
+        scada_fraction_threshold=args.scada_fraction,
+        three_layer=args.three_layer,
+    )
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,8 +118,14 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="periodicity value assigned when variance is exactly zero")
     parser.add_argument("--log-base", choices=("e", "10"), default="e")
     parser.add_argument("--shards", type=int, default=1,
-                        help="split conversations into this many groups, run one after another "
-                             "in this process on the buffered trace (result cannot change)")
+                        help="accepted for compatibility; has no effect")
+
+
+def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--num-protocols", type=int, default=1)
+    parser.add_argument("--fd-degree-threshold", type=int, default=5)
+    parser.add_argument("--scada-fraction", type=float, default=0.5)
+    parser.add_argument("--three-layer", action="store_true")
 
 
 def cmd_synth(args) -> int:
@@ -149,13 +149,10 @@ def cmd_synth(args) -> int:
 
 def cmd_rank(args) -> int:
     started = time.monotonic()
-    records, _stats, _fstats = _load_stream(args)
-    ranking = RankingConfig(pr_cap=args.pr_cap, log_base=args.log_base)
+    records, _stats, _fstats, _config = _load_stream(args)
+    ranking, inference = _configs(args)
     result = analyze_records(
-        records,
-        t_comm=args.t_comm,
-        ranking_config=ranking,
-        shards=_shards(args),
+        records, t_comm=args.t_comm, ranking_config=ranking, inference_config=inference
     )
     ranked = result.ranked
     if not ranked:
@@ -205,20 +202,10 @@ def cmd_rank(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    records, stats, fstats = _load_stream(args)
-    ranking = RankingConfig(pr_cap=args.pr_cap, log_base=args.log_base)
-    inference = InferenceConfig(
-        num_scada_protocols=args.num_protocols,
-        fd_degree_threshold=args.fd_degree_threshold,
-        scada_fraction_threshold=args.scada_fraction,
-        three_layer=args.three_layer,
-    )
+    records, _stats, _fstats, filter_config = _load_stream(args)
+    ranking, inference = _configs(args)
     result = analyze_records(
-        records,
-        t_comm=args.t_comm,
-        ranking_config=ranking,
-        inference_config=inference,
-        shards=_shards(args),
+        records, t_comm=args.t_comm, ranking_config=ranking, inference_config=inference
     )
     report = result.report
     manifest = RunManifest(
@@ -227,7 +214,7 @@ def cmd_analyze(args) -> int:
         tool_version=scadascope.__version__,
         config={
             "t_comm": args.t_comm,
-            "filter_ports": sorted(_filter_config(args).service_ports) if _filter_config(args) else None,
+            "filter_ports": sorted(filter_config.service_ports) if filter_config else None,
             "num_scada_protocols": inference.num_scada_protocols,
             "fd_degree_threshold": inference.fd_degree_threshold,
             "scada_fraction_threshold": inference.scada_fraction_threshold,
@@ -288,16 +275,10 @@ def cmd_eval(args) -> int:
 
 def cmd_stability(args) -> int:
     fractions = [float(part) for part in args.fractions.split(",") if part.strip()]
-    records, _stats, _fstats = _load_stream(args)
-    inference = InferenceConfig(
-        num_scada_protocols=args.num_protocols,
-        fd_degree_threshold=args.fd_degree_threshold,
-        scada_fraction_threshold=args.scada_fraction,
-        three_layer=args.three_layer,
-    )
-    ranking = RankingConfig(pr_cap=args.pr_cap, log_base=args.log_base)
+    records, _stats, _fstats, _config = _load_stream(args)
+    ranking, inference = _configs(args)
     result = prefix_stability(
-        list(records),
+        records,
         fractions,
         t_comm=args.t_comm,
         ranking_config=ranking,
@@ -315,14 +296,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    stats = ingest.IngestStats()
-    records = ingest.open_trace(args.input, stats)
-    records = ingest.ensure_time_order(records, force_sort=args.force_sort)
-    fstats = ingest.FilterStats()
-    config = _filter_config(args)
-    if config is not None:
-        records = ingest.filter_packets(records, config, fstats)
-
+    records, stats, fstats, config = _load_stream(args)
     protos: dict[str, int] = {}
     ips: set[str] = set()
     ports: set[int] = set()
@@ -396,10 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full topology inference")
     p.add_argument("input")
     _add_pipeline_flags(p)
-    p.add_argument("--num-protocols", type=int, default=1)
-    p.add_argument("--fd-degree-threshold", type=int, default=5)
-    p.add_argument("--scada-fraction", type=float, default=0.5)
-    p.add_argument("--three-layer", action="store_true")
+    _add_inference_flags(p)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--dot", help="DOT graph path")
     p.set_defaults(func=cmd_analyze)
@@ -413,10 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     _add_pipeline_flags(p)
     p.add_argument("--fractions", default="0.02,0.06,0.1,0.25,1.0")
-    p.add_argument("--num-protocols", type=int, default=1)
-    p.add_argument("--fd-degree-threshold", type=int, default=5)
-    p.add_argument("--scada-fraction", type=float, default=0.5)
-    p.add_argument("--three-layer", action="store_true")
+    _add_inference_flags(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("inspect", help="ingest statistics and optional segment dump")

@@ -13,6 +13,8 @@ import bisect
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from scadascope.features import RankedFt, RankingConfig, rank
@@ -26,6 +28,8 @@ from scadascope.segmentation import (
 )
 
 log = logging.getLogger(__name__)
+
+PROGRESS_EVERY = 1_000_000
 
 
 class NoScadaFoundError(LookupError):
@@ -344,13 +348,25 @@ def analyze_records(
     t_comm: float = DEFAULT_T_COMM,
     ranking_config: RankingConfig | None = None,
     inference_config: InferenceConfig | None = None,
-    shards: int = 1,
 ) -> AnalysisResult:
-    """Full pipeline from a time-ordered record stream to a topology report."""
+    """Full pipeline from a time-ordered record stream to a topology report.
+
+    Records are counted on the way in, with an INFO log line every
+    ``PROGRESS_EVERY`` records.
+    """
     if inference_config is None:
         inference_config = InferenceConfig()
-    counter = _CountingIterator(records)
-    ft_map = aggregate_records(counter, t_comm=t_comm, shards=shards)
+    count = 0
+
+    def counted():
+        nonlocal count
+        every = PROGRESS_EVERY
+        for count, rec in enumerate(records, 1):
+            if count % every == 0:
+                log.info("processed %d records", count)
+            yield rec
+
+    ft_map = aggregate_records(counted(), t_comm)
     ranked = rank(ft_map, config=ranking_config)
     if ranked:
         report = run_algorithm1(ft_map, ranked, inference_config)
@@ -358,7 +374,7 @@ def analyze_records(
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
     seg_count = total_segments(ft_map)
     report.metrics = {
-        "records": counter.count,
+        "records": count,
         "segments": seg_count,
         "ft_count": len(ft_map),
     }
@@ -366,22 +382,9 @@ def analyze_records(
         report=report,
         ranked=ranked,
         ft_map=ft_map,
-        record_count=counter.count,
+        record_count=count,
         segment_count=seg_count,
     )
-
-
-class _CountingIterator:
-    __slots__ = ("_it", "count")
-
-    def __init__(self, iterable: Iterable[PacketRecord]) -> None:
-        self._it = iter(iterable)
-        self.count = 0
-
-    def __iter__(self):
-        for item in self._it:
-            self.count += 1
-            yield item
 
 
 def evaluate(report: TopologyReport, truth: dict[str, str]) -> dict:
@@ -425,7 +428,7 @@ class StabilityResult:
 
 
 def prefix_stability(
-    records: Sequence[PacketRecord],
+    records: Iterable[PacketRecord],
     fractions: Iterable[float],
     t_comm: float = DEFAULT_T_COMM,
     ranking_config: RankingConfig | None = None,
@@ -433,31 +436,41 @@ def prefix_stability(
 ) -> StabilityResult:
     """Rerun the pipeline on time prefixes of the trace.
 
-    A fraction p keeps packets in the first p of the trace duration.  The
-    result records which fractions already reproduce the full-trace topology.
+    A fraction p keeps packets in the first p of the trace duration, and
+    a fraction of 1 the whole trace.  Prefixes holding the same records are
+    analysed once.  The result records which fractions already reproduce
+    the full-trace topology.
     """
     fractions = sorted(set(fractions))
     if not fractions or fractions[0] <= 0 or fractions[-1] > 1:
         raise ValueError("fractions must lie in (0, 1]")
     records = list(records)
-    full = analyze_records(
-        records, t_comm=t_comm, ranking_config=ranking_config, inference_config=inference_config
-    ).report
+
+    def analyze(prefix: Iterable[PacketRecord]) -> TopologyReport:
+        return analyze_records(
+            prefix, t_comm=t_comm, ranking_config=ranking_config, inference_config=inference_config
+        ).report
+
+    full = analyze(records)
     if not records:
         return StabilityResult({f: full for f in fractions}, full, fractions[0])
 
     t0 = records[0].ts
     span = records[-1].ts - t0
-    times = [r.ts for r in records]
+    # Keyed by prefix length.  A fraction of 1 takes every record: its cutoff
+    # t0 + 1.0 * span can round below the last timestamp.
+    by_length = {len(records): full}
     by_fraction: dict[float, TopologyReport] = {}
     smallest: float | None = None
     target = full.topology_signature()
     for frac in fractions:
-        cutoff = t0 + frac * span
-        prefix = records[: bisect.bisect_right(times, cutoff)]
-        rep = analyze_records(
-            prefix, t_comm=t_comm, ranking_config=ranking_config, inference_config=inference_config
-        ).report
+        if frac == 1:
+            length = len(records)
+        else:
+            length = bisect.bisect_right(records, t0 + frac * span, key=attrgetter("ts"))
+        rep = by_length.get(length)
+        if rep is None:
+            rep = by_length[length] = analyze(islice(records, length))
         by_fraction[frac] = rep
         if smallest is None and rep.topology_signature() == target:
             smallest = frac

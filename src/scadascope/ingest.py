@@ -199,15 +199,19 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
             stats.frames += 1
             try:
                 obj, end = scan(line, 0)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, ValueError):
                 end = -1
-            try:
-                if end != len(line):
-                    # Not one whole JSON value: json.loads words the error.
+            if end != len(line):
+                # Not one whole JSON value: json.loads words the error.  Besides
+                # a JSONDecodeError it raises a plain ValueError for an integer
+                # past the int/str digit limit.
+                try:
                     obj = json.loads(line)
+                except ValueError as exc:
+                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    raise RecordFormatError(f"{path}:{lineno}: invalid JSON ({msg})") from exc
+            try:
                 rec = _build_record(obj)
-            except json.JSONDecodeError as exc:
-                raise RecordFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             except _InvalidRecord as exc:
                 raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc.__cause__
             stats.yielded += 1

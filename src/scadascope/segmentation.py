@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -168,42 +167,11 @@ def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, FtStat
     return table
 
 
-def merge_ft_maps(maps: Iterable[dict[FtKey, FtStats]]) -> dict[FtKey, FtStats]:
-    """Disjoint union of shard-local tables (one 5-tuple never spans shards)."""
-    merged: dict[FtKey, FtStats] = {}
-    for table in maps:
-        for key, stats in table.items():
-            if key in merged:
-                raise ValueError(f"5-tuple {key} appeared in more than one shard")
-            merged[key] = stats
-    return merged
-
-
-def _shard_of(key: ConversationKey, shards: int) -> int:
-    (a_ip, a_port), (b_ip, b_port) = key
-    raw = f"{a_ip}:{a_port}|{b_ip}:{b_port}".encode()
-    return zlib.crc32(raw) % shards
-
-
 def aggregate_records(
-    records: Iterable[PacketRecord],
-    t_comm: float = DEFAULT_T_COMM,
-    shards: int = 1,
+    records: Iterable[PacketRecord], t_comm: float = DEFAULT_T_COMM
 ) -> dict[FtKey, FtStats]:
-    """Segment and aggregate a record stream, optionally sharded by conversation.
-
-    Sharding partitions conversations, so the result is identical for any
-    shard count.  With more than one shard the whole stream is buffered and
-    the shards run one after another in this process.
-    """
-    if shards <= 1:
-        return aggregate_ft(segment_stream(records, t_comm))
-    buckets: list[list[PacketRecord]] = [[] for _ in range(shards)]
-    for rec in records:
-        buckets[_shard_of(conversation_key(rec), shards)].append(rec)
-    return merge_ft_maps(
-        aggregate_ft(segment_stream(bucket, t_comm)) for bucket in buckets
-    )
+    """Segment and aggregate a time-ordered record stream in one pass."""
+    return aggregate_ft(segment_stream(records, t_comm))
 
 
 def total_segments(ft_map: dict[FtKey, FtStats]) -> int:

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scadascope
+
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
+from scadascope.ingest import FilterConfig, FilterStats, filter_packets, read_records
 from scadascope.synth import generate, scenario_to_dict, write_records
 
 from scenarios import dataset1_like, dataset2_like, office_like
@@ -214,6 +221,13 @@ def test_filter_flags_change_analysis_input(tmp_path, d1):
     filtered = json.loads(out_filtered.read_text())
     assert filtered["manifest"]["records"] < plain["manifest"]["records"]
     assert filtered["protocols"][0]["scada_port"] == 20000
+    # The manifest counts the records that reach the analysis: every record
+    # of the trace, or those the filter kept.
+    records = list(read_records(str(d1["trace"])))
+    fstats = FilterStats()
+    list(filter_packets(iter(records), FilterConfig(), fstats))
+    assert plain["manifest"]["records"] == len(records)
+    assert filtered["manifest"]["records"] == fstats.kept
 
 
 def test_pcap_input_accepted(tmp_path, capsys):
@@ -227,16 +241,24 @@ def test_pcap_input_accepted(tmp_path, capsys):
     assert f"records: {len(records)}" in capsys.readouterr().out
 
 
-def test_shards_env_cap(tmp_path, d1, monkeypatch):
-    plain = tmp_path / "plain.json"
-    assert main(["--quiet", "analyze", str(d1["trace"]), "--shards", "1", "--out", str(plain)]) == EXIT_OK
-    monkeypatch.setenv("SCADASCOPE_THREADS", "1")
-    capped = tmp_path / "capped.json"
-    assert main(["--quiet", "analyze", str(d1["trace"]), "--shards", "8", "--out", str(capped)]) == EXIT_OK
-
-    def stripped(path):
-        payload = json.loads(path.read_text())
-        payload["manifest"].pop("duration_s")
-        return json.dumps(payload, sort_keys=True)
-
-    assert stripped(plain) == stripped(capped)
+@pytest.mark.parametrize("quiet", [False, True])
+def test_progress_line_and_quiet(tmp_path, quiet):
+    # A fresh interpreter, so main() configures logging as it does from a shell.
+    records, _ = generate(dataset1_like(duration=300.0, seed=507, fds=3))
+    trace = tmp_path / "t.jsonl"
+    count = write_records(records, str(trace))
+    argv = (["--quiet"] if quiet else []) + ["analyze", str(trace), "--out", str(tmp_path / "r.json")]
+    script = (
+        "import sys; import scadascope.inference as inference; inference.PROGRESS_EVERY = 1000; "
+        f"from scadascope.cli import main; sys.exit(main({argv!r}))"
+    )
+    src = str(Path(scadascope.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "processed" in line]
+    expected = [] if quiet else [
+        f"INFO scadascope.inference: processed {n} records" for n in range(1000, count + 1, 1000)
+    ]
+    assert lines == expected

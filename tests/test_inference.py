@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
 
+from scadascope import inference
 from scadascope.features import FeatureVector, RankedFt, rank
 from scadascope.inference import (
     InferenceConfig,
@@ -25,6 +27,7 @@ from scadascope.inference import (
     report_to_dot,
     run_algorithm1,
 )
+from scadascope.ingest import PacketRecord
 from scadascope.segmentation import FtKey, FtStats
 from scadascope.synth import generate
 
@@ -284,6 +287,18 @@ def test_algorithm_deterministic():
     assert a.report.to_dict() == b.report.to_dict()
 
 
+def test_record_count_matches_input(caplog, monkeypatch):
+    config = dataset1_like(duration=300.0, seed=311, fds=3)
+    records = list(generate(config)[0])
+    monkeypatch.setattr(inference, "PROGRESS_EVERY", 1000)
+    with caplog.at_level(logging.INFO, logger="scadascope.inference"):
+        result = analyze_records(iter(records))
+    assert result.record_count == len(records) == result.report.metrics["records"]
+    progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("processed")]
+    assert progress == [f"processed {n} records" for n in range(1000, len(records) + 1, 1000)]
+    assert analyze_records(iter([])).record_count == 0
+
+
 def test_report_classification_disjoint_and_evidence_roles():
     config = dataset1_like(duration=1800.0, seed=306, fds=8)
     records, _ = generate(config)
@@ -382,6 +397,43 @@ def test_prefix_degenerate_fraction_low_confidence():
     assert tiny.low_confidence or not tiny.protocols or tiny.topology_signature() != (
         prefix_stability(records, [1.0]).full_report.topology_signature()
     )
+
+
+def test_prefix_fraction_one_takes_last_record():
+    # t0 + 1.0 * (last - t0) rounds below last for these two timestamps, so a
+    # time cutoff would drop the last record, the one field device 10.0.1.9
+    # is seen in.
+    t0, last = 14746.42848500945, 32374.81194607641
+    assert t0 + 1.0 * (last - t0) < last
+    step = (last - t0) / 100
+    records = [
+        PacketRecord(t0 + i * step, "10.0.0.1", 40000, f"10.0.1.{i % 3 + 1}", 502, "tcp", 12)
+        for i in range(100)
+    ]
+    records.append(PacketRecord(last, "10.0.1.9", 502, "10.0.0.1", 40000, "tcp", 12))
+    result = prefix_stability(iter(records), [0.5, 1.0])
+    assert result.by_fraction[1.0].metrics["records"] == len(records)
+    assert "10.0.1.9" in result.by_fraction[1.0].protocols[0].field_devices
+    assert result.smallest_stable == 1.0
+
+
+def test_prefix_stability_analyses_each_prefix_once(monkeypatch):
+    config = dataset1_like(duration=600.0, seed=310, fds=4)
+    records = list(generate(config)[0])
+    calls = []
+
+    def counting(prefix, **kwargs):
+        result = analyze_records(prefix, **kwargs)
+        calls.append(result.record_count)
+        return result
+
+    monkeypatch.setattr(inference, "analyze_records", counting)
+    result = prefix_stability(records, [0.02, 0.06, 0.1, 0.25, 1.0])
+    # The full trace once, then one prefix per fraction below 1.
+    assert calls[0] == len(records)
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+    assert result.by_fraction[1.0] is result.full_report
 
 
 def test_prefix_rejects_bad_fractions():

@@ -141,6 +141,10 @@ def test_read_records_single_line(tmp_path):
     assert records == [PacketRecord(1.5, "10.0.0.1", 20000, "10.0.0.2", 51382, "tcp", 340)]
 
 
+# Stands for a 5001-digit integer, which json.dumps cannot write itself.
+BIG_INT = "<5001 digits>"
+
+
 @pytest.mark.parametrize(
     "field,value,fragment",
     [
@@ -155,6 +159,8 @@ def test_read_records_single_line(tmp_path):
         ("src_port", True, "src_port must be an integer"),
         ("dst_port", 80.9, "dst_port must be an integer"),
         ("size", "3", "size must be an integer"),
+        # Past the int/str digit limit the JSON scanner itself refuses the number.
+        ("src_port", BIG_INT, "invalid JSON (Exceeds the limit (4300 digits)"),
     ],
 )
 def test_read_records_validation(tmp_path, field, value, fragment):
@@ -171,7 +177,7 @@ def test_read_records_validation(tmp_path, field, value, fragment):
     import json
 
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(obj) + "\n")
+    path.write_text(json.dumps(obj).replace(json.dumps(BIG_INT), "1" * 5001) + "\n")
     with pytest.raises(RecordFormatError) as err:
         list(read_records(str(path)))
     assert ":1:" in str(err.value)

@@ -1,4 +1,4 @@
-"""Segmentation tests: gap splitting, 5-tuple aggregation, shard merging."""
+"""Segmentation tests: gap splitting and 5-tuple aggregation."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from scadascope.ingest import PacketRecord
 from scadascope.segmentation import (
     FtKey,
     aggregate_ft,
-    aggregate_records,
     conversation_key,
-    merge_ft_maps,
     segment_stream,
     total_segments,
 )
@@ -168,24 +166,6 @@ def test_total_segments_matches_stream():
     segs = list(segment_stream(records, 1.0))
     table = aggregate_ft(segs)
     assert total_segments(table) == len(segs)
-
-
-def test_sharded_aggregation_identical():
-    config = dataset1_like(duration=600.0, seed=16, fds=7)
-    records = list(generate(config)[0])
-    base = aggregate_records(iter(records), shards=1)
-    for shards in (2, 3, 8):
-        other = aggregate_records(iter(records), shards=shards)
-        assert set(other) == set(base)
-        assert all(other[k].start_times == base[k].start_times for k in base)
-
-
-def test_merge_rejects_key_collision():
-    key = FtKey("a", 1, "b", 2, 50)
-    from scadascope.segmentation import FtStats
-
-    with pytest.raises(ValueError):
-        merge_ft_maps([{key: FtStats(key)}, {key: FtStats(key)}])
 
 
 def test_random_scenarios_match_reference():
