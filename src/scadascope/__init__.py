@@ -24,7 +24,6 @@ from scadascope.segmentation import (
 )
 from scadascope.features import (
     FeatureVector,
-    PortUsageIndex,
     RankedFt,
     RankingConfig,
     rank,
@@ -52,7 +51,6 @@ __all__ = [
     "GroundTruth",
     "InferenceConfig",
     "PacketRecord",
-    "PortUsageIndex",
     "RankedFt",
     "RankingConfig",
     "ScenarioConfig",

@@ -186,16 +186,13 @@ def cmd_rank(args) -> int:
     else:
         print(out, end="" if out.endswith("\n") else "\n")
 
-    window = ranked[: min(1000, len(ranked))]
-    candidates = {ranked[0].key.src_port, ranked[0].key.dst_port}
-    counts = {
-        port: sum(1 for e in window if port in (e.key.src_port, e.key.dst_port))
-        for port in sorted(candidates)
-    }
-    best_port, best_count = max(counts.items(), key=lambda kv: kv[1])
+    log.info("ranked %d 5-tuples in %.2fs", len(ranked), time.monotonic() - started)
+    port = result.report.protocols[0].scada_port
+    window = ranked[:1000]
+    touching = sum(1 for e in window if port in (e.key.src_port, e.key.dst_port))
     print(
-        f"summary: {best_count} of top-{len(window)} communications touch port {best_port}; "
-        f"{len(ranked)} ranked in {time.monotonic() - started:.2f}s"
+        f"summary: {touching} of top-{len(window)} communications touch port {port}; "
+        f"{len(ranked)} ranked"
     )
     return EXIT_OK
 
@@ -215,12 +212,8 @@ def cmd_analyze(args) -> int:
         config={
             "t_comm": args.t_comm,
             "filter_ports": sorted(filter_config.service_ports) if filter_config else None,
-            "num_scada_protocols": inference.num_scada_protocols,
-            "fd_degree_threshold": inference.fd_degree_threshold,
-            "scada_fraction_threshold": inference.scada_fraction_threshold,
-            "three_layer": inference.three_layer,
-            "pr_cap": ranking.pr_cap,
-            "log_base": ranking.log_base,
+            **asdict(inference),
+            **asdict(ranking),
         },
         records=result.record_count,
         segments=result.segment_count,
@@ -284,10 +277,9 @@ def cmd_stability(args) -> int:
         ranking_config=ranking,
         inference_config=inference,
     )
-    target = result.full_report.topology_signature()
+    stable = set(result.stable_fractions())
     for frac in sorted(result.by_fraction):
-        match = result.by_fraction[frac].topology_signature() == target
-        print(f"fraction {frac:g}: {'matches full trace' if match else 'differs'}")
+        print(f"fraction {frac:g}: {'matches full trace' if frac in stable else 'differs'}")
     if result.smallest_stable is None:
         print("no tested fraction reproduces the full-trace topology")
     else:

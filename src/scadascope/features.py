@@ -3,7 +3,8 @@
 Five per-tuple features: periodicity (pR), communication durability (dR),
 device complexity gap (cR), service popularity (uR), and segment size (sR).
 Each is normalized by its maximum over the dataset and the final score is
-the product of the five normalized values.
+the product of the five normalized values.  cR reads the device table
+(``build_device_profiles``), the same table Algorithm 1 classifies devices by.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 from scadascope.segmentation import FtKey, FtStats
@@ -36,8 +38,8 @@ class RankingConfig:
     def __post_init__(self) -> None:
         if self.log_base not in ("e", "10"):
             raise ValueError(f"log_base must be 'e' or '10', got {self.log_base!r}")
-        if self.pr_cap <= 0:
-            raise ValueError("pr_cap must be positive")
+        if not 0 < self.pr_cap < math.inf:
+            raise ValueError(f"pr_cap must be positive and finite, got {self.pr_cap}")
 
 
 @dataclass(slots=True)
@@ -74,42 +76,75 @@ class RankedFt:
     fv: FeatureVector
 
 
-class PortUsageIndex:
-    """Global port-usage structure backing the cR and uR features.
+@dataclass
+class DeviceProfile:
+    """Per-device connectivity and port-usage evidence."""
 
-    ``ports_by_ip`` maps each device to the set of ports it used on its own
-    side of any 5-tuple.  ``pairs_by_port_role`` maps (port, src|dst) to the
-    distinct (src_ip, dst_ip) pairs among 5-tuples where the port occupies
-    that role.
+    ip: str
+    peers: set[str] = field(default_factory=set)
+    ft_count: int = 0
+    ports_used: set[int] = field(default_factory=set)
+    own_port_segments: Counter = field(default_factory=Counter)
+    total_segments: int = 0
+
+    @property
+    def degree(self) -> int:
+        return len(self.peers)
+
+    def scada_fraction(self, port: int) -> float:
+        """Share of this device's segments carrying ``port`` on its own side."""
+        if self.total_segments == 0:
+            return 0.0
+        return self.own_port_segments.get(port, 0) / self.total_segments
+
+    def snapshot(self, port: int | None) -> dict:
+        return {
+            "degree": self.degree,
+            "ft_count": self.ft_count,
+            "ports_used": len(self.ports_used),
+            "segments": self.total_segments,
+            "scada_fraction": None if port is None else round(self.scada_fraction(port), 6),
+        }
+
+
+def build_device_profiles(ft_map: dict[FtKey, FtStats]) -> dict[str, DeviceProfile]:
+    """The device table: one profile per address, read by cR and Algorithm 1."""
+    profiles: dict[str, DeviceProfile] = {}
+
+    def get(ip: str) -> DeviceProfile:
+        prof = profiles.get(ip)
+        if prof is None:
+            prof = profiles[ip] = DeviceProfile(ip)
+        return prof
+
+    for key, stats in ft_map.items():
+        n = stats.n
+        src = get(key.src_ip)
+        dst = get(key.dst_ip)
+        src.peers.add(key.dst_ip)
+        dst.peers.add(key.src_ip)
+        src.ft_count += 1
+        dst.ft_count += 1
+        src.ports_used.add(key.src_port)
+        dst.ports_used.add(key.dst_port)
+        src.own_port_segments[key.src_port] += n
+        dst.own_port_segments[key.dst_port] += n
+        src.total_segments += n
+        dst.total_segments += n
+    return profiles
+
+
+def port_pair_counts(ft_keys: Iterable[FtKey]) -> dict[tuple[int, str], int]:
+    """Distinct (src_ip, dst_ip) pairs per (port, src|dst), for uR.
+
+    A port is counted among the 5-tuples where it occupies that role.
     """
-
-    __slots__ = ("ports_by_ip", "pairs_by_port_role")
-
-    def __init__(self) -> None:
-        self.ports_by_ip: dict[str, set[int]] = {}
-        self.pairs_by_port_role: dict[tuple[int, str], set[tuple[str, str]]] = {}
-
-    @classmethod
-    def build(cls, ft_keys: Iterable[FtKey]) -> "PortUsageIndex":
-        index = cls()
-        ports = index.ports_by_ip
-        pairs = index.pairs_by_port_role
-        for key in ft_keys:
-            ports.setdefault(key.src_ip, set()).add(key.src_port)
-            ports.setdefault(key.dst_ip, set()).add(key.dst_port)
-            pair = (key.src_ip, key.dst_ip)
-            pairs.setdefault((key.src_port, SRC), set()).add(pair)
-            pairs.setdefault((key.dst_port, DST), set()).add(pair)
-        return index
-
-    def port_count(self, ip: str) -> int:
-        try:
-            return len(self.ports_by_ip[ip])
-        except KeyError:
-            raise ValueError(f"device {ip} not present in port-usage index") from None
-
-    def pair_count(self, port: int, role: str) -> int:
-        return len(self.pairs_by_port_role.get((port, role), ()))
+    pairs: dict[tuple[int, str], set[tuple[str, str]]] = {}
+    for key in ft_keys:
+        pair = (key.src_ip, key.dst_ip)
+        pairs.setdefault((key.src_port, SRC), set()).add(pair)
+        pairs.setdefault((key.dst_port, DST), set()).add(pair)
+    return {role: len(seen) for role, seen in pairs.items()}
 
 
 def compute_pR(stats: FtStats, cap: float = DEFAULT_PR_CAP) -> float:
@@ -138,21 +173,24 @@ def compute_dR(stats: FtStats, log_base: str = "e") -> float:
     return hours * (math.log10(n) if log_base == "10" else math.log(n))
 
 
-def compute_cR(key: FtKey, index: PortUsageIndex) -> float:
+def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
     """Complexity gap: larger-over-smaller ratio of the endpoints' port counts."""
-    a = index.port_count(key.src_ip)
-    b = index.port_count(key.dst_ip)
+    try:
+        a = len(profiles[key.src_ip].ports_used)
+        b = len(profiles[key.dst_ip].ports_used)
+    except KeyError as exc:
+        raise ValueError(f"device {exc.args[0]} not present in the device table") from None
     return max(a / b, b / a)
 
 
-def compute_uR(key: FtKey, index: PortUsageIndex) -> float:
+def compute_uR(key: FtKey, pair_counts: dict[tuple[int, str], int]) -> float:
     """Service popularity: ratio of distinct device pairs using each port, >= 1.
 
     Pairs are counted per role: the source port among 5-tuples where it is
     the source, the destination port where it is the destination.
     """
-    a = index.pair_count(key.src_port, SRC)
-    b = index.pair_count(key.dst_port, DST)
+    a = pair_counts.get((key.src_port, SRC), 0)
+    b = pair_counts.get((key.dst_port, DST), 0)
     if a == 0 or b == 0:
         raise ValueError(f"port usage missing for {key}")
     return max(a / b, b / a)
@@ -167,21 +205,23 @@ def compute_sR(key: FtKey, max_seg_size: int) -> float:
 
 def rank(
     ft_map: dict[FtKey, FtStats],
-    index: PortUsageIndex | None = None,
+    profiles: dict[str, DeviceProfile] | None = None,
     config: RankingConfig | None = None,
 ) -> list[RankedFt]:
     """Score every 5-tuple and sort by descending product score.
 
-    Each feature is normalized by its maximum over this dataset.  Ties are
-    broken by normalized periodicity, then by the 5-tuple itself, so the
-    order is deterministic.
+    ``profiles`` is the device table of ``ft_map``, built here when not
+    given.  Each feature is normalized by its maximum over this dataset.
+    Ties are broken by normalized periodicity, then by the 5-tuple itself,
+    so the order is deterministic.
     """
     if not ft_map:
         return []
     if config is None:
         config = RankingConfig()
-    if index is None:
-        index = PortUsageIndex.build(ft_map.keys())
+    if profiles is None:
+        profiles = build_device_profiles(ft_map)
+    pair_counts = port_pair_counts(ft_map)
     max_seg = max(key.seg_size for key in ft_map)
 
     entries: list[RankedFt] = []
@@ -189,8 +229,8 @@ def rank(
         fv = FeatureVector(
             pR=compute_pR(stats, cap=config.pr_cap),
             dR=compute_dR(stats, log_base=config.log_base),
-            cR=compute_cR(key, index),
-            uR=compute_uR(key, index),
+            cR=compute_cR(key, profiles),
+            uR=compute_uR(key, pair_counts),
             sR=compute_sR(key, max_seg),
         )
         entries.append(RankedFt(key=key, n=stats.n, fv=fv))

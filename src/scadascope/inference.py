@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import bisect
 import logging
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from scadascope.features import RankedFt, RankingConfig, rank
+from scadascope.features import (
+    DeviceProfile,
+    RankedFt,
+    RankingConfig,
+    build_device_profiles,
+    rank,
+)
 from scadascope.ingest import PacketRecord
 from scadascope.segmentation import (
     DEFAULT_T_COMM,
@@ -46,65 +52,10 @@ class InferenceConfig:
     def __post_init__(self) -> None:
         if self.num_scada_protocols < 1:
             raise ValueError("num_scada_protocols must be >= 1")
-        if self.fd_degree_threshold <= 0 or self.scada_fraction_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-
-
-@dataclass
-class DeviceProfile:
-    """Per-device connectivity and port-usage evidence."""
-
-    ip: str
-    peers: set[str] = field(default_factory=set)
-    ft_count: int = 0
-    ports_used: set[int] = field(default_factory=set)
-    own_port_segments: Counter = field(default_factory=Counter)
-    total_segments: int = 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.peers)
-
-    def scada_fraction(self, port: int) -> float:
-        """Share of this device's segments carrying ``port`` on its own side."""
-        if self.total_segments == 0:
-            return 0.0
-        return self.own_port_segments.get(port, 0) / self.total_segments
-
-    def snapshot(self, port: int | None) -> dict:
-        return {
-            "degree": self.degree,
-            "ft_count": self.ft_count,
-            "ports_used": len(self.ports_used),
-            "segments": self.total_segments,
-            "scada_fraction": None if port is None else round(self.scada_fraction(port), 6),
-        }
-
-
-def build_device_profiles(ft_map: dict[FtKey, FtStats]) -> dict[str, DeviceProfile]:
-    profiles: dict[str, DeviceProfile] = {}
-
-    def get(ip: str) -> DeviceProfile:
-        prof = profiles.get(ip)
-        if prof is None:
-            prof = profiles[ip] = DeviceProfile(ip)
-        return prof
-
-    for key, stats in ft_map.items():
-        n = stats.n
-        src = get(key.src_ip)
-        dst = get(key.dst_ip)
-        src.peers.add(key.dst_ip)
-        dst.peers.add(key.src_ip)
-        src.ft_count += 1
-        dst.ft_count += 1
-        src.ports_used.add(key.src_port)
-        dst.ports_used.add(key.dst_port)
-        src.own_port_segments[key.src_port] += n
-        dst.own_port_segments[key.dst_port] += n
-        src.total_segments += n
-        dst.total_segments += n
-    return profiles
+        for name in ("fd_degree_threshold", "scada_fraction_threshold"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -352,7 +303,8 @@ def analyze_records(
     """Full pipeline from a time-ordered record stream to a topology report.
 
     Records are counted on the way in, with an INFO log line every
-    ``PROGRESS_EVERY`` records.
+    ``PROGRESS_EVERY`` records.  The device table is built once and read by
+    both ranking and Algorithm 1.
     """
     if inference_config is None:
         inference_config = InferenceConfig()
@@ -367,9 +319,10 @@ def analyze_records(
             yield rec
 
     ft_map = aggregate_records(counted(), t_comm)
-    ranked = rank(ft_map, config=ranking_config)
+    profiles = build_device_profiles(ft_map)
+    ranked = rank(ft_map, profiles, ranking_config)
     if ranked:
-        report = run_algorithm1(ft_map, ranked, inference_config)
+        report = run_algorithm1(ft_map, ranked, inference_config, profiles)
     else:
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
     seg_count = total_segments(ft_map)
@@ -441,9 +394,13 @@ def prefix_stability(
     analysed once.  The result records which fractions already reproduce
     the full-trace topology.
     """
+    fractions = list(fractions)
+    if not fractions:
+        raise ValueError("fractions must lie in (0, 1], got none")
+    for frac in fractions:  # before sorting: NaN compares false with everything
+        if not 0 < frac <= 1:
+            raise ValueError(f"fractions must lie in (0, 1], got {frac}")
     fractions = sorted(set(fractions))
-    if not fractions or fractions[0] <= 0 or fractions[-1] > 1:
-        raise ValueError("fractions must lie in (0, 1]")
     records = list(records)
 
     def analyze(prefix: Iterable[PacketRecord]) -> TopologyReport:

@@ -13,7 +13,7 @@ import logging
 import struct
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -108,8 +108,9 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
     """Yield one PacketRecord per TCP/UDP/ICMP packet with an IPv4 header.
 
     ``size`` is the captured length from the pcap record header (frame
-    bytes, link layer included).  Non-IP frames and IPv4 packets with other
-    transports are counted in ``stats.skipped``.  A truncated trailing record
+    bytes, link layer included).  Non-IP frames, IPv4 packets with other
+    transports and non-first IPv4 fragments (non-zero fragment offset, so
+    no ports) are counted in ``stats.skipped``.  A truncated trailing record
     ends the stream cleanly with a warning.
     """
     if stats is None:
@@ -164,6 +165,8 @@ def _parse_frame(data: bytes, ts: float, caplen: int) -> PacketRecord | None:
     ihl = (ip[0] & 0x0F) * 4
     if ihl < 20 or len(ip) < ihl:
         return None
+    if (ip[6] & 0x1F) | ip[7]:  # non-first fragment: no transport header
+        return None
     proto = _IP_PROTO_NAMES.get(ip[9])
     if proto is None:
         return None
@@ -185,7 +188,7 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
     """Yield PacketRecords from the canonical JSON-lines format, in file order.
 
     Each line is an object with keys ts, src_ip, src_port, dst_ip, dst_port,
-    proto, size, checked as ``record_from_dict`` says.  Bad lines raise
+    proto, size, checked as ``_build_record`` says.  Bad lines raise
     RecordFormatError naming the line number.
     """
     if stats is None:
@@ -222,24 +225,18 @@ class _InvalidRecord(ValueError):
     """Why one record failed; the caller prefixes where it came from."""
 
 
-def record_from_dict(obj: dict, where: str = "record") -> PacketRecord:
+_INF = float("inf")
+
+
+def _build_record(obj: dict) -> PacketRecord:
     """Validate one parsed record object and build a PacketRecord.
 
     ``ts`` is a finite, non-negative int or float; ports are ints in
     [0, 65535]; ``size`` is an int >= 1; ``proto`` is one of TRANSPORTS and
     both addresses are non-empty strings.  A bool is not a number here and
     nothing is coerced: ``"3"`` or ``80.9`` as a port is an error, not 3 or 80.
+    Raises _InvalidRecord.
     """
-    try:
-        return _build_record(obj)
-    except _InvalidRecord as exc:
-        raise RecordFormatError(f"{where}: {exc}") from exc.__cause__
-
-
-_INF = float("inf")
-
-
-def _build_record(obj: dict) -> PacketRecord:
     try:
         ts = obj["ts"]
         if type(ts) is not float:

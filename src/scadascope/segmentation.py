@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -84,19 +85,16 @@ class FtStats:
 
     key: FtKey
     start_times: list[float] = field(default_factory=list)
-    _iat: list[float] | None = None
+    # Start-to-start gaps between consecutive segments, in seconds.
+    iat: list[float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        t = self.start_times
+        self.iat = [b - a for a, b in zip(t, t[1:])]
 
     @property
     def n(self) -> int:
         return len(self.start_times)
-
-    @property
-    def iat(self) -> list[float]:
-        """Start-to-start gaps between consecutive segments, in seconds."""
-        if self._iat is None or len(self._iat) != len(self.start_times) - 1:
-            t = self.start_times
-            self._iat = [t[i + 1] - t[i] for i in range(len(t) - 1)]
-        return self._iat
 
 
 def segment_stream(
@@ -108,8 +106,8 @@ def segment_stream(
     the open segment; every packet lands in exactly one segment.  Open
     segments are flushed at end of stream in first-seen conversation order.
     """
-    if t_comm <= 0:
-        raise ValueError(f"t_comm must be positive, got {t_comm}")
+    if not 0 < t_comm < math.inf:
+        raise ValueError(f"t_comm must be positive and finite, got {t_comm}")
     # Both directional (ip, port, ip, port) keys of a conversation map to an
     # entry (cell, src, dst).  ``cell`` is the conversation's one-item list
     # holding its open segment, shared by both directions; src and dst are

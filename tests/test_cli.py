@@ -13,7 +13,7 @@ import pytest
 import scadascope
 
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
-from scadascope.ingest import FilterConfig, FilterStats, filter_packets, read_records
+from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
 from scadascope.synth import generate, scenario_to_dict, write_records
 
 from scenarios import dataset1_like, dataset2_like, office_like
@@ -165,6 +165,55 @@ def test_coerced_record_value_is_exit_2(tmp_path, caplog, field, value):
     trace.write_text(good + "\n" + bad + "\n")
     assert main(["--quiet", "analyze", str(trace)]) == EXIT_INPUT_ERROR
     assert f"{trace}:2: {field} must be" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("analyze", ["--t-comm", "nan"], "t_comm must be positive and finite, got nan"),
+        ("inspect", ["--t-comm", "inf"], "t_comm must be positive and finite, got inf"),
+        ("analyze", ["--scada-fraction", "nan"], "scada_fraction_threshold must be positive and finite, got nan"),
+        ("stability", ["--scada-fraction", "inf"], "scada_fraction_threshold must be positive and finite, got inf"),
+        ("analyze", ["--pr-cap", "nan"], "pr_cap must be positive and finite, got nan"),
+        ("rank", ["--pr-cap=-inf"], "pr_cap must be positive and finite, got -inf"),
+        ("stability", ["--fractions", "nan,0.5"], "fractions must lie in (0, 1], got nan"),
+        ("stability", ["--fractions", "0.5,inf"], "fractions must lie in (0, 1], got inf"),
+    ],
+    ids=["t-comm-nan", "t-comm-inf", "scada-fraction-nan", "scada-fraction-inf", "pr-cap-nan",
+         "pr-cap-minus-inf", "fractions-nan", "fractions-inf"],
+)
+def test_non_finite_flag_is_exit_2(d1, caplog, command, flags, message):
+    assert main(["--quiet", command, str(d1["trace"]), *flags]) == EXIT_INPUT_ERROR
+    assert message in caplog.text
+
+
+def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys):
+    # Five clients poll port 7 of one server.  Port 7 touches every ranked
+    # 5-tuple, but Algorithm 1 reads the port off the top 5-tuple's
+    # lower-degree endpoint, a client.
+    records = [
+        PacketRecord(k * period + hop * 0.01, *ends, "tcp", 60)
+        for i, period in enumerate((10.0, 10.5, 11.0, 11.5, 12.0))
+        for k in range(100)
+        for hop, ends in enumerate(
+            [(f"10.0.0.{i + 2}", 40000 + i, "10.0.0.1", 7), ("10.0.0.1", 7, f"10.0.0.{i + 2}", 40000 + i)]
+        )
+    ]
+    records.sort(key=lambda r: r.ts)
+    trace = tmp_path / "star.jsonl"
+    write_records(records, str(trace))
+    report = tmp_path / "report.json"
+    main(["--quiet", "analyze", str(trace), "--out", str(report)])
+    port = json.loads(report.read_text())["protocols"][0]["scada_port"]
+    assert port != 7
+    capsys.readouterr()
+    args = ["--quiet", "rank", str(trace), "--top", "3"]
+    assert main(args) == EXIT_OK
+    first = capsys.readouterr().out
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == first
+    summary = first.strip().splitlines()[-1]
+    assert summary == f"summary: 1 of top-5 communications touch port {port}; 5 ranked"
 
 
 def test_missing_truth_is_exit_2(tmp_path, d1):

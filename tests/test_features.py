@@ -10,13 +10,14 @@ import pytest
 
 from scadascope.features import (
     FeatureVector,
-    PortUsageIndex,
     RankingConfig,
+    build_device_profiles,
     compute_cR,
     compute_dR,
     compute_pR,
     compute_sR,
     compute_uR,
+    port_pair_counts,
     rank,
     score_product,
     write_ranking_csv,
@@ -93,7 +94,10 @@ def test_durability_log10_option():
 
 
 def index_of(*fts):
-    return PortUsageIndex.build([FtKey(*ft) for ft in fts])
+    """What cR and uR read for these 5-tuples, in one mapping: the device
+    table by address and the distinct-pair counts by (port, role)."""
+    table = {FtKey(*ft): FtStats(FtKey(*ft), start_times=[0.0]) for ft in fts}
+    return {**build_device_profiles(table), **port_pair_counts(table)}
 
 
 def test_complexity_equal_port_counts():
@@ -283,6 +287,11 @@ def test_rank_deterministic_tiebreak():
     first = rank(table)
     second = rank(dict(reversed(list(table.items()))))
     assert [e.key for e in first] == [e.key for e in second]
+
+
+def test_rank_reads_a_given_device_table_as_its_own():
+    table = synth_table(duration=600.0, seed=36, fds=5)
+    assert rank(table) == rank(table, build_device_profiles(table))
 
 
 def test_ranking_csv_layout(tmp_path):

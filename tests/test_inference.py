@@ -299,6 +299,42 @@ def test_record_count_matches_input(caplog, monkeypatch):
     assert analyze_records(iter([])).record_count == 0
 
 
+def test_cR_matches_reported_port_counts():
+    records, _ = generate(dataset1_like(duration=900.0, seed=312, fds=5))
+    result = analyze_records(records)
+    evidence = result.report.evidence
+    assert result.ranked
+    for entry in result.ranked:
+        a = evidence[entry.key.src_ip]["ports_used"]
+        b = evidence[entry.key.dst_ip]["ports_used"]
+        assert entry.fv.cR == max(a, b) / min(a, b)
+
+
+def test_analyze_builds_one_device_table_for_rank_and_algorithm1(monkeypatch):
+    built, handed = [], {}
+
+    def building(ft_map):
+        built.append(build_device_profiles(ft_map))
+        return built[-1]
+
+    def ranking(ft_map, profiles=None, config=None):
+        handed["rank"] = profiles
+        return rank(ft_map, profiles, config)
+
+    def algorithm1(ft_map, ranked, config, profiles=None):
+        handed["run_algorithm1"] = profiles
+        return run_algorithm1(ft_map, ranked, config, profiles)
+
+    monkeypatch.setattr(inference, "build_device_profiles", building)
+    monkeypatch.setattr(inference, "rank", ranking)
+    monkeypatch.setattr(inference, "run_algorithm1", algorithm1)
+    records, _ = generate(dataset1_like(duration=300.0, seed=313, fds=3))
+    analyze_records(records)
+    assert len(built) == 1
+    assert handed["rank"] is built[0]
+    assert handed["run_algorithm1"] is built[0]
+
+
 def test_report_classification_disjoint_and_evidence_roles():
     config = dataset1_like(duration=1800.0, seed=306, fds=8)
     records, _ = generate(config)

@@ -45,6 +45,15 @@ def eth_ipv4_tcp(src_ip, sport, dst_ip, dport, caplen):
     return frame + b"\x00" * (caplen - len(frame))
 
 
+def eth_ipv4_udp(src_ip, dst_ip, flags_offset, l4):
+    """One frame holding an IPv4 packet (or fragment) of a UDP datagram."""
+    eth = b"\xaa" * 6 + b"\xbb" * 6 + b"\x08\x00"
+    src = bytes(int(x) for x in src_ip.split("."))
+    dst = bytes(int(x) for x in dst_ip.split("."))
+    ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(l4), 7, flags_offset, 64, 17, 0, src, dst)
+    return eth + ip + l4
+
+
 def arp_frame():
     eth = b"\xff" * 6 + b"\xbb" * 6 + b"\x08\x06"
     return eth + b"\x00" * 46
@@ -95,6 +104,25 @@ def test_read_pcap_skips_non_ip_frames(tmp_path):
     assert len(records) == 4
     assert stats.skipped == 1
     assert stats.frames == 5
+
+
+def test_read_pcap_skips_non_first_fragments(tmp_path):
+    more_fragments, dont_fragment = 0x2000, 0x4000
+    udp = struct.pack(">HHHH", 5000, 502, 8 + 1500, 0)
+    frames = [
+        # first fragment: the UDP header is here
+        eth_ipv4_udp("10.0.0.1", "10.0.0.2", more_fragments, udp + b"\x00" * 64),
+        # offset 185 (1480 bytes): payload where a header would be
+        eth_ipv4_udp("10.0.0.1", "10.0.0.2", 185, b"\xde\xad\xbe\xef" + b"\x00" * 60),
+        # an unfragmented packet with DF set
+        eth_ipv4_udp("10.0.0.3", "10.0.0.4", dont_fragment, struct.pack(">HHHH", 6000, 7000, 72, 0)),
+    ]
+    path = tmp_path / "fragments.pcap"
+    path.write_bytes(pcap_bytes(frames))
+    stats = IngestStats()
+    records = [(r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.proto) for r in read_pcap(str(path), stats)]
+    assert records == [("10.0.0.1", 5000, "10.0.0.2", 502, "udp"), ("10.0.0.3", 6000, "10.0.0.4", 7000, "udp")]
+    assert (stats.frames, stats.skipped) == (3, 1)
 
 
 def test_read_pcap_big_endian(tmp_path):

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and nothing it does not use."""
 
 from __future__ import annotations
 
@@ -29,3 +29,24 @@ def test_package_imports_only_stdlib():
         for path in modules
     }
     assert {name: roots for name, roots in outside.items() if roots} == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in ``source`` that nothing else in it reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_package_has_no_unused_imports():
+    # __init__.py imports names to re-export them.
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "__init__.py"]
+    assert modules
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
