@@ -148,6 +148,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     started = time.monotonic()
     records, _stats, _fstats, _config = _load_stream(args)
     ranking, inference = _configs(args)
@@ -326,6 +328,7 @@ def cmd_inspect(args) -> int:
         print(f"filter: kept {fstats.kept}, dropped {fstats.dropped}")
     if stats.skipped:
         print(f"skipped frames: {stats.skipped}")
+        print("skip reasons: " + ", ".join(f"{r} {getattr(stats, r)}" for r in ingest.SKIP_REASONS))
     print(f"devices: {len(ips)}, distinct ports: {len(ports)}")
     print(f"transports: {json.dumps(protos, sort_keys=True)}")
     if first is not None:

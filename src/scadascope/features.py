@@ -224,6 +224,9 @@ def rank(
     pair_counts = port_pair_counts(ft_map)
     max_seg = max(key.seg_size for key in ft_map)
 
+    # The maxima start at 0.0: every feature is >= 0, and a maximum that is
+    # not positive normalizes its feature to 0.0 either way.
+    max_p = max_d = max_c = max_u = max_s = 0.0
     entries: list[RankedFt] = []
     for key, stats in ft_map.items():
         fv = FeatureVector(
@@ -233,16 +236,26 @@ def rank(
             uR=compute_uR(key, pair_counts),
             sR=compute_sR(key, max_seg),
         )
+        if fv.pR > max_p:
+            max_p = fv.pR
+        if fv.dR > max_d:
+            max_d = fv.dR
+        if fv.cR > max_c:
+            max_c = fv.cR
+        if fv.uR > max_u:
+            max_u = fv.uR
+        if fv.sR > max_s:
+            max_s = fv.sR
         entries.append(RankedFt(key=key, n=stats.n, fv=fv))
 
-    maxima = [max(e.fv.raw()[i] for e in entries) for i in range(5)]
     for entry in entries:
         fv = entry.fv
-        norms = [
-            (raw / maxima[i]) if maxima[i] > 0 else 0.0 for i, raw in enumerate(fv.raw())
-        ]
-        fv.pR_n, fv.dR_n, fv.cR_n, fv.uR_n, fv.sR_n = norms
-        fv.f = score_product(*norms)
+        fv.pR_n = fv.pR / max_p if max_p > 0 else 0.0
+        fv.dR_n = fv.dR / max_d if max_d > 0 else 0.0
+        fv.cR_n = fv.cR / max_c if max_c > 0 else 0.0
+        fv.uR_n = fv.uR / max_u if max_u > 0 else 0.0
+        fv.sR_n = fv.sR / max_s if max_s > 0 else 0.0
+        fv.f = score_product(fv.pR_n, fv.dR_n, fv.cR_n, fv.uR_n, fv.sR_n)
 
     entries.sort(key=lambda e: (-e.fv.f, -e.fv.pR_n, e.key.as_tuple()))
     return entries

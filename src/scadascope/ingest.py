@@ -1,8 +1,9 @@
 """Trace ingestion: pcap / JSON-lines readers, service-port filtering, time ordering.
 
-Only classic pcap (magic 0xa1b2c3d4, either byte order, microsecond
-timestamps, Ethernet link layer) is supported.  The canonical text format is
-JSON lines with one packet object per line, see ``read_records``.
+Only classic pcap (magic 0xa1b2c3d4 for microsecond or 0xa1b23c4d for
+nanosecond timestamps, either byte order, Ethernet link layer) is supported.
+The canonical text format is JSON lines with one packet object per line, see
+``read_records``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import struct
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +31,28 @@ DEFAULT_SERVICE_PORTS = frozenset({22, 23, 53, 80, 123, 137, 138, 139, 161, 443,
 
 PCAP_MAGIC_LE = 0xA1B2C3D4
 PCAP_MAGIC_BE = 0xD4C3B2A1
+PCAP_MAGIC_NS_LE = 0xA1B23C4D
+PCAP_MAGIC_NS_BE = 0x4D3CB2A1
 ETHERTYPE_IPV4 = 0x0800
+
+# The first four bytes of a capture read little-endian -> (byte order of the
+# file, timestamp fractions per second).
+_PCAP_MAGICS = {
+    PCAP_MAGIC_LE: ("<", 1e6),
+    PCAP_MAGIC_BE: (">", 1e6),
+    PCAP_MAGIC_NS_LE: ("<", 1e9),
+    PCAP_MAGIC_NS_BE: (">", 1e9),
+}
+# 802.1Q and 802.1ad tag protocol identifiers.
+_VLAN_TPIDS = frozenset((0x8100, 0x88A8))
+
+# The pcap reader's read size.  It bounds the reader's memory, so the file is
+# neither mapped nor read whole.
+_CHUNK_BYTES = 1 << 20
+# From frame offset 12: EtherType, then the IPv4 version/IHL byte, flags and
+# fragment offset, protocol, source and destination address.
+_ETH_IPV4 = struct.Struct(">HB5xHxB2xII")
+_PORTS = struct.Struct(">HH")
 
 _IP_PROTO_NAMES = {6: TCP, 17: UDP, 1: ICMP}
 
@@ -88,14 +110,29 @@ class FilterConfig:
                 raise ValueError(f"service port out of range: {port}")
 
 
+SKIP_REASONS = ("short", "non_ipv4", "fragment", "transport")
+
+
 @dataclass
 class IngestStats:
-    """Counters filled in while reading a capture."""
+    """Counters filled in while reading a capture.
+
+    ``skipped`` is the total of the frames skipped for each reason:
+    ``short``, too few captured bytes for the Ethernet and IPv4 headers, the
+    IPv4 options or the TCP/UDP ports; ``non_ipv4``, another EtherType
+    (behind at most two VLAN tags), an IP version other than 4 or an IHL
+    under 20 bytes; ``fragment``, a non-first IPv4 fragment; ``transport``,
+    an IP protocol other than TCP, UDP and ICMP.
+    """
 
     frames: int = 0
     yielded: int = 0
     skipped: int = 0
     truncated: bool = False
+    short: int = 0
+    non_ipv4: int = 0
+    fragment: int = 0
+    transport: int = 0
 
 
 @dataclass
@@ -108,80 +145,157 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
     """Yield one PacketRecord per TCP/UDP/ICMP packet with an IPv4 header.
 
     ``size`` is the captured length from the pcap record header (frame
-    bytes, link layer included).  Non-IP frames, IPv4 packets with other
-    transports and non-first IPv4 fragments (non-zero fragment offset, so
-    no ports) are counted in ``stats.skipped``.  A truncated trailing record
-    ends the stream cleanly with a warning.
+    bytes, link layer included).  Up to two 802.1Q/802.1ad VLAN tags in
+    front of the IPv4 header are stripped.  Every other frame is counted in
+    ``stats.skipped`` and under its reason (see ``IngestStats``); that
+    includes non-first IPv4 fragments (non-zero fragment offset, so no
+    ports).  A truncated trailing record ends the stream cleanly with a
+    warning.  The counts reach ``stats`` when the stream ends or is closed.
+
+    The file is read in ``_CHUNK_BYTES`` pieces into one buffer and parsed
+    in place; a record that straddles two pieces is carried over to the
+    next.  Memory is one chunk, or under twice the largest record if that is
+    bigger.
     """
     if stats is None:
         stats = IngestStats()
     with open(path, "rb") as fp:
-        header = fp.read(24)
-        if len(header) < 24:
-            raise PcapFormatError(f"{path}: file shorter than a pcap global header")
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic == PCAP_MAGIC_LE:
-            endian = "<"
-        elif magic == PCAP_MAGIC_BE:
-            endian = ">"
-        else:
-            raise PcapFormatError(f"{path}: bad magic 0x{magic:08x}")
-        link_type = struct.unpack(endian + "I", header[20:24])[0]
-        if link_type != 1:
-            raise PcapFormatError(f"{path}: unsupported link-layer type {link_type}")
-
-        rec_hdr = struct.Struct(endian + "IIII")
-        while True:
-            raw = fp.read(16)
-            if not raw:
-                break
-            if len(raw) < 16:
-                log.warning("%s: truncated record header at end of file", path)
+        unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
+        unpack_ipv4 = _ETH_IPV4.unpack_from
+        unpack_ports = _PORTS.unpack_from
+        proto_names = _IP_PROTO_NAMES
+        names: dict[int, str] = {}  # IPv4 address -> interned dotted quad
+        frames = yielded = short = non_ipv4 = fragment = transport = 0
+        buf = bytearray(_CHUNK_BYTES)
+        pos = end = 0  # next unread byte, end of the bytes read
+        need = 16  # bytes from pos that complete the next record
+        try:
+            while True:
+                if pos:
+                    buf[: end - pos] = buf[pos:end]
+                    pos, end = 0, end - pos
+                if need > len(buf):
+                    # Grow by doubling, not to ``need`` at once: a corrupt
+                    # length then costs what the file holds, not what it claims.
+                    buf.extend(bytes(min(need, 2 * len(buf)) - len(buf)))
+                got = fp.readinto(memoryview(buf)[end:])
+                if not got:
+                    break
+                end += got
+                while True:
+                    if end - pos < 16:
+                        need = 16
+                        break
+                    ts_sec, ts_frac, caplen, _orig_len = unpack_record(buf, pos)
+                    frame = pos + 16
+                    stop = frame + caplen
+                    if stop > end:
+                        need = 16 + caplen
+                        break
+                    pos = stop
+                    frames += 1
+                    if caplen < 34:  # ethernet + minimal IPv4
+                        short += 1
+                        continue
+                    ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, frame + 12)
+                    ip = frame + 14
+                    if ethertype != ETHERTYPE_IPV4:
+                        ip = _untag(buf, frame)
+                        if ip < 0:
+                            non_ipv4 += 1
+                            continue
+                        if stop - ip < 20:
+                            short += 1
+                            continue
+                        ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, ip - 2)
+                    ihl = (ver_ihl & 0x0F) * 4
+                    if ver_ihl >> 4 != 4 or ihl < 20:
+                        non_ipv4 += 1
+                        continue
+                    l4 = ip + ihl
+                    if l4 > stop:
+                        short += 1
+                        continue
+                    if frag & 0x1FFF:  # non-first fragment: no transport header
+                        fragment += 1
+                        continue
+                    proto = proto_names.get(proto_num)
+                    if proto is None:
+                        transport += 1
+                        continue
+                    if proto_num == 1:  # ICMP
+                        src_port = dst_port = 0
+                    elif stop - l4 < 4:
+                        short += 1
+                        continue
+                    else:
+                        src_port, dst_port = unpack_ports(buf, l4)
+                    src_ip = names.get(src)
+                    if src_ip is None:
+                        src_ip = names[src] = _dotted_quad(src)
+                    dst_ip = names.get(dst)
+                    if dst_ip is None:
+                        dst_ip = names[dst] = _dotted_quad(dst)
+                    yielded += 1
+                    yield PacketRecord(
+                        ts_sec + ts_frac / frac_scale, src_ip, src_port, dst_ip, dst_port, proto, caplen
+                    )
+            if pos < end:
                 stats.truncated = True
-                break
-            ts_sec, ts_usec, incl_len, _orig_len = rec_hdr.unpack(raw)
-            data = fp.read(incl_len)
-            if len(data) < incl_len:
-                log.warning("%s: truncated final record (%d of %d bytes)", path, len(data), incl_len)
-                stats.truncated = True
-                break
-            stats.frames += 1
-            rec = _parse_frame(data, ts_sec + ts_usec / 1e6, incl_len)
-            if rec is None:
-                stats.skipped += 1
-            else:
-                stats.yielded += 1
-                yield rec
+                if end - pos < 16:
+                    log.warning("%s: truncated record header at end of file", path)
+                else:
+                    log.warning(
+                        "%s: truncated final record (%d of %d bytes)", path, end - pos - 16, need - 16
+                    )
+        finally:
+            stats.frames += frames
+            stats.yielded += yielded
+            stats.short += short
+            stats.non_ipv4 += non_ipv4
+            stats.fragment += fragment
+            stats.transport += transport
+            stats.skipped += short + non_ipv4 + fragment + transport
 
 
-def _parse_frame(data: bytes, ts: float, caplen: int) -> PacketRecord | None:
-    if len(data) < 34:  # ethernet + minimal IPv4
-        return None
-    if (data[12] << 8) | data[13] != ETHERTYPE_IPV4:
-        return None
-    ip = data[14:]
-    if ip[0] >> 4 != 4:
-        return None
-    ihl = (ip[0] & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl:
-        return None
-    if (ip[6] & 0x1F) | ip[7]:  # non-first fragment: no transport header
-        return None
-    proto = _IP_PROTO_NAMES.get(ip[9])
-    if proto is None:
-        return None
-    src_ip = f"{ip[12]}.{ip[13]}.{ip[14]}.{ip[15]}"
-    dst_ip = f"{ip[16]}.{ip[17]}.{ip[18]}.{ip[19]}"
-    src_port = dst_port = 0
-    if proto in (TCP, UDP):
-        l4 = ip[ihl:]
-        if len(l4) < 4:
-            return None
-        src_port = (l4[0] << 8) | l4[1]
-        dst_port = (l4[2] << 8) | l4[3]
-    return PacketRecord(
-        ts, sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port, proto, caplen
-    )
+def _pcap_layout(path: str, header: bytes) -> tuple[Callable, float]:
+    """Check a pcap global header; return its record-header reader and time unit.
+
+    The reader unpacks (ts_sec, ts_frac, incl_len, orig_len) in the file's
+    byte order; ``ts_frac`` counts microseconds, or nanoseconds in a
+    nanosecond capture, and the second value is its count per second.
+    """
+    if len(header) < 24:
+        raise PcapFormatError(f"{path}: file shorter than a pcap global header")
+    magic = struct.unpack("<I", header[:4])[0]
+    layout = _PCAP_MAGICS.get(magic)
+    if layout is None:
+        raise PcapFormatError(f"{path}: bad magic 0x{magic:08x}")
+    endian, frac_scale = layout
+    link_type = struct.unpack(endian + "I", header[20:24])[0]
+    if link_type != 1:
+        raise PcapFormatError(f"{path}: unsupported link-layer type {link_type}")
+    return struct.Struct(endian + "IIII").unpack_from, frac_scale
+
+
+def _untag(buf: bytearray, frame: int) -> int:
+    """Offset of the IPv4 header behind up to two VLAN tags, or -1.
+
+    Only called for a frame whose outer EtherType is not IPv4; the caller
+    has checked that the frame holds at least 34 bytes.
+    """
+    ip = frame + 14
+    for _ in range(2):
+        if (buf[ip - 2] << 8) | buf[ip - 1] not in _VLAN_TPIDS:
+            return -1
+        ip += 4
+        if (buf[ip - 2] << 8) | buf[ip - 1] == ETHERTYPE_IPV4:
+            return ip
+    return -1
+
+
+def _dotted_quad(addr: int) -> str:
+    return sys.intern(f"{addr >> 24}.{(addr >> 16) & 0xFF}.{(addr >> 8) & 0xFF}.{addr & 0xFF}")
 
 
 def read_records(path: str, stats: IngestStats | None = None) -> Iterator[PacketRecord]:
@@ -377,8 +491,7 @@ def sniff_format(path: str) -> str:
     with open(path, "rb") as fp:
         head = fp.read(4)
     if len(head) == 4:
-        magic = struct.unpack("<I", head)[0]
-        if magic in (PCAP_MAGIC_LE, PCAP_MAGIC_BE):
+        if struct.unpack("<I", head)[0] in _PCAP_MAGICS:
             return "pcap"
     return "records"
 

@@ -10,12 +10,100 @@ from __future__ import annotations
 import heapq
 import math
 import statistics
+import struct
 
 PR_CAP = 1e6
 
 
 class RefOutOfOrder(Exception):
     pass
+
+
+# --- pcap ---------------------------------------------------------------------
+
+REF_SKIP_REASONS = ("short", "non_ipv4", "fragment", "transport")
+
+# Leading four bytes of a capture -> (byte order, timestamp fractions per second).
+_REF_PCAP_FORMATS = {
+    b"\xd4\xc3\xb2\xa1": ("<", 1e6),
+    b"\xa1\xb2\xc3\xd4": (">", 1e6),
+    b"\x4d\x3c\xb2\xa1": ("<", 1e9),
+    b"\xa1\xb2\x3c\x4d": (">", 1e9),
+}
+
+
+def ref_parse_frame(data, ts, caplen):
+    """One Ethernet frame -> (ts, src_ip, src_port, dst_ip, dst_port, proto, size),
+    or the reason it is skipped, by slicing copies of the frame.
+
+    Up to two VLAN tags (0x8100, 0x88a8) are stripped; ICMP has ports 0.
+    """
+    if len(data) < 34:  # ethernet + minimal IPv4
+        return "short"
+    ethertype = (data[12] << 8) | data[13]
+    l2 = 14
+    for _ in range(2):
+        if ethertype not in (0x8100, 0x88A8):
+            break
+        ethertype = (data[l2 + 2] << 8) | data[l2 + 3]
+        l2 += 4
+    if ethertype != 0x0800:
+        return "non_ipv4"
+    ip = data[l2:]
+    if len(ip) < 20:
+        return "short"
+    if ip[0] >> 4 != 4:
+        return "non_ipv4"
+    ihl = (ip[0] & 0x0F) * 4
+    if ihl < 20:
+        return "non_ipv4"
+    if len(ip) < ihl:
+        return "short"
+    if (ip[6] & 0x1F) | ip[7]:  # non-first fragment: no transport header
+        return "fragment"
+    proto = {6: "tcp", 17: "udp", 1: "icmp"}.get(ip[9])
+    if proto is None:
+        return "transport"
+    src_ip = f"{ip[12]}.{ip[13]}.{ip[14]}.{ip[15]}"
+    dst_ip = f"{ip[16]}.{ip[17]}.{ip[18]}.{ip[19]}"
+    src_port = dst_port = 0
+    if proto in ("tcp", "udp"):
+        l4 = ip[ihl:]
+        if len(l4) < 4:
+            return "short"
+        src_port = (l4[0] << 8) | l4[1]
+        dst_port = (l4[2] << 8) | l4[3]
+    return (ts, src_ip, src_port, dst_ip, dst_port, proto, caplen)
+
+
+def ref_read_pcap(blob):
+    """Records (tuples as ``ref_parse_frame`` gives them) and the counters of
+    a whole capture held in memory, with the names of ``IngestStats``.
+    """
+    endian, scale = _REF_PCAP_FORMATS[blob[:4]]
+    counts = {"frames": 0, "yielded": 0, "skipped": 0, "truncated": False}
+    counts.update((reason, 0) for reason in REF_SKIP_REASONS)
+    records = []
+    off = 24
+    while off < len(blob):
+        if len(blob) - off < 16:
+            counts["truncated"] = True
+            break
+        ts_sec, ts_frac, incl_len, _ = struct.unpack(endian + "IIII", blob[off : off + 16])
+        data = blob[off + 16 : off + 16 + incl_len]
+        if len(data) < incl_len:
+            counts["truncated"] = True
+            break
+        off += 16 + incl_len
+        counts["frames"] += 1
+        out = ref_parse_frame(data, ts_sec + ts_frac / scale, incl_len)
+        if isinstance(out, str):
+            counts[out] += 1
+            counts["skipped"] += 1
+        else:
+            counts["yielded"] += 1
+            records.append(out)
+    return records, counts
 
 
 def ref_time_order(records, reorder_window=1.0):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import scadascope
 
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
 from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
-from scadascope.synth import generate, scenario_to_dict, write_records
+from scadascope.synth import generate, scenario_to_dict, write_pcap, write_records
 
 from scenarios import dataset1_like, dataset2_like, office_like
 
@@ -116,6 +117,13 @@ def test_rank_json_format(tmp_path, d1, capsys):
     rows = json.loads(out[: out.rindex("]") + 1])
     assert len(rows) == 3
     assert rows[0]["rank"] == 1
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_rank_top_below_one_is_exit_2(d1, caplog, capsys, top):
+    assert main(["--quiet", "rank", str(d1["trace"]), "--top", top]) == EXIT_INPUT_ERROR
+    assert f"--top must be at least 1, got {top}" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_rank_empty_trace(tmp_path, capsys):
@@ -281,13 +289,31 @@ def test_filter_flags_change_analysis_input(tmp_path, d1):
 
 def test_pcap_input_accepted(tmp_path, capsys):
     records = list(generate(dataset1_like(duration=300.0, seed=506, fds=3))[0])
-    from scadascope.synth import write_pcap
-
     trace = tmp_path / "t.pcap"
     write_pcap(records, str(trace))
     code = main(["--quiet", "inspect", str(trace)])
     assert code == EXIT_OK
     assert f"records: {len(records)}" in capsys.readouterr().out
+
+
+def test_inspect_prints_skip_reasons(tmp_path, capsys):
+    # One TCP frame, the same frame behind an 802.1Q tag, and an ARP frame.
+    trace = tmp_path / "t.pcap"
+    write_pcap([PacketRecord(1.0, "10.0.0.1", 20000, "10.0.0.2", 502, "tcp", 60)], str(trace))
+    blob = trace.read_bytes()
+    frame = blob[40:]
+    tagged = frame[:12] + b"\x81\x00\x00\x07" + frame[12:]
+    arp = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 46
+    for i, extra in enumerate((tagged, arp), start=2):
+        blob += struct.pack("<IIII", i, 0, len(extra), len(extra)) + extra
+    trace.write_bytes(blob)
+    assert main(["--quiet", "inspect", str(trace)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "records: 2",
+        "skipped frames: 1",
+        "skip reasons: short 0, non_ipv4 1, fragment 0, transport 0",
+    ]
 
 
 @pytest.mark.parametrize("quiet", [False, True])

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -25,7 +28,7 @@ from scadascope.ingest import (
 )
 from scadascope.synth import generate, write_records
 
-from reference import RefOutOfOrder, ref_time_order
+from reference import RefOutOfOrder, ref_read_pcap, ref_time_order
 from scenarios import dataset1_like
 
 
@@ -59,16 +62,19 @@ def arp_frame():
     return eth + b"\x00" * 46
 
 
-def pcap_bytes(frames, endian="<", ts0=1000.0):
+def vlan_tagged(frame, *tpids):
+    """The frame with one 4-byte tag per TPID inserted after the MAC addresses."""
+    tags = b"".join(struct.pack(">HH", tpid, 100 + i) for i, tpid in enumerate(tpids))
+    return frame[:12] + tags + frame[12:]
+
+
+def pcap_bytes(frames, endian="<", ts0=1000.0, nanosecond=False):
     out = bytearray()
-    if endian == "<":
-        out += GLOBAL_HDR_LE
-    else:
-        out += struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    out += struct.pack(endian + "IHHiIII", 0xA1B23C4D if nanosecond else 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
     for i, frame in enumerate(frames):
         sec = int(ts0) + i
-        usec = 250000
-        out += struct.pack(endian + "IIII", sec, usec, len(frame), len(frame))
+        frac = 250000000 if nanosecond else 250000
+        out += struct.pack(endian + "IIII", sec, frac, len(frame), len(frame))
         out += frame
     return bytes(out)
 
@@ -157,6 +163,176 @@ def test_read_pcap_truncated_trailing_record(tmp_path):
     records = list(read_pcap(str(path), stats))
     assert len(records) == 1
     assert stats.truncated
+
+
+def test_read_pcap_truncated_record_header(tmp_path, caplog):
+    frame = eth_ipv4_tcp("10.1.1.1", 7, "10.1.1.2", 8, 80)
+    path = tmp_path / "trunc.pcap"
+    path.write_bytes(pcap_bytes([frame, frame])[: 24 + 16 + 80 + 9])  # 9 bytes of the second header
+    stats = IngestStats()
+    assert len(list(read_pcap(str(path), stats))) == 1
+    assert (stats.frames, stats.truncated) == (1, True)
+    assert "truncated record header" in caplog.text
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_read_pcap_nanosecond_capture(tmp_path, endian):
+    frame = eth_ipv4_tcp("10.1.1.1", 7, "10.1.1.2", 8, 64)
+    path = tmp_path / "ns.pcap"
+    path.write_bytes(pcap_bytes([frame], endian=endian, nanosecond=True))
+    assert ingest.sniff_format(str(path)) == "pcap"
+    records = list(ingest.open_trace(str(path)))
+    assert [(r.ts, r.src_port, r.dst_port) for r in records] == [(1000 + 250000000 / 1e9, 7, 8)]
+
+
+def test_read_pcap_strips_vlan_tags(tmp_path):
+    frame = eth_ipv4_tcp("192.168.1.10", 20000, "192.168.1.20", 51382, 74)
+    frames = [
+        vlan_tagged(frame, 0x8100),
+        vlan_tagged(frame, 0x88A8, 0x8100),
+        vlan_tagged(frame, 0x88A8, 0x8100, 0x8100),  # a third tag is not stripped
+        vlan_tagged(arp_frame(), 0x8100),
+    ]
+    path = tmp_path / "vlan.pcap"
+    path.write_bytes(pcap_bytes(frames))
+    stats = IngestStats()
+    records = list(read_pcap(str(path), stats))
+    assert [(r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.size) for r in records] == [
+        ("192.168.1.10", 20000, "192.168.1.20", 51382, 78),
+        ("192.168.1.10", 20000, "192.168.1.20", 51382, 82),
+    ]
+    assert (stats.frames, stats.skipped, stats.non_ipv4) == (4, 2, 2)
+
+
+def test_read_pcap_counts_skip_reasons(tmp_path):
+    tcp = eth_ipv4_tcp("10.0.0.1", 1, "10.0.0.2", 2, 60)
+    gre = tcp[:23] + b"\x2f" + tcp[24:]
+    frames = [
+        tcp,
+        arp_frame(),  # non_ipv4
+        tcp[:30],  # short: under 34 bytes
+        vlan_tagged(tcp[:30], 0x8100),  # short: the tag leaves 16 bytes of IPv4
+        tcp[:14] + b"\x46" + tcp[15:36],  # short: IHL 24 past the end of the frame
+        tcp[:34] + b"\x00\x01",  # short: two TCP bytes
+        tcp[:14] + b"\x65" + tcp[15:],  # non_ipv4: version 6
+        tcp[:14] + b"\x44" + tcp[15:],  # non_ipv4: IHL 16
+        tcp[:20] + b"\x20\x10" + tcp[22:],  # fragment at offset 16 (128 bytes)
+        tcp[:20] + b"\x10\x00" + tcp[22:],  # fragment at offset 4096 (32768 bytes)
+        gre,  # transport
+    ]
+    path = tmp_path / "skips.pcap"
+    path.write_bytes(pcap_bytes(frames))
+    stats = IngestStats()
+    assert len(list(read_pcap(str(path), stats))) == 1
+    assert stats == IngestStats(
+        frames=11, yielded=1, skipped=10, short=4, non_ipv4=3, fragment=2, transport=1
+    )
+
+
+# --- the pcap reader against the reference parser -----------------------------
+
+
+@st.composite
+def random_frames(draw):
+    """An Ethernet frame around a mostly plausible IPv4 packet, possibly cut short."""
+    tags = draw(st.lists(st.sampled_from([0x8100, 0x88A8]), max_size=3))
+    ethertype = draw(st.sampled_from([0x0800, 0x0800, 0x0800, 0x0806, 0x86DD, 0x8100]))
+    version = draw(st.sampled_from([4, 4, 4, 6, 0]))
+    ihl = draw(st.integers(0, 15))
+    frag = draw(st.sampled_from([0, 0x4000, 0x2000, 1, 185, 0x1000, 0x1FFF, 0x2003]))
+    proto = draw(st.sampled_from([6, 17, 1, 2, 47]))
+    src, dst = draw(st.binary(min_size=4, max_size=4)), draw(st.binary(min_size=4, max_size=4))
+    options = draw(st.binary(min_size=max(0, ihl * 4 - 20), max_size=max(0, ihl * 4 - 20)))
+    l4 = draw(st.binary(min_size=0, max_size=24))
+    eth = b"\xaa" * 6 + b"\xbb" * 6
+    eth += b"".join(struct.pack(">HH", tpid, 7) for tpid in tags) + struct.pack(">H", ethertype)
+    ip = struct.pack(">BBHHHBBH", (version << 4) | ihl, 0, 0, 1, frag, 64, proto, 0) + src + dst
+    frame = eth + ip + options + l4
+    cut = draw(st.one_of(st.none(), st.integers(0, len(frame))))
+    return frame[:cut]
+
+
+@st.composite
+def random_captures(draw):
+    endian = draw(st.sampled_from(["<", ">"]))
+    nanosecond = draw(st.booleans())
+    magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
+    out = bytearray(struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1))
+    for frame in draw(st.lists(random_frames(), max_size=12)):
+        sec, frac = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+        out += struct.pack(endian + "IIII", sec, frac, len(frame), len(frame)) + frame
+    cut = draw(st.sampled_from([0, 0, 0, 1, 5, 15, 16, 17, 40]))
+    return bytes(out[: max(24, len(out) - cut)])
+
+
+def reader_output(path):
+    stats = IngestStats()
+    records = [
+        (r.ts, r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.proto, r.size)
+        for r in read_pcap(str(path), stats)
+    ]
+    return records, dataclasses.asdict(stats)
+
+
+@given(random_captures(), st.sampled_from([1, 3, 16, 17, 50, ingest._CHUNK_BYTES]))
+def test_read_pcap_matches_reference(tmp_path_factory, blob, chunk):
+    path = tmp_path_factory.mktemp("cap") / "random.pcap"
+    path.write_bytes(blob)
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        assert reader_output(path) == ref_read_pcap(blob)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 33, 100, 250])
+def test_read_pcap_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    # Frames of several lengths put record headers and frames across every
+    # chunk edge; the last record is cut inside its frame.
+    frames = [eth_ipv4_tcp("10.0.0.1", 100 + i, "10.0.0.2", 502, 54 + 13 * i) for i in range(12)]
+    frames.insert(3, arp_frame())
+    frames.insert(7, vlan_tagged(frames[6], 0x8100))
+    blob = pcap_bytes(frames)[:-20]
+    path = tmp_path / "chunks.pcap"
+    path.write_bytes(blob)
+    whole = reader_output(path)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+    assert reader_output(path) == whole == ref_read_pcap(blob)
+    assert whole[1]["truncated"] and whole[1]["frames"] == len(frames) - 1
+
+
+def test_read_pcap_memory_stays_near_one_chunk(tmp_path):
+    # A guard against reading or mapping the whole capture: streaming 8 MB
+    # must not hold more than a small multiple of the read chunk.
+    frame = eth_ipv4_tcp("10.0.0.1", 20000, "10.0.0.2", 51382, 1514)
+    record = struct.pack("<IIII", 1000, 0, len(frame), len(frame)) + frame
+    count = (8 << 20) // len(record) + 1
+    path = tmp_path / "big.pcap"
+    path.write_bytes(GLOBAL_HDR_LE + record * count)
+    tracemalloc.start()
+    try:
+        frames = sum(1 for _ in read_pcap(str(path)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frames == count
+    assert peak < 4 << 20, peak
+
+
+def test_read_pcap_bogus_length_costs_only_the_bytes_read(tmp_path, caplog):
+    # A record header claiming 256 MiB in a small file: the reader grows its
+    # buffer as bytes arrive, and ends on a truncated final record.
+    frame = eth_ipv4_tcp("10.0.0.1", 20000, "10.0.0.2", 51382, 1514)
+    bogus = struct.pack("<IIII", 1001, 0, 256 << 20, 256 << 20) + frame * 2000
+    path = tmp_path / "bogus.pcap"
+    path.write_bytes(pcap_bytes([frame]) + bogus)
+    stats = IngestStats()
+    tracemalloc.start()
+    try:
+        frames = sum(1 for _ in read_pcap(str(path), stats))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (frames, stats.frames, stats.truncated) == (1, 1, True)
+    assert f"truncated final record ({1514 * 2000} of {256 << 20} bytes)" in caplog.text
+    assert peak < 16 << 20, peak
 
 
 def test_read_records_single_line(tmp_path):

@@ -8,6 +8,7 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scadascope.ingest import PacketRecord, read_pcap, read_records
 from scadascope.inference import analyze_records
@@ -220,6 +221,30 @@ def test_pcap_roundtrip(tmp_path):
     write_pcap(records, str(path))
     back = list(read_pcap(str(path)))
     assert back == records
+
+
+@st.composite
+def framable_records(draw):
+    """A record write_pcap can frame, with a timestamp that survives microseconds."""
+    proto = draw(st.sampled_from(["tcp", "udp", "icmp"]))
+    ports = (0, 0) if proto == "icmp" else (draw(st.integers(0, 65535)), draw(st.integers(0, 65535)))
+    ipv4 = st.tuples(*[st.integers(0, 255)] * 4).map(lambda quad: ".".join(map(str, quad)))
+    return PacketRecord(
+        draw(st.integers(0, 2**31)) + draw(st.integers(0, 999999)) / 1e6,
+        draw(ipv4),
+        ports[0],
+        draw(ipv4),
+        ports[1],
+        proto,
+        draw(st.integers(MIN_FRAME_BYTES, 1600)),
+    )
+
+
+@given(st.lists(framable_records(), max_size=20))
+def test_pcap_roundtrip_property(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("rt") / "t.pcap"
+    write_pcap(records, str(path))
+    assert list(read_pcap(str(path))) == records
 
 
 def test_pcap_single_record(tmp_path):
