@@ -18,7 +18,6 @@ from scadascope.ingest import (
 from scadascope.segmentation import (
     CommunicationSegment,
     FtKey,
-    FtStats,
     aggregate_ft,
     segment_stream,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "FeatureVector",
     "FilterConfig",
     "FtKey",
-    "FtStats",
     "GroundTruth",
     "InferenceConfig",
     "PacketRecord",

@@ -72,7 +72,7 @@ def _filter_config(args) -> ingest.FilterConfig | None:
             part = part.strip()
             if part:
                 ports.add(int(part))
-    return ingest.FilterConfig(service_ports=frozenset(ports), drop_non_tcp=True)
+    return ingest.FilterConfig(service_ports=frozenset(ports))
 
 
 def _load_stream(args):
@@ -117,8 +117,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pr-cap", type=float, default=RankingConfig.pr_cap,
                         help="periodicity value assigned when variance is exactly zero")
     parser.add_argument("--log-base", choices=("e", "10"), default="e")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
 
 
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:

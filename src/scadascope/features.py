@@ -14,9 +14,11 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from itertools import islice
+from operator import sub
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from scadascope.segmentation import FtKey, FtStats
+from scadascope.segmentation import FtKey
 
 log = logging.getLogger(__name__)
 
@@ -107,7 +109,7 @@ class DeviceProfile:
         }
 
 
-def build_device_profiles(ft_map: dict[FtKey, FtStats]) -> dict[str, DeviceProfile]:
+def build_device_profiles(ft_map: Mapping[FtKey, Sequence[float]]) -> dict[str, DeviceProfile]:
     """The device table: one profile per address, read by cR and Algorithm 1."""
     profiles: dict[str, DeviceProfile] = {}
 
@@ -117,8 +119,8 @@ def build_device_profiles(ft_map: dict[FtKey, FtStats]) -> dict[str, DeviceProfi
             prof = profiles[ip] = DeviceProfile(ip)
         return prof
 
-    for key, stats in ft_map.items():
-        n = stats.n
+    for key, times in ft_map.items():
+        n = len(times)
         src = get(key.src_ip)
         dst = get(key.dst_ip)
         src.peers.add(key.dst_ip)
@@ -147,16 +149,22 @@ def port_pair_counts(ft_keys: Iterable[FtKey]) -> dict[tuple[int, str], int]:
     return {role: len(seen) for role, seen in pairs.items()}
 
 
-def compute_pR(stats: FtStats, cap: float = DEFAULT_PR_CAP) -> float:
+def inter_arrival_times(times: Sequence[float]) -> Iterator[float]:
+    """Start-to-start gaps between consecutive segments, in seconds."""
+    return map(sub, islice(times, 1, None), times)
+
+
+def compute_pR(times: Sequence[float], cap: float = DEFAULT_PR_CAP) -> float:
     """Periodicity: mean over population variance of the inter-arrival times.
 
-    Fewer than two gaps means no measurable periodicity (0); zero variance
-    with enough gaps returns ``cap``.
+    ``times`` are one 5-tuple's segment start times in order.  Fewer than
+    two gaps means no measurable periodicity (0); zero variance with enough
+    gaps returns ``cap``.
     """
-    iat = stats.iat
-    k = len(iat)
+    k = len(times) - 1
     if k < 2:
         return 0.0
+    iat = list(inter_arrival_times(times))
     mean = math.fsum(iat) / k
     var = math.fsum((x - mean) ** 2 for x in iat) / k
     if var == 0.0:
@@ -164,12 +172,12 @@ def compute_pR(stats: FtStats, cap: float = DEFAULT_PR_CAP) -> float:
     return mean / var
 
 
-def compute_dR(stats: FtStats, log_base: str = "e") -> float:
+def compute_dR(times: Sequence[float], log_base: str = "e") -> float:
     """Durability: observed length (hours) times the log of the occurrence count."""
-    n = stats.n
+    n = len(times)
     if n <= 1:
         return 0.0
-    hours = math.fsum(stats.iat) / SECONDS_PER_HOUR
+    hours = math.fsum(inter_arrival_times(times)) / SECONDS_PER_HOUR
     return hours * (math.log10(n) if log_base == "10" else math.log(n))
 
 
@@ -204,7 +212,7 @@ def compute_sR(key: FtKey, max_seg_size: int) -> float:
 
 
 def rank(
-    ft_map: dict[FtKey, FtStats],
+    ft_map: Mapping[FtKey, Sequence[float]],
     profiles: dict[str, DeviceProfile] | None = None,
     config: RankingConfig | None = None,
 ) -> list[RankedFt]:
@@ -228,10 +236,10 @@ def rank(
     # not positive normalizes its feature to 0.0 either way.
     max_p = max_d = max_c = max_u = max_s = 0.0
     entries: list[RankedFt] = []
-    for key, stats in ft_map.items():
+    for key, times in ft_map.items():
         fv = FeatureVector(
-            pR=compute_pR(stats, cap=config.pr_cap),
-            dR=compute_dR(stats, log_base=config.log_base),
+            pR=compute_pR(times, cap=config.pr_cap),
+            dR=compute_dR(times, log_base=config.log_base),
             cR=compute_cR(key, profiles),
             uR=compute_uR(key, pair_counts),
             sR=compute_sR(key, max_seg),
@@ -246,7 +254,7 @@ def rank(
             max_u = fv.uR
         if fv.sR > max_s:
             max_s = fv.sR
-        entries.append(RankedFt(key=key, n=stats.n, fv=fv))
+        entries.append(RankedFt(key=key, n=len(times), fv=fv))
 
     for entry in entries:
         fv = entry.fv

@@ -12,10 +12,11 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from scadascope.features import (
     DeviceProfile,
@@ -25,13 +26,7 @@ from scadascope.features import (
     rank,
 )
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import (
-    DEFAULT_T_COMM,
-    FtKey,
-    FtStats,
-    aggregate_records,
-    total_segments,
-)
+from scadascope.segmentation import DEFAULT_T_COMM, FtKey, aggregate_records
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +158,7 @@ def infer_field_devices(
 def infer_master_servers(
     scada_port: int,
     field_devices: set[str],
-    ft_map: dict[FtKey, FtStats],
+    ft_map: Mapping[FtKey, Sequence[float]],
 ) -> set[str]:
     """Non-field-devices with SCADA-port communication to an inferred field device."""
     if not field_devices:
@@ -180,21 +175,23 @@ def infer_master_servers(
     return masters
 
 
-def hmi_candidates(master: str, ft_map: dict[FtKey, FtStats]) -> list[tuple[float, str]]:
+def hmi_candidates(
+    master: str, ft_map: Mapping[FtKey, Sequence[float]]
+) -> list[tuple[float, str]]:
     """Peers of ``master`` ordered by total communication quantity, best first.
 
     Quantity of one 5-tuple is occurrence count times segment size; per-peer
     totals sum over every 5-tuple the master initiates toward that peer.
     """
     qty: dict[str, float] = {}
-    for key, stats in ft_map.items():
+    for key, times in ft_map.items():
         if key.src_ip != master:
             continue
-        qty[key.dst_ip] = qty.get(key.dst_ip, 0.0) + stats.n * key.seg_size
+        qty[key.dst_ip] = qty.get(key.dst_ip, 0.0) + len(times) * key.seg_size
     return sorted(((q, ip) for ip, q in qty.items()), key=lambda t: (-t[0], t[1]))
 
 
-def infer_hmi(master: str, ft_map: dict[FtKey, FtStats]) -> str:
+def infer_hmi(master: str, ft_map: Mapping[FtKey, Sequence[float]]) -> str:
     """The peer receiving the largest communication quantity from the master."""
     candidates = hmi_candidates(master, ft_map)
     if not candidates:
@@ -203,7 +200,7 @@ def infer_hmi(master: str, ft_map: dict[FtKey, FtStats]) -> str:
 
 
 def run_algorithm1(
-    ft_map: dict[FtKey, FtStats],
+    ft_map: Mapping[FtKey, Sequence[float]],
     ranked: Sequence[RankedFt],
     config: InferenceConfig,
     profiles: dict[str, DeviceProfile] | None = None,
@@ -289,7 +286,7 @@ def _role_of(ip: str, report: TopologyReport) -> str:
 class AnalysisResult:
     report: TopologyReport
     ranked: list[RankedFt]
-    ft_map: dict[FtKey, FtStats]
+    ft_map: dict[FtKey, array]
     record_count: int
     segment_count: int
 
@@ -325,7 +322,7 @@ def analyze_records(
         report = run_algorithm1(ft_map, ranked, inference_config, profiles)
     else:
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
-    seg_count = total_segments(ft_map)
+    seg_count = sum(map(len, ft_map.values()))
     report.metrics = {
         "records": count,
         "segments": seg_count,
@@ -453,7 +450,7 @@ _DOT_SHAPES = {
 }
 
 
-def report_to_dot(report: TopologyReport, ft_map: dict[FtKey, FtStats]) -> str:
+def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]]) -> str:
     """Render the inferred topology as an undirected DOT graph."""
     lines = ["graph scada_topology {", "  node [shape=ellipse];"]
     roles = {ip: _role_of(ip, report) for ip in report.evidence}
@@ -463,11 +460,11 @@ def report_to_dot(report: TopologyReport, ft_map: dict[FtKey, FtStats]) -> str:
     for entry in report.protocols:
         port = entry.scada_port
         seg_counts: dict[tuple[str, str], int] = {}
-        for key, stats in ft_map.items():
+        for key, times in ft_map.items():
             if port != key.src_port and port != key.dst_port:
                 continue
             pair = tuple(sorted((key.src_ip, key.dst_ip)))
-            seg_counts[pair] = seg_counts.get(pair, 0) + stats.n
+            seg_counts[pair] = seg_counts.get(pair, 0) + len(times)
         for (a, b), n in sorted(seg_counts.items()):
             if a in entry.field_devices or b in entry.field_devices:
                 lines.append(f'  "{a}" -- "{b}" [label="port {port} n={n}"];')

@@ -49,6 +49,9 @@ _VLAN_TPIDS = frozenset((0x8100, 0x88A8))
 # The pcap reader's read size.  It bounds the reader's memory, so the file is
 # neither mapped nor read whole.
 _CHUNK_BYTES = 1 << 20
+# The largest captured length a pcap record may claim: libpcap's maximum
+# snapshot length for Ethernet, above which it refuses a record as invalid.
+MAX_RECORD_BYTES = 262_144
 # From frame offset 12: EtherType, then the IPv4 version/IHL byte, flags and
 # fragment offset, protocol, source and destination address.
 _ETH_IPV4 = struct.Struct(">HB5xHxB2xII")
@@ -98,10 +101,9 @@ class PacketRecord:
 
 @dataclass
 class FilterConfig:
-    """Which packets to drop before segmentation."""
+    """The service ports dropped before segmentation, besides every non-TCP packet."""
 
     service_ports: frozenset[int] = DEFAULT_SERVICE_PORTS
-    drop_non_tcp: bool = True
 
     def __post_init__(self) -> None:
         self.service_ports = frozenset(self.service_ports)
@@ -150,12 +152,14 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
     ``stats.skipped`` and under its reason (see ``IngestStats``); that
     includes non-first IPv4 fragments (non-zero fragment offset, so no
     ports).  A truncated trailing record ends the stream cleanly with a
-    warning.  The counts reach ``stats`` when the stream ends or is closed.
+    warning.  A record claiming more than ``MAX_RECORD_BYTES`` raises
+    PcapFormatError naming its byte offset.  The counts reach ``stats`` when
+    the stream ends or is closed.
 
     The file is read in ``_CHUNK_BYTES`` pieces into one buffer and parsed
     in place; a record that straddles two pieces is carried over to the
-    next.  Memory is one chunk, or under twice the largest record if that is
-    bigger.
+    next.  The buffer holds a chunk and at least one record of the largest
+    allowed length, so it never grows.
     """
     if stats is None:
         stats = IngestStats()
@@ -166,7 +170,8 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
         proto_names = _IP_PROTO_NAMES
         names: dict[int, str] = {}  # IPv4 address -> interned dotted quad
         frames = yielded = short = non_ipv4 = fragment = transport = 0
-        buf = bytearray(_CHUNK_BYTES)
+        chunk = _CHUNK_BYTES
+        buf = bytearray(max(chunk, 16 + MAX_RECORD_BYTES))
         pos = end = 0  # next unread byte, end of the bytes read
         need = 16  # bytes from pos that complete the next record
         try:
@@ -174,11 +179,7 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
                 if pos:
                     buf[: end - pos] = buf[pos:end]
                     pos, end = 0, end - pos
-                if need > len(buf):
-                    # Grow by doubling, not to ``need`` at once: a corrupt
-                    # length then costs what the file holds, not what it claims.
-                    buf.extend(bytes(min(need, 2 * len(buf)) - len(buf)))
-                got = fp.readinto(memoryview(buf)[end:])
+                got = fp.readinto(memoryview(buf)[end : end + chunk])
                 if not got:
                     break
                 end += got
@@ -187,6 +188,11 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
                         need = 16
                         break
                     ts_sec, ts_frac, caplen, _orig_len = unpack_record(buf, pos)
+                    if caplen > MAX_RECORD_BYTES:
+                        raise PcapFormatError(
+                            f"{path}: record at byte offset {fp.tell() - end + pos} claims "
+                            f"{caplen} bytes, above the {MAX_RECORD_BYTES}-byte limit"
+                        )
                     frame = pos + 16
                     stop = frame + caplen
                     if stop > end:
@@ -420,13 +426,12 @@ def filter_packets(
     config: FilterConfig,
     stats: FilterStats | None = None,
 ) -> Iterator[PacketRecord]:
-    """Drop service-port and (optionally) non-TCP packets; order preserved."""
+    """Drop non-TCP and service-port packets; order preserved."""
     if stats is None:
         stats = FilterStats()
     ports = config.service_ports
-    drop_non_tcp = config.drop_non_tcp
     for rec in records:
-        if (drop_non_tcp and rec.proto != TCP) or rec.src_port in ports or rec.dst_port in ports:
+        if rec.proto != TCP or rec.src_port in ports or rec.dst_port in ports:
             stats.dropped += 1
         else:
             stats.kept += 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from scadascope.ingest import PacketRecord
@@ -21,27 +22,24 @@ log = logging.getLogger(__name__)
 DEFAULT_T_COMM = 1.0
 
 Endpoint = tuple[str, int]
-ConversationKey = tuple[Endpoint, Endpoint]
-
-
-def conversation_key(rec: PacketRecord) -> ConversationKey:
-    """Direction-free key: lexicographically smaller endpoint first."""
-    a = (rec.src_ip, rec.src_port)
-    b = (rec.dst_ip, rec.dst_port)
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(slots=True)
 class CommunicationSegment:
     """A gap-delimited run of packets on one conversation."""
 
-    key: ConversationKey
     start_ts: float
     end_ts: float
     seg_size: int
     packet_count: int
     initiator: Endpoint
     responder: Endpoint
+
+    @property
+    def key(self) -> tuple[Endpoint, Endpoint]:
+        """The conversation, direction-free: the smaller endpoint first."""
+        a, b = self.initiator, self.responder
+        return (a, b) if a <= b else (b, a)
 
     def to_json(self) -> str:
         (a_ip, a_port), (b_ip, b_port) = self.key
@@ -79,24 +77,6 @@ class FtKey:
         return f"{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port}/{self.seg_size}B"
 
 
-@dataclass(slots=True)
-class FtStats:
-    """Per-5-tuple aggregate: occurrence count and inter-arrival times."""
-
-    key: FtKey
-    start_times: list[float] = field(default_factory=list)
-    # Start-to-start gaps between consecutive segments, in seconds.
-    iat: list[float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        t = self.start_times
-        self.iat = [b - a for a, b in zip(t, t[1:])]
-
-    @property
-    def n(self) -> int:
-        return len(self.start_times)
-
-
 def segment_stream(
     records: Iterable[PacketRecord], t_comm: float = DEFAULT_T_COMM
 ) -> Iterator[CommunicationSegment]:
@@ -127,7 +107,7 @@ def segment_stream(
         if entry is None:
             src = (rec.src_ip, rec.src_port)
             dst = (rec.dst_ip, rec.dst_port)
-            cell = [CommunicationSegment(conversation_key(rec), ts, ts, rec.size, 1, src, dst)]
+            cell = [CommunicationSegment(ts, ts, rec.size, 1, src, dst)]
             entries[fwd] = (cell, src, dst)
             entries[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = (cell, dst, src)
             continue
@@ -139,7 +119,7 @@ def segment_stream(
             seg.packet_count += 1
             continue
         yield seg
-        cell[0] = CommunicationSegment(seg.key, ts, ts, rec.size, 1, src, dst)
+        cell[0] = CommunicationSegment(ts, ts, rec.size, 1, src, dst)
     flushed = None
     for cell, _, _ in entries.values():
         if cell is not flushed:
@@ -147,30 +127,28 @@ def segment_stream(
             flushed = cell
 
 
-def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, FtStats]:
-    """Bucket segments by 5-tuple, recording start times in arrival order."""
-    starts: dict[tuple[Endpoint, Endpoint, int], list[float]] = {}
+def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, array]:
+    """The 5-tuple table: each 5-tuple's segment start times in arrival order.
+
+    The times are kept as C doubles (``array('d')``); every time feature is
+    derived from them.
+    """
+    starts: dict[tuple[Endpoint, Endpoint, int], array] = {}
     get = starts.get
     for seg in segments:
         ft = (seg.initiator, seg.responder, seg.seg_size)
         times = get(ft)
         if times is None:
-            starts[ft] = [seg.start_ts]
-        else:
-            times.append(seg.start_ts)
-    table: dict[FtKey, FtStats] = {}
-    for ((src_ip, src_port), (dst_ip, dst_port), size), times in starts.items():
-        key = FtKey(src_ip, src_port, dst_ip, dst_port, size)
-        table[key] = FtStats(key, times)
-    return table
+            times = starts[ft] = array("d")
+        times.append(seg.start_ts)
+    return {
+        FtKey(src_ip, src_port, dst_ip, dst_port, size): times
+        for ((src_ip, src_port), (dst_ip, dst_port), size), times in starts.items()
+    }
 
 
 def aggregate_records(
     records: Iterable[PacketRecord], t_comm: float = DEFAULT_T_COMM
-) -> dict[FtKey, FtStats]:
+) -> dict[FtKey, array]:
     """Segment and aggregate a time-ordered record stream in one pass."""
     return aggregate_ft(segment_stream(records, t_comm))
-
-
-def total_segments(ft_map: dict[FtKey, FtStats]) -> int:
-    return sum(stats.n for stats in ft_map.values())

@@ -19,9 +19,16 @@ class RefOutOfOrder(Exception):
     pass
 
 
+class RefPcapFormatError(Exception):
+    pass
+
+
 # --- pcap ---------------------------------------------------------------------
 
 REF_SKIP_REASONS = ("short", "non_ipv4", "fragment", "transport")
+
+# libpcap's largest snapshot length for Ethernet; a longer record is invalid.
+REF_MAX_RECORD_BYTES = 262_144
 
 # Leading four bytes of a capture -> (byte order, timestamp fractions per second).
 _REF_PCAP_FORMATS = {
@@ -79,8 +86,17 @@ def ref_parse_frame(data, ts, caplen):
 def ref_read_pcap(blob):
     """Records (tuples as ``ref_parse_frame`` gives them) and the counters of
     a whole capture held in memory, with the names of ``IngestStats``.
+
+    A bad magic, a link type other than Ethernet, or a record claiming more
+    than ``REF_MAX_RECORD_BYTES`` raises RefPcapFormatError, worded as the
+    library words it.
     """
+    if blob[:4] not in _REF_PCAP_FORMATS:
+        raise RefPcapFormatError(f"bad magic 0x{int.from_bytes(blob[:4], 'little'):08x}")
     endian, scale = _REF_PCAP_FORMATS[blob[:4]]
+    link_type = struct.unpack(endian + "I", blob[20:24])[0]
+    if link_type != 1:
+        raise RefPcapFormatError(f"unsupported link-layer type {link_type}")
     counts = {"frames": 0, "yielded": 0, "skipped": 0, "truncated": False}
     counts.update((reason, 0) for reason in REF_SKIP_REASONS)
     records = []
@@ -90,6 +106,8 @@ def ref_read_pcap(blob):
             counts["truncated"] = True
             break
         ts_sec, ts_frac, incl_len, _ = struct.unpack(endian + "IIII", blob[off : off + 16])
+        if incl_len > REF_MAX_RECORD_BYTES:
+            raise RefPcapFormatError(f"record at byte offset {off} claims {incl_len} bytes")
         data = blob[off + 16 : off + 16 + incl_len]
         if len(data) < incl_len:
             counts["truncated"] = True

@@ -23,7 +23,8 @@ from scadascope.inference import (
     infer_hmi,
     prefix_stability,
 )
-from scadascope.segmentation import FtKey, FtStats, aggregate_ft, segment_stream
+from scadascope.features import inter_arrival_times
+from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate, write_records
 
 from reference import ref_all_features, ref_iat, ref_segments
@@ -97,8 +98,7 @@ def test_criterion_3_periodicity_anchor():
     from scadascope.features import compute_pR
 
     d = math.sqrt(1.48)
-    stats = FtStats(FtKey("a", 1, "b", 2, 100), start_times=[0.0, 8.75 - d, 17.5])
-    got = compute_pR(stats)
+    got = compute_pR([0.0, 8.75 - d, 17.5])
     assert abs(got - 5.912) <= 1e-3, got
     ok(3, f"mean 8.75 s / variance 1.48 s^2 gives pR={got:.4f}")
 
@@ -251,9 +251,9 @@ def test_criterion_6_oracle_equivalence():
         for starts in ref_table.values():
             starts.sort()
         assert {k.as_tuple() for k in table} == set(ref_table)
-        for key, stats in table.items():
-            assert stats.start_times == ref_table[key.as_tuple()]
-            assert stats.iat == ref_iat(ref_table[key.as_tuple()])
+        for key, times in table.items():
+            assert list(times) == ref_table[key.as_tuple()]
+            assert list(inter_arrival_times(times)) == ref_iat(ref_table[key.as_tuple()])
 
         got_features = {e.key.as_tuple(): e.fv.raw() for e in rank(table)}
         want_features = ref_all_features(ref_table)
@@ -323,7 +323,7 @@ def test_criterion_7_invariances():
             scaled = {}
             for k, s in table.items():
                 nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 5)
-                scaled[nk] = FtStats(nk, start_times=list(s.start_times))
+                scaled[nk] = list(s)
             assert infer_hmi(master, table) == infer_hmi(master, scaled), f"scenario {i}: hmi scale"
             hmi_checked += 1
     assert hmi_checked >= 4
@@ -351,7 +351,7 @@ def test_criterion_8_prefix_stability():
     ok(8, f"30-day trace stable from fraction {result.smallest_stable:g} (ports/devices identical)")
 
 
-# --- 9. determinism across runs and shards ---------------------------------------------------
+# --- 9. determinism across runs ---------------------------------------------------------------
 
 
 def test_criterion_9_determinism(tmp_path):
@@ -360,16 +360,14 @@ def test_criterion_9_determinism(tmp_path):
     trace = tmp_path / "det.jsonl"
     write_records(records, str(trace))
 
-    def run(tag: str, shards: int) -> str:
+    def run(tag: str) -> str:
         out = tmp_path / f"report_{tag}.json"
-        code = main(
-            ["--quiet", "analyze", str(trace), "--num-protocols", "1", "--shards", str(shards), "--out", str(out)]
-        )
+        code = main(["--quiet", "analyze", str(trace), "--num-protocols", "1", "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         payload["manifest"].pop("duration_s")
         return json.dumps(payload, sort_keys=True)
 
-    outputs = [run(f"s{shards}_r{i}", shards) for shards in (1, 2, 8) for i in (1, 2)]
+    outputs = [run(f"r{i}") for i in range(6)]
     assert all(text == outputs[0] for text in outputs[1:])
-    ok(9, "6 analyze runs (shards 1/2/8, twice each) byte-identical with duration excluded")
+    ok(9, "6 analyze runs byte-identical with duration excluded")

@@ -22,22 +22,22 @@ from scadascope.features import (
     score_product,
     write_ranking_csv,
 )
-from scadascope.segmentation import FtKey, FtStats, aggregate_ft, segment_stream
+from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate
 
 from reference import ref_all_features
 from scenarios import dataset1_like, small_random_scenario
 
 
-def stats_from_iat(iat, key=None, t0=0.0):
+def starts_from_iat(iat, t0=0.0):
     starts = [t0]
     for gap in iat:
         starts.append(starts[-1] + gap)
-    return FtStats(key or FtKey("a", 1, "b", 2, 100), start_times=starts)
+    return starts
 
 
-def stats_with_n(n, key=None):
-    return FtStats(key or FtKey("a", 1, "b", 2, 100), start_times=[10.0 * i for i in range(n)])
+def starts_with_n(n):
+    return [10.0 * i for i in range(n)]
 
 
 # --- periodicity ---------------------------------------------------------------
@@ -46,48 +46,48 @@ def stats_with_n(n, key=None):
 def test_periodicity_reference_anchor():
     # two gaps engineered to hit mean 8.75 and population variance 1.48
     d = math.sqrt(1.48)
-    stats = stats_from_iat([8.75 - d, 8.75 + d])
-    assert abs(compute_pR(stats) - 5.912) <= 1e-3
+    starts = starts_from_iat([8.75 - d, 8.75 + d])
+    assert abs(compute_pR(starts) - 5.912) <= 1e-3
 
 
 def test_periodicity_empty_iat_is_zero():
-    assert compute_pR(stats_with_n(1)) == 0.0
-    assert compute_pR(stats_with_n(0)) == 0.0
-    assert compute_pR(stats_from_iat([4.0])) == 0.0  # single gap
+    assert compute_pR(starts_with_n(1)) == 0.0
+    assert compute_pR(starts_with_n(0)) == 0.0
+    assert compute_pR(starts_from_iat([4.0])) == 0.0  # single gap
 
 
 def test_periodicity_simple_arithmetic():
-    assert compute_pR(stats_from_iat([2.0, 4.0, 2.0, 4.0])) == pytest.approx(3.0, abs=1e-12)
+    assert compute_pR(starts_from_iat([2.0, 4.0, 2.0, 4.0])) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_periodicity_zero_variance_capped():
-    stats = stats_from_iat([5.0, 5.0, 5.0])
-    assert compute_pR(stats) == 1e6
-    assert compute_pR(stats, cap=123.0) == 123.0
+    starts = starts_from_iat([5.0, 5.0, 5.0])
+    assert compute_pR(starts) == 1e6
+    assert compute_pR(starts, cap=123.0) == 123.0
 
 
 # --- durability ----------------------------------------------------------------
 
 
 def test_durability_single_occurrence_is_zero():
-    assert compute_dR(stats_with_n(1)) == 0.0
+    assert compute_dR(starts_with_n(1)) == 0.0
 
 
 def test_durability_two_hours_hundred_occurrences():
-    stats = stats_from_iat([7200.0 / 99] * 99)  # sums to exactly 2h over n=100
-    assert compute_dR(stats) == pytest.approx(2.0 * math.log(100), rel=1e-9)
-    assert compute_dR(stats) == pytest.approx(9.2103, abs=1e-3)
+    starts = starts_from_iat([7200.0 / 99] * 99)  # sums to exactly 2h over n=100
+    assert compute_dR(starts) == pytest.approx(2.0 * math.log(100), rel=1e-9)
+    assert compute_dR(starts) == pytest.approx(9.2103, abs=1e-3)
 
 
 def test_durability_hour_of_ten_second_polling():
-    stats = stats_from_iat([10.0] * 360)  # n = 361, observed length 1 hour
-    assert compute_dR(stats) == pytest.approx(math.log(361), rel=1e-9)
-    assert compute_dR(stats) == pytest.approx(5.889, abs=1e-3)
+    starts = starts_from_iat([10.0] * 360)  # n = 361, observed length 1 hour
+    assert compute_dR(starts) == pytest.approx(math.log(361), rel=1e-9)
+    assert compute_dR(starts) == pytest.approx(5.889, abs=1e-3)
 
 
 def test_durability_log10_option():
-    stats = stats_from_iat([10.0] * 360)
-    assert compute_dR(stats, log_base="10") == pytest.approx(math.log10(361), rel=1e-9)
+    starts = starts_from_iat([10.0] * 360)
+    assert compute_dR(starts, log_base="10") == pytest.approx(math.log10(361), rel=1e-9)
 
 
 # --- complexity gap ------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_durability_log10_option():
 def index_of(*fts):
     """What cR and uR read for these 5-tuples, in one mapping: the device
     table by address and the distinct-pair counts by (port, role)."""
-    table = {FtKey(*ft): FtStats(FtKey(*ft), start_times=[0.0]) for ft in fts}
+    table = {FtKey(*ft): [0.0] for ft in fts}
     return {**build_device_profiles(table), **port_pair_counts(table)}
 
 
@@ -231,7 +231,7 @@ def test_rank_single_occurrence_scores_zero_and_sorts_last():
 def test_rank_matches_reference_features():
     table = synth_table(duration=600.0, seed=32, fds=5)
     ranked = {e.key.as_tuple(): e.fv for e in rank(table)}
-    reference = ref_all_features({k.as_tuple(): s.start_times for k, s in table.items()})
+    reference = ref_all_features({k.as_tuple(): list(s) for k, s in table.items()})
     assert set(ranked) == set(reference)
     for ft, want in reference.items():
         got = ranked[ft].raw()
@@ -243,9 +243,7 @@ def test_rank_order_invariant_under_exact_time_rescale():
     table = synth_table(duration=600.0, seed=33, fds=5)
     ranked = rank(table)
     scaled = {
-        FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size): FtStats(
-            k, start_times=[t * 2.0 for t in s.start_times]
-        )
+        FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size): [t * 2.0 for t in s]
         for k, s in table.items()
     }
     ranked2 = rank(scaled)
@@ -262,7 +260,7 @@ def test_rank_order_invariant_under_relabeling():
     relabeled = {}
     for k, s in table.items():
         nk = FtKey(mapping[k.src_ip], k.src_port, mapping[k.dst_ip], k.dst_port, k.seg_size)
-        relabeled[nk] = FtStats(nk, start_times=list(s.start_times))
+        relabeled[nk] = list(s)
     ranked = rank(table)
     ranked2 = {e.key: e.fv for e in rank(relabeled)}
     for entry in ranked:
@@ -281,8 +279,8 @@ def test_rank_deterministic_tiebreak():
     k1 = FtKey("a", 1, "b", 2, 100)
     k2 = FtKey("a", 1, "b", 3, 100)
     table = {
-        k1: FtStats(k1, start_times=[0.0, 10.0, 20.0, 30.0]),
-        k2: FtStats(k2, start_times=[0.0, 10.0, 20.0, 30.0]),
+        k1: [0.0, 10.0, 20.0, 30.0],
+        k2: [0.0, 10.0, 20.0, 30.0],
     }
     first = rank(table)
     second = rank(dict(reversed(list(table.items()))))
@@ -321,7 +319,7 @@ def test_random_scenarios_feature_parity_with_reference():
             continue
         table = build_table(records)
         got = {e.key.as_tuple(): e.fv.raw() for e in rank(table)}
-        want = ref_all_features({k.as_tuple(): s.start_times for k, s in table.items()})
+        want = ref_all_features({k.as_tuple(): list(s) for k, s in table.items()})
         for ft in want:
             for g, w in zip(got[ft], want[ft]):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-300)

@@ -28,7 +28,7 @@ from scadascope.inference import (
     run_algorithm1,
 )
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import FtKey, FtStats
+from scadascope.segmentation import FtKey
 from scadascope.synth import generate
 
 from reference import ref_hmi
@@ -37,7 +37,7 @@ from scenarios import dataset1_like, dataset2_like, month_like, office_like, sma
 
 def ft(src, sport, dst, dport, size, n=2, period=10.0):
     key = FtKey(src, sport, dst, dport, size)
-    return key, FtStats(key, start_times=[period * i for i in range(n)])
+    return key, [period * i for i in range(n)]
 
 
 def table_of(*entries):
@@ -188,7 +188,7 @@ def test_hmi_matches_bruteforce_oracle():
         from scadascope.segmentation import aggregate_ft, segment_stream
 
         table = aggregate_ft(segment_stream(records, 1.0))
-        want = ref_hmi("10.0.0.1", {k.as_tuple(): s.start_times for k, s in table.items()})
+        want = ref_hmi("10.0.0.1", {k.as_tuple(): list(s) for k, s in table.items()})
         assert want is not None
         assert infer_hmi("10.0.0.1", table) == want[1]
 
@@ -202,7 +202,7 @@ def test_hmi_argmax_invariant_under_size_scaling():
     scaled = {}
     for k, s in table.items():
         nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 7)
-        scaled[nk] = FtStats(nk, start_times=list(s.start_times))
+        scaled[nk] = list(s)
     assert infer_hmi("m", table) == infer_hmi("m", scaled)
 
 

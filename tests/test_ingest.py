@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from scadascope import ingest
+from scadascope.cli import EXIT_INPUT_ERROR, main
 from scadascope.ingest import (
     DEFAULT_SERVICE_PORTS,
     FilterConfig,
@@ -28,7 +30,7 @@ from scadascope.ingest import (
 )
 from scadascope.synth import generate, write_records
 
-from reference import RefOutOfOrder, ref_read_pcap, ref_time_order
+from reference import RefOutOfOrder, RefPcapFormatError, ref_read_pcap, ref_time_order
 from scenarios import dataset1_like
 
 
@@ -282,6 +284,38 @@ def test_read_pcap_matches_reference(tmp_path_factory, blob, chunk):
         assert reader_output(path) == ref_read_pcap(blob)
 
 
+@st.composite
+def mutated_captures(draw):
+    """A random capture with one to four bytes of its global header or of
+    its record headers replaced."""
+    blob = bytearray(draw(random_captures()))
+    endian = "<" if blob[:4] in (b"\xd4\xc3\xb2\xa1", b"\x4d\x3c\xb2\xa1") else ">"
+    header_bytes = list(range(24))
+    off = 24
+    while len(blob) - off >= 16:
+        header_bytes.extend(range(off, off + 16))
+        off += 16 + struct.unpack_from(endian + "I", blob, off + 8)[0]
+    for pos in draw(st.lists(st.sampled_from(header_bytes), min_size=1, max_size=4)):
+        blob[pos] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@given(mutated_captures(), st.sampled_from([1, 16, 50, ingest._CHUNK_BYTES]))
+def test_read_pcap_mutated_headers_match_reference(tmp_path_factory, blob, chunk):
+    # Only PcapFormatError, where the reference refuses the capture too, and
+    # with its wording; otherwise exactly the reference's records and counts.
+    path = tmp_path_factory.mktemp("cap") / "mutated.pcap"
+    path.write_bytes(blob)
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        try:
+            want = ref_read_pcap(blob)
+        except RefPcapFormatError as exc:
+            with pytest.raises(PcapFormatError, match=re.escape(str(exc))):
+                reader_output(path)
+        else:
+            assert reader_output(path) == want
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 16, 33, 100, 250])
 def test_read_pcap_chunk_boundaries(tmp_path, monkeypatch, chunk):
     # Frames of several lengths put record headers and frames across every
@@ -317,12 +351,26 @@ def test_read_pcap_memory_stays_near_one_chunk(tmp_path):
 
 
 def test_read_pcap_bogus_length_costs_only_the_bytes_read(tmp_path, caplog):
-    # A record header claiming 256 MiB in a small file: the reader grows its
-    # buffer as bytes arrive, and ends on a truncated final record.
+    # A record header claiming more than a record may hold is refused with
+    # its byte offset, and the CLI exits 2 on it.
     frame = eth_ipv4_tcp("10.0.0.1", 20000, "10.0.0.2", 51382, 1514)
-    bogus = struct.pack("<IIII", 1001, 0, 256 << 20, 256 << 20) + frame * 2000
+    good = pcap_bytes([frame])
     path = tmp_path / "bogus.pcap"
-    path.write_bytes(pcap_bytes([frame]) + bogus)
+    for claim in (ingest.MAX_RECORD_BYTES + 1, 256 << 20):
+        path.write_bytes(good + struct.pack("<IIII", 1001, 0, claim, claim) + frame * 2000)
+        stats = IngestStats()
+        with pytest.raises(PcapFormatError, match=f"record at byte offset {len(good)} claims {claim} bytes"):
+            for _ in read_pcap(str(path), stats):
+                pass
+        assert (stats.frames, stats.yielded) == (1, 1)
+        caplog.clear()
+        assert main(["--quiet", "inspect", str(path)]) == EXIT_INPUT_ERROR
+        assert f"record at byte offset {len(good)} claims {claim} bytes" in caplog.text
+
+    # A last record claiming the most a record may hold, but holding fewer
+    # bytes, ends on a truncated final record within the reader's buffer.
+    claim = ingest.MAX_RECORD_BYTES
+    path.write_bytes(good + struct.pack("<IIII", 1001, 0, claim, claim) + frame * 20)
     stats = IngestStats()
     tracemalloc.start()
     try:
@@ -331,7 +379,7 @@ def test_read_pcap_bogus_length_costs_only_the_bytes_read(tmp_path, caplog):
     finally:
         tracemalloc.stop()
     assert (frames, stats.frames, stats.truncated) == (1, 1, True)
-    assert f"truncated final record ({1514 * 2000} of {256 << 20} bytes)" in caplog.text
+    assert f"truncated final record ({1514 * 20} of {claim} bytes)" in caplog.text
     assert peak < 16 << 20, peak
 
 
@@ -431,10 +479,8 @@ def test_filter_keeps_scada_port():
 
 def test_filter_drops_non_tcp_when_asked():
     packets = [rec(proto="icmp"), rec(proto="udp", dport=9), rec(proto="tcp")]
-    kept = list(filter_packets(packets, FilterConfig(drop_non_tcp=True)))
+    kept = list(filter_packets(packets, FilterConfig()))
     assert kept == [packets[2]]
-    kept = list(filter_packets(packets, FilterConfig(drop_non_tcp=False)))
-    assert len(kept) == 3
 
 
 def test_filter_counts_add_up():

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from scadascope.features import inter_arrival_times
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import (
-    FtKey,
-    aggregate_ft,
-    conversation_key,
-    segment_stream,
-    total_segments,
-)
+from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import MasterConfig, ScadaGroup, ScenarioConfig, generate
 
 from reference import ref_ft_table, ref_iat, ref_segments
@@ -116,9 +112,9 @@ def test_aggregate_same_key_same_size():
     packets = [pkt(0.0, size=340), pkt(10.0, size=340)]
     table = aggregate_ft(segment_stream(packets, 1.0))
     assert len(table) == 1
-    stats = next(iter(table.values()))
-    assert stats.n == 2
-    assert stats.iat == [10.0]
+    times = next(iter(table.values()))
+    assert list(times) == [0.0, 10.0]
+    assert list(inter_arrival_times(times)) == [10.0]
 
 
 def test_aggregate_distinct_sizes_make_distinct_entries():
@@ -126,7 +122,7 @@ def test_aggregate_distinct_sizes_make_distinct_entries():
     table = aggregate_ft(segment_stream(packets, 1.0))
     sizes = sorted(key.seg_size for key in table)
     assert sizes == [225, 340]
-    assert all(stats.n == 1 for stats in table.values())
+    assert all(len(times) == 1 for times in table.values())
 
 
 def test_one_ft_entry_per_field_device():
@@ -155,9 +151,10 @@ def test_iat_lower_bound_within_ft():
     config = dataset1_like(duration=900.0, seed=14, fds=4)
     records = list(generate(config)[0])
     table = aggregate_ft(segment_stream(records, 1.0))
-    for stats in table.values():
-        assert len(stats.iat) == stats.n - 1
-        assert all(gap >= 1.0 for gap in stats.iat)
+    for times in table.values():
+        gaps = list(inter_arrival_times(times))
+        assert len(gaps) == len(times) - 1
+        assert all(gap >= 1.0 for gap in gaps)
 
 
 def test_total_segments_matches_stream():
@@ -165,7 +162,22 @@ def test_total_segments_matches_stream():
     records = list(generate(config)[0])
     segs = list(segment_stream(records, 1.0))
     table = aggregate_ft(segs)
-    assert total_segments(table) == len(segs)
+    assert sum(map(len, table.values())) == len(segs)
+
+
+def test_table_memory_per_start_time():
+    # The table holds each start time as one C double: 100,000 segments of
+    # one 5-tuple may cost at most 16 bytes each, array growth included.
+    count = 100_000
+    packets = (pkt(2.0 * i, size=340) for i in range(count))
+    tracemalloc.start()
+    try:
+        table = aggregate_ft(segment_stream(packets, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * count, peak
+    assert [len(times) for times in table.values()] == [count]
 
 
 def test_random_scenarios_match_reference():
@@ -182,9 +194,9 @@ def test_random_scenarios_match_reference():
         table = aggregate_ft(segment_stream(records, 1.0))
         ref_table = ref_ft_table(ref_segments(records, 1.0))
         assert {k.as_tuple() for k in table} == set(ref_table)
-        for key, stats in table.items():
-            assert stats.start_times == ref_table[key.as_tuple()]
-            assert stats.iat == ref_iat(ref_table[key.as_tuple()])
+        for key, times in table.items():
+            assert list(times) == ref_table[key.as_tuple()]
+            assert list(inter_arrival_times(times)) == ref_iat(ref_table[key.as_tuple()])
 
 
 @given(
@@ -214,12 +226,6 @@ def test_property_matches_reference(raw):
         for s in ref_segments(records, 1.0)
     )
     assert got == want
-
-
-def test_conversation_key_is_direction_free():
-    a = pkt(0.0, src="10.0.0.5", sport=20000, dst="10.0.0.9", dport=50000)
-    b = pkt(0.0, src="10.0.0.9", sport=50000, dst="10.0.0.5", dport=20000)
-    assert conversation_key(a) == conversation_key(b)
 
 
 def test_segment_yield_order_is_pinned():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scadascope.ingest import PacketRecord, read_pcap, read_records
+from scadascope.features import inter_arrival_times
 from scadascope.inference import analyze_records
 from scadascope.segmentation import aggregate_ft, segment_stream
 from scadascope.synth import (
@@ -95,8 +96,8 @@ def test_poll_gaps_never_fall_below_segmentation_threshold():
     table = aggregate_ft(segment_stream(records, 1.0))
     reports = [s for k, s in table.items() if k.src_port == 20000]
     assert reports
-    for stats in reports:
-        assert min(stats.iat) >= 1.1 - 1e-9
+    for times in reports:
+        assert min(inter_arrival_times(times)) >= 1.1 - 1e-9
 
 
 def test_iat_statistics_converge_to_configuration():
@@ -109,10 +110,11 @@ def test_iat_statistics_converge_to_configuration():
     )
     records = list(generate(config)[0])
     table = aggregate_ft(segment_stream(records, 1.0))
-    stats = next(s for k, s in table.items() if k.src_port == 20000)
-    assert stats.n >= 1000
-    mean = statistics.mean(stats.iat)
-    var = statistics.pvariance(stats.iat)
+    times = next(s for k, s in table.items() if k.src_port == 20000)
+    assert len(times) >= 1000
+    iat = list(inter_arrival_times(times))
+    mean = statistics.mean(iat)
+    var = statistics.pvariance(iat)
     assert abs(mean - 5.0) / 5.0 < 0.05
     assert abs(var - 0.25) / 0.25 < 0.05
 
@@ -159,9 +161,9 @@ def test_hmi_feed_dominates_master_peers():
     records = list(generate(config)[0])
     table = aggregate_ft(segment_stream(records, 1.0))
     qty: dict[str, int] = {}
-    for key, stats in table.items():
+    for key, times in table.items():
         if key.src_ip == "10.0.0.1":
-            qty[key.dst_ip] = qty.get(key.dst_ip, 0) + stats.n * key.seg_size
+            qty[key.dst_ip] = qty.get(key.dst_ip, 0) + len(times) * key.seg_size
     top = max(qty, key=lambda ip: qty[ip])
     assert top == "10.0.0.2"
     others = [v for ip, v in qty.items() if ip != top]
