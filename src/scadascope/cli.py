@@ -95,7 +95,7 @@ def _configs(args) -> tuple[RankingConfig, InferenceConfig]:
 
     ``rank`` has no inference flags and gets the default InferenceConfig.
     """
-    ranking = RankingConfig(pr_cap=args.pr_cap, log_base=args.log_base)
+    ranking = RankingConfig(pr_cap=args.pr_cap)
     if "num_protocols" not in args:
         return ranking, InferenceConfig()
     return ranking, InferenceConfig(
@@ -106,7 +106,7 @@ def _configs(args) -> tuple[RankingConfig, InferenceConfig]:
     )
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-comm", type=float, default=DEFAULT_T_COMM, metavar="SECONDS")
     parser.add_argument("--filter-ports", metavar="CSV", default=None,
                         help="enable service-port filtering and add these ports to the list")
@@ -114,9 +114,12 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="when filtering, start from an empty port list instead of the default eleven")
     parser.add_argument("--force-sort", action="store_true",
                         help="fully sort out-of-order input instead of failing")
+
+
+def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
+    _add_stream_flags(parser)
     parser.add_argument("--pr-cap", type=float, default=RankingConfig.pr_cap,
                         help="periodicity value assigned when variance is exactly zero")
-    parser.add_argument("--log-base", choices=("e", "10"), default="e")
 
 
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
@@ -199,12 +202,14 @@ def cmd_rank(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    records, _stats, _fstats, filter_config = _load_stream(args)
+    records, stats, fstats, filter_config = _load_stream(args)
     ranking, inference = _configs(args)
     result = analyze_records(
         records, t_comm=args.t_comm, ranking_config=ranking, inference_config=inference
     )
     report = result.report
+    report.metrics["ingest"] = asdict(stats)
+    report.metrics["filter"] = asdict(fstats) if filter_config else None
     manifest = RunManifest(
         inputs=[args.input],
         input_sha256=_sha256_of(args.input),
@@ -246,8 +251,14 @@ def cmd_analyze(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fp:
         payload = json.load(fp)
+    protocols = payload.get("protocols", []) if isinstance(payload, dict) else None
+    if not isinstance(protocols, list) or not all(isinstance(e, dict) for e in protocols):
+        raise ValueError(f"{args.report}: not a report: expected an object with a list of protocol objects")
     with open(args.truth, "r", encoding="utf-8") as fp:
-        truth = load_ground_truth(json.load(fp))
+        try:
+            truth = load_ground_truth(json.load(fp))
+        except ValueError as exc:
+            raise ValueError(f"{args.truth}: {exc}") from None
     report = TopologyReport(
         protocols=[
             ProtocolEntry(
@@ -256,7 +267,7 @@ def cmd_eval(args) -> int:
                 field_devices=set(e.get("field_devices", [])),
                 master_servers=set(e.get("master_servers", [])),
             )
-            for e in payload.get("protocols", [])
+            for e in protocols
         ],
         hmi=payload.get("hmi"),
     )
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank 5-tuples by the product score")
     p.add_argument("input")
-    _add_pipeline_flags(p)
+    _add_ranking_flags(p)
     p.add_argument("--top", type=int, default=20, help="rows to show")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write the table here instead of stdout")
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full topology inference")
     p.add_argument("input")
-    _add_pipeline_flags(p)
+    _add_ranking_flags(p)
     _add_inference_flags(p)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--dot", help="DOT graph path")
@@ -375,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="rerun the pipeline on trace prefixes")
     p.add_argument("input")
-    _add_pipeline_flags(p)
+    _add_ranking_flags(p)
     p.add_argument("--fractions", default="0.02,0.06,0.1,0.25,1.0")
     _add_inference_flags(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("inspect", help="ingest statistics and optional segment dump")
     p.add_argument("input")
-    _add_pipeline_flags(p)
+    _add_stream_flags(p)
     p.add_argument("--dump-segments", help="write segments as JSON lines")
     p.set_defaults(func=cmd_inspect)
 

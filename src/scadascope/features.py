@@ -35,11 +35,8 @@ SECONDS_PER_HOUR = 3600.0
 @dataclass(frozen=True)
 class RankingConfig:
     pr_cap: float = DEFAULT_PR_CAP
-    log_base: str = "e"  # "e" or "10", for the durability log
 
     def __post_init__(self) -> None:
-        if self.log_base not in ("e", "10"):
-            raise ValueError(f"log_base must be 'e' or '10', got {self.log_base!r}")
         if not 0 < self.pr_cap < math.inf:
             raise ValueError(f"pr_cap must be positive and finite, got {self.pr_cap}")
 
@@ -172,13 +169,13 @@ def compute_pR(times: Sequence[float], cap: float = DEFAULT_PR_CAP) -> float:
     return mean / var
 
 
-def compute_dR(times: Sequence[float], log_base: str = "e") -> float:
-    """Durability: observed length (hours) times the log of the occurrence count."""
+def compute_dR(times: Sequence[float]) -> float:
+    """Durability: observed length (hours) times the natural log of the occurrence count."""
     n = len(times)
     if n <= 1:
         return 0.0
     hours = math.fsum(inter_arrival_times(times)) / SECONDS_PER_HOUR
-    return hours * (math.log10(n) if log_base == "10" else math.log(n))
+    return hours * math.log(n)
 
 
 def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
@@ -239,7 +236,7 @@ def rank(
     for key, times in ft_map.items():
         fv = FeatureVector(
             pR=compute_pR(times, cap=config.pr_cap),
-            dR=compute_dR(times, log_base=config.log_base),
+            dR=compute_dR(times),
             cR=compute_cR(key, profiles),
             uR=compute_uR(key, pair_counts),
             sR=compute_sR(key, max_seg),

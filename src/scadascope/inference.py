@@ -161,9 +161,6 @@ def infer_master_servers(
     ft_map: Mapping[FtKey, Sequence[float]],
 ) -> set[str]:
     """Non-field-devices with SCADA-port communication to an inferred field device."""
-    if not field_devices:
-        log.warning("no field devices inferred for port %d, master set is empty", scada_port)
-        return set()
     masters: set[str] = set()
     for key in ft_map:
         if key.src_port != scada_port and key.dst_port != scada_port:
@@ -210,7 +207,9 @@ def run_algorithm1(
         profiles = build_device_profiles(ft_map)
     report = TopologyReport()
     working = list(ranked)
-    classifying_port: dict[str, int] = {}
+    # ip -> (role, port its evidence is measured on); the first protocol
+    # to classify a device decides both.
+    roles: dict[str, tuple[str, int]] = {}
 
     for i in range(config.num_scada_protocols):
         if not working:
@@ -236,50 +235,40 @@ def run_algorithm1(
             report.warnings.append(
                 f"protocol {i}: no device met the field-device conditions for port {port}"
             )
-        for ip in fds | masters:
-            classifying_port.setdefault(ip, port)
+        for ip in fds:
+            roles.setdefault(ip, ("field_device", port))
+        for ip in masters:
+            roles.setdefault(ip, ("master", port))
         working = [
             r for r in working if port != r.key.src_port and port != r.key.dst_port
         ]
 
     if config.three_layer:
-        all_masters = sorted({m for p in report.protocols for m in p.master_servers})
-        if not all_masters:
+        candidates = {
+            m: hmi_candidates(m, ft_map) for p in report.protocols for m in p.master_servers
+        }
+        if not candidates:
             report.warnings.append("three-layer requested but no master server was inferred")
         else:
-            ranked_masters = sorted(
-                all_masters,
-                key=lambda m: (-sum(q for q, _ in hmi_candidates(m, ft_map)), m),
-            )
-            primary = ranked_masters[0]
-            candidates = hmi_candidates(primary, ft_map)
-            if not candidates:
+            primary = min(candidates, key=lambda m: (-sum(q for q, _ in candidates[m]), m))
+            best = candidates[primary]
+            if not best:
                 report.warnings.append(f"master {primary} initiates no communication, HMI unknown")
             else:
-                report.hmi = candidates[0][1]
-                if len(candidates) > 1 and candidates[1][0] == candidates[0][0]:
+                report.hmi = best[0][1]
+                if len(best) > 1 and best[1][0] == best[0][0]:
                     report.warnings.append("HMI quantity tie, chose lowest address")
-                if report.hmi is not None:
-                    classifying_port.setdefault(report.hmi, report.protocols[0].scada_port)
+                _, port = roles.get(report.hmi, (None, report.protocols[0].scada_port))
+                roles[report.hmi] = ("hmi", port)
 
-    classified = report.classified_devices()
-    report.unclassified = set(profiles) - classified
     first_port = report.protocols[0].scada_port if report.protocols else None
     for ip, prof in profiles.items():
-        report.evidence[ip] = prof.snapshot(classifying_port.get(ip, first_port))
-        report.evidence[ip]["role"] = _role_of(ip, report)
+        role, port = roles.get(ip, ("unclassified", first_port))
+        if role == "unclassified":
+            report.unclassified.add(ip)
+        report.evidence[ip] = prof.snapshot(port)
+        report.evidence[ip]["role"] = role
     return report
-
-
-def _role_of(ip: str, report: TopologyReport) -> str:
-    if ip == report.hmi:
-        return "hmi"
-    for entry in report.protocols:
-        if ip in entry.field_devices:
-            return "field_device"
-        if ip in entry.master_servers:
-            return "master"
-    return "unclassified"
 
 
 @dataclass
@@ -433,6 +422,8 @@ def prefix_stability(
 
 def load_ground_truth(obj: dict) -> dict[str, str]:
     """Normalize a truth mapping: values may be plain roles or {role, protocol}."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"ground truth must be a JSON object, got {type(obj).__name__}")
     out: dict[str, str] = {}
     for ip, value in obj.items():
         role = value.get("role") if isinstance(value, dict) else value
@@ -453,9 +444,8 @@ _DOT_SHAPES = {
 def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]]) -> str:
     """Render the inferred topology as an undirected DOT graph."""
     lines = ["graph scada_topology {", "  node [shape=ellipse];"]
-    roles = {ip: _role_of(ip, report) for ip in report.evidence}
-    for ip in sorted(roles):
-        lines.append(f'  "{ip}" [shape={_DOT_SHAPES[roles[ip]]}];')
+    for ip in sorted(report.evidence):
+        lines.append(f'  "{ip}" [shape={_DOT_SHAPES[report.evidence[ip]["role"]]}];')
 
     for entry in report.protocols:
         port = entry.scada_port

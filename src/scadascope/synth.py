@@ -611,50 +611,6 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     return config
 
 
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "duration": config.duration,
-        "seed": config.seed,
-        "scada_groups": [
-            {
-                "port": g.port,
-                "num_field_devices": g.num_field_devices,
-                "poll_mean": g.poll_mean,
-                "poll_jitter_stddev": g.poll_jitter_stddev,
-                "object_sizes": list(g.object_sizes),
-                "response": g.response,
-            }
-            for g in config.scada_groups
-        ],
-        "master": {
-            "ephemeral_port_range": list(config.master.ephemeral_port_range),
-            "reconnect_rate": config.master.reconnect_rate,
-        },
-        "layers": config.layers,
-        "peripherals": [
-            {
-                "kind": p.kind,
-                "period": p.period,
-                "size": p.size,
-                **({"hosts": list(p.hosts)} if p.hosts else {}),
-            }
-            for p in config.peripherals
-        ],
-        "noise": {"nonresponder_retry": config.noise.nonresponder_retry},
-        "reporting": [
-            {
-                "scada_period": r.scada_period,
-                "noise_period": r.noise_period,
-                "consumers": r.consumers,
-                "report_size": r.report_size,
-                "noise_size": r.noise_size,
-                **({"port": r.port} if r.port else {}),
-            }
-            for r in config.reporting
-        ],
-    }
-
-
 def load_scenario(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fp:
         return scenario_from_dict(json.load(fp))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import scadascope
 
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
 from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
-from scadascope.synth import generate, scenario_to_dict, write_pcap, write_records
+from scadascope.synth import generate, write_pcap, write_records
 
 from scenarios import dataset1_like, dataset2_like, office_like
 
@@ -31,7 +33,7 @@ def d1(tmp_path_factory):
     truth_path = root / "truth.json"
     truth_path.write_text(json.dumps(truth.to_dict()))
     scenario_path = root / "scenario.json"
-    scenario_path.write_text(json.dumps(scenario_to_dict(config)))
+    scenario_path.write_text(json.dumps(asdict(config)))
     return {"root": root, "trace": trace, "truth": truth_path, "scenario": scenario_path}
 
 
@@ -134,12 +136,17 @@ def test_rank_empty_trace(tmp_path, capsys):
     assert "no communications" in capsys.readouterr().out
 
 
-def test_analyze_low_confidence_on_office_traffic(tmp_path):
+def test_analyze_low_confidence_on_office_traffic(tmp_path, caplog):
     records, _ = generate(office_like(duration=3600.0, seed=502))
     trace = tmp_path / "office.jsonl"
     write_records(records, str(trace))
     code = main(["--quiet", "analyze", str(trace), "--num-protocols", "1", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_LOW_CONFIDENCE
+    warnings = json.loads((tmp_path / "r.json").read_text())["warnings"]
+    assert any(w.startswith("protocol 0: no device met the field-device conditions") for w in warnings)
+    # Reported once: the CLI logs the report's warnings, the inference module nothing.
+    logged = [(r.name, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING]
+    assert logged == [("scadascope", w) for w in warnings]
 
 
 def test_analyze_partial_when_protocols_exhausted(tmp_path):
@@ -224,6 +231,21 @@ def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys):
     assert summary == f"summary: 1 of top-5 communications touch port {port}; 5 ranked"
 
 
+@pytest.mark.parametrize(
+    "which,content",
+    [("report", "[]"), ("truth", "[]"), ("report", '{"protocols": 5}')],
+    ids=["report-list", "truth-list", "protocols-int"],
+)
+def test_eval_malformed_shape_is_exit_2(tmp_path, d1, caplog, which, content):
+    paths = {"report": tmp_path / "report.json", "truth": d1["truth"]}
+    main(["--quiet", "analyze", str(d1["trace"]), "--out", str(paths["report"])])
+    paths[which] = tmp_path / f"bad-{which}.json"
+    paths[which].write_text(content)
+    code = main(["--quiet", "eval", "--report", str(paths["report"]), "--truth", str(paths["truth"])])
+    assert code == EXIT_INPUT_ERROR
+    assert f"{paths[which]}: " in caplog.text
+
+
 def test_missing_truth_is_exit_2(tmp_path, d1):
     report_path = tmp_path / "report.json"
     main(["--quiet", "analyze", str(d1["trace"]), "--out", str(report_path)])
@@ -294,6 +316,34 @@ def test_pcap_input_accepted(tmp_path, capsys):
     code = main(["--quiet", "inspect", str(trace)])
     assert code == EXIT_OK
     assert f"records: {len(records)}" in capsys.readouterr().out
+
+
+def test_analyze_report_counts_skipped_frames(tmp_path):
+    trace = tmp_path / "t.pcap"
+    write_pcap(generate(dataset1_like(duration=600.0, seed=508, fds=3))[0], str(trace))
+    arp = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 46
+    with open(trace, "ab") as fp:
+        fp.write(struct.pack("<IIII", 700, 0, len(arp), len(arp)) + arp)
+    report = tmp_path / "r.json"
+    assert main(["--quiet", "analyze", str(trace), "--out", str(report)]) == EXIT_OK
+    metrics = json.loads(report.read_text())["metrics"]
+    assert metrics["ingest"]["skipped"] == metrics["ingest"]["non_ipv4"] == 1
+    assert metrics["ingest"]["yielded"] == metrics["records"]
+    assert metrics["filter"] is None
+    main(["--quiet", "analyze", str(trace), "--filter-ports", "", "--out", str(report)])
+    metrics = json.loads(report.read_text())["metrics"]
+    assert metrics["filter"]["kept"] == metrics["records"]
+    assert metrics["filter"]["kept"] + metrics["filter"]["dropped"] == metrics["ingest"]["yielded"]
+
+
+def test_inspect_takes_no_ranking_flags(d1, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "inspect", str(d1["trace"]), "--pr-cap", "1"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    for command in ("rank", "analyze", "stability", "inspect"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--log-base" not in capsys.readouterr().out
 
 
 def test_inspect_prints_skip_reasons(tmp_path, capsys):

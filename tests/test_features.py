@@ -85,11 +85,6 @@ def test_durability_hour_of_ten_second_polling():
     assert compute_dR(starts) == pytest.approx(5.889, abs=1e-3)
 
 
-def test_durability_log10_option():
-    starts = starts_from_iat([10.0] * 360)
-    assert compute_dR(starts, log_base="10") == pytest.approx(math.log10(361), rel=1e-9)
-
-
 # --- complexity gap ------------------------------------------------------------
 
 
@@ -304,8 +299,6 @@ def test_ranking_csv_layout(tmp_path):
 
 
 def test_ranking_config_validation():
-    with pytest.raises(ValueError):
-        RankingConfig(log_base="2")
     with pytest.raises(ValueError):
         RankingConfig(pr_cap=0.0)
 

@@ -348,6 +348,45 @@ def test_report_classification_disjoint_and_evidence_roles():
     assert report.unclassified.isdisjoint(report.classified_devices())
 
 
+def expected_role_and_port(ip, report):
+    """The first protocol classifying ``ip`` decides its role and port; the
+    HMI is ``hmi`` on the first protocol's port unless a protocol named it."""
+    for entry in report.protocols:
+        if ip in entry.field_devices:
+            found = ("field_device", entry.scada_port)
+            break
+        if ip in entry.master_servers:
+            found = ("master", entry.scada_port)
+            break
+    else:
+        found = ("unclassified", report.protocols[0].scada_port)
+    return ("hmi", found[1]) if ip == report.hmi else found
+
+
+@pytest.mark.parametrize(
+    "config,kw,ip,role,port",
+    [
+        (dataset2_like(duration=2400.0, seed=302), {"num_scada_protocols": 2}, "10.0.0.1", "master", 2404),
+        (dataset1_like(duration=1800.0, seed=306, fds=8), {"three_layer": True}, "10.0.0.2", "hmi", 20000),
+    ],
+    ids=["shared-master", "hmi"],
+)
+def test_evidence_role_and_classifying_port(config, kw, ip, role, port):
+    result = analyze_records(generate(config)[0], inference_config=analyze_config(**kw))
+    report = result.report
+    profiles = build_device_profiles(result.ft_map)
+    assert expected_role_and_port(ip, report) == (role, port)
+    for dev, evidence in report.evidence.items():
+        want_role, want_port = expected_role_and_port(dev, report)
+        assert evidence["role"] == want_role, dev
+        assert evidence["scada_fraction"] == round(profiles[dev].scada_fraction(want_port), 6), dev
+        assert (want_role == "unclassified") == (dev in report.unclassified), dev
+    shapes = {"field_device": "box", "master": "doublecircle", "hmi": "diamond", "unclassified": "ellipse"}
+    dot = report_to_dot(report, result.ft_map)
+    for dev, evidence in report.evidence.items():
+        assert f'  "{dev}" [shape={shapes[evidence["role"]]}];' in dot
+
+
 # --- evaluation ---------------------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import statistics
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,12 +29,11 @@ from scadascope.synth import (
     ground_truth,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     write_pcap,
     write_records,
 )
 
-from scenarios import dataset1_like, dataset2_like
+from scenarios import dataset1_like, dataset2_like, office_like, small_random_scenario
 
 
 def tiny_config(**kw):
@@ -280,8 +281,17 @@ def test_pcap_udp_and_icmp_frames(tmp_path):
 def test_scenario_json_roundtrip(tmp_path):
     config = dataset1_like(duration=60.0, seed=15, fds=2)
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(scenario_to_dict(config)))
+    path.write_text(json.dumps(asdict(config)))
     assert load_scenario(str(path)) == config
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dataset2_like(), office_like()] + [small_random_scenario(random.Random(seed)) for seed in range(5)],
+)
+def test_scenario_json_roundtrip_varied(config):
+    # Peripheral host overrides (office_like) and random draws.
+    assert scenario_from_dict(json.loads(json.dumps(asdict(config)))) == config
 
 
 def test_scenario_rejects_unknown_keys():
