@@ -248,38 +248,66 @@ def cmd_analyze(args) -> int:
     return EXIT_LOW_CONFIDENCE if report.low_confidence else EXIT_OK
 
 
+def _report_entry(path: str, i: int, entry: dict) -> ProtocolEntry:
+    """One protocol object of a report file, its fields checked."""
+    where = f"{path}: protocols[{i}]"
+    if "scada_port" not in entry:
+        raise ValueError(f"{where} has no scada_port")
+    port = entry["scada_port"]
+    if type(port) is not int:
+        raise ValueError(f"{where}.scada_port must be an integer, got {port!r}")
+    devices = {}
+    for name in ("field_devices", "master_servers"):
+        value = entry.get(name, [])
+        if not isinstance(value, list) or not all(isinstance(ip, str) for ip in value):
+            raise ValueError(f"{where}.{name} must be a list of strings, got {value!r}")
+        devices[name] = set(value)
+    return ProtocolEntry(scada_port=port, scada_ip=entry.get("scada_ip", ""), **devices)
+
+
 def cmd_eval(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fp:
-        payload = json.load(fp)
+        try:
+            payload = json.load(fp)
+        except ValueError as exc:
+            raise ValueError(f"{args.report}: not valid JSON ({exc})") from None
     protocols = payload.get("protocols", []) if isinstance(payload, dict) else None
     if not isinstance(protocols, list) or not all(isinstance(e, dict) for e in protocols):
         raise ValueError(f"{args.report}: not a report: expected an object with a list of protocol objects")
+    entries = [_report_entry(args.report, i, e) for i, e in enumerate(protocols)]
+    hmi = payload.get("hmi")
+    if hmi is not None and not isinstance(hmi, str):
+        raise ValueError(f"{args.report}: hmi must be a string or null, got {hmi!r}")
     with open(args.truth, "r", encoding="utf-8") as fp:
         try:
             truth = load_ground_truth(json.load(fp))
         except ValueError as exc:
             raise ValueError(f"{args.truth}: {exc}") from None
-    report = TopologyReport(
-        protocols=[
-            ProtocolEntry(
-                scada_port=e["scada_port"],
-                scada_ip=e.get("scada_ip", ""),
-                field_devices=set(e.get("field_devices", [])),
-                master_servers=set(e.get("master_servers", [])),
-            )
-            for e in protocols
-        ],
-        hmi=payload.get("hmi"),
-    )
+    report = TopologyReport(protocols=entries, hmi=hmi)
     metrics = evaluate(report, truth)
     print(f"precision={metrics['precision']:.4f} recall={metrics['recall']:.4f} f_score={metrics['f_score']:.4f}")
     print(f"tp={metrics['tp']} fp={metrics['fp']} fn={metrics['fn']}")
     return EXIT_OK
 
 
+class _Rereadable:
+    """The record stream of ``args``, read afresh on each iteration."""
+
+    def __init__(self, args) -> None:
+        self.args = args
+
+    def __iter__(self):
+        return _load_stream(self.args)[0]
+
+
 def cmd_stability(args) -> int:
     fractions = [float(part) for part in args.fractions.split(",") if part.strip()]
-    records, _stats, _fstats, _config = _load_stream(args)
+    if args.force_sort:
+        # The sort holds the whole trace; prefix_stability takes its end from it.
+        records, end = _load_stream(args)[0], None
+    else:
+        records = _Rereadable(args)
+        end = ingest.last_timestamp_hint(args.input, _filter_config(args))
     ranking, inference = _configs(args)
     result = prefix_stability(
         records,
@@ -287,6 +315,7 @@ def cmd_stability(args) -> int:
         t_comm=args.t_comm,
         ranking_config=ranking,
         inference_config=inference,
+        end=end,
     )
     stable = set(result.stable_fractions())
     for frac in sorted(result.by_fraction):
@@ -384,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stability", help="rerun the pipeline on trace prefixes")
+    p = sub.add_parser("stability", help="analyse trace prefixes in one pass")
     p.add_argument("input")
     _add_ranking_flags(p)
     p.add_argument("--fractions", default="0.02,0.06,0.1,0.25,1.0")

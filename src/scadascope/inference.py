@@ -9,14 +9,12 @@ quantity when a three-layer deployment is known.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from scadascope.features import (
     DeviceProfile,
@@ -278,6 +276,8 @@ class AnalysisResult:
     ft_map: dict[FtKey, array]
     record_count: int
     segment_count: int
+    last_ts: float | None = None
+    prefix_reports: list[TopologyReport] = field(default_factory=list)
 
 
 def analyze_records(
@@ -285,45 +285,75 @@ def analyze_records(
     t_comm: float = DEFAULT_T_COMM,
     ranking_config: RankingConfig | None = None,
     inference_config: InferenceConfig | None = None,
+    cutoffs: Sequence[float] = (),
 ) -> AnalysisResult:
     """Full pipeline from a time-ordered record stream to a topology report.
 
     Records are counted on the way in, with an INFO log line every
     ``PROGRESS_EVERY`` records.  The device table is built once and read by
     both ranking and Algorithm 1.
+
+    ``cutoffs`` are ascending times.  ``prefix_reports`` then holds one
+    report per cutoff, equal to this function's report on the records up to
+    that time, from the same pass: prefixes ending at the same record share
+    one report, and a cutoff the stream never passes gets the full report.
     """
     if inference_config is None:
         inference_config = InferenceConfig()
     count = 0
+    last_ts = None
 
     def counted():
-        nonlocal count
+        nonlocal count, last_ts
         every = PROGRESS_EVERY
+        rec = None
         for count, rec in enumerate(records, 1):
             if count % every == 0:
                 log.info("processed %d records", count)
             yield rec
+        if rec is not None:
+            last_ts = rec.ts
 
-    ft_map = aggregate_records(counted(), t_comm)
+    prefix_reports: list[TopologyReport] = []
+
+    def on_prefix(passed: int, ft_map: dict[FtKey, array]) -> None:
+        # The record that passed the cutoffs is counted but not segmented.
+        report, _ = _analyze_table(ft_map, count - 1, ranking_config, inference_config)
+        prefix_reports.extend([report] * passed)
+
+    ft_map = aggregate_records(counted(), t_comm, cutoffs, on_prefix)
+    report, ranked = _analyze_table(ft_map, count, ranking_config, inference_config)
+    prefix_reports.extend([report] * (len(cutoffs) - len(prefix_reports)))
+    return AnalysisResult(
+        report=report,
+        ranked=ranked,
+        ft_map=ft_map,
+        record_count=count,
+        segment_count=report.metrics["segments"],
+        last_ts=last_ts,
+        prefix_reports=prefix_reports,
+    )
+
+
+def _analyze_table(
+    ft_map: Mapping[FtKey, Sequence[float]],
+    record_count: int,
+    ranking_config: RankingConfig | None,
+    inference_config: InferenceConfig,
+) -> tuple[TopologyReport, list[RankedFt]]:
+    """Rank a 5-tuple table and run Algorithm 1 on it."""
     profiles = build_device_profiles(ft_map)
     ranked = rank(ft_map, profiles, ranking_config)
     if ranked:
         report = run_algorithm1(ft_map, ranked, inference_config, profiles)
     else:
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
-    seg_count = sum(map(len, ft_map.values()))
     report.metrics = {
-        "records": count,
-        "segments": seg_count,
+        "records": record_count,
+        "segments": sum(map(len, ft_map.values())),
         "ft_count": len(ft_map),
     }
-    return AnalysisResult(
-        report=report,
-        ranked=ranked,
-        ft_map=ft_map,
-        record_count=count,
-        segment_count=seg_count,
-    )
+    return report, ranked
 
 
 def evaluate(report: TopologyReport, truth: dict[str, str]) -> dict:
@@ -372,13 +402,21 @@ def prefix_stability(
     t_comm: float = DEFAULT_T_COMM,
     ranking_config: RankingConfig | None = None,
     inference_config: InferenceConfig | None = None,
+    end: float | None = None,
 ) -> StabilityResult:
-    """Rerun the pipeline on time prefixes of the trace.
+    """Analyse time prefixes of the trace in one pass over it.
 
-    A fraction p keeps packets in the first p of the trace duration, and
-    a fraction of 1 the whole trace.  Prefixes holding the same records are
-    analysed once.  The result records which fractions already reproduce
+    A fraction p keeps the records up to ``t0 + p * (end - t0)``, where t0
+    and ``end`` are the first and last timestamps, and a fraction of 1 the
+    whole trace.  Each fraction's report equals an ``analyze_records`` rerun
+    on its prefix.  The result records which fractions already reproduce
     the full-trace topology.
+
+    ``end`` is a hint of the last timestamp, which lets a stream be read
+    without holding it.  Without a hint, ``records`` is held as a list and
+    its last record gives the end.  When the stream ends elsewhere than the
+    hint, a warning is logged and ``records`` is read once more with the true
+    end, so with a hint it must be re-iterable, unless the hint is exact.
     """
     fractions = list(fractions)
     if not fractions:
@@ -387,36 +425,50 @@ def prefix_stability(
         if not 0 < frac <= 1:
             raise ValueError(f"fractions must lie in (0, 1], got {frac}")
     fractions = sorted(set(fractions))
-    records = list(records)
+    if end is None:
+        if not isinstance(records, Sequence):
+            records = list(records)
+        if records:
+            end = records[-1].ts
 
-    def analyze(prefix: Iterable[PacketRecord]) -> TopologyReport:
-        return analyze_records(
-            prefix, t_comm=t_comm, ranking_config=ranking_config, inference_config=inference_config
-        ).report
-
-    full = analyze(records)
-    if not records:
-        return StabilityResult({f: full for f in fractions}, full, fractions[0])
-
-    t0 = records[0].ts
-    span = records[-1].ts - t0
-    # Keyed by prefix length.  A fraction of 1 takes every record: its cutoff
-    # t0 + 1.0 * span can round below the last timestamp.
-    by_length = {len(records): full}
-    by_fraction: dict[float, TopologyReport] = {}
-    smallest: float | None = None
-    target = full.topology_signature()
-    for frac in fractions:
-        if frac == 1:
-            length = len(records)
+    def one_pass(end: float | None) -> AnalysisResult:
+        stream = iter(records)
+        first = next(stream, None)
+        if first is None:
+            cutoffs = [math.inf] * len(fractions)
         else:
-            length = bisect.bisect_right(records, t0 + frac * span, key=attrgetter("ts"))
-        rep = by_length.get(length)
-        if rep is None:
-            rep = by_length[length] = analyze(islice(records, length))
-        by_fraction[frac] = rep
-        if smallest is None and rep.topology_signature() == target:
-            smallest = frac
+            stream = chain((first,), stream)
+            t0 = first.ts
+            # A fraction of 1 takes every record: its cutoff t0 + 1.0 * span
+            # can round below the last timestamp.
+            cutoffs = [t0 + f * (end - t0) if f < 1 else math.inf for f in fractions]
+        return analyze_records(
+            stream,
+            t_comm=t_comm,
+            ranking_config=ranking_config,
+            inference_config=inference_config,
+            cutoffs=cutoffs,
+        )
+
+    result = one_pass(end)
+    if result.last_ts is not None and result.last_ts != end:
+        if isinstance(records, Iterator):
+            raise ValueError(
+                f"the stream ends at {result.last_ts:.6f}, not at the hinted {end:.6f}, "
+                "and cannot be read again"
+            )
+        log.warning(
+            "the stream ends at %.6f, not at the hinted %.6f; reading it again",
+            result.last_ts,
+            end,
+        )
+        result = one_pass(result.last_ts)
+    full = result.report
+    by_fraction = dict(zip(fractions, result.prefix_reports))
+    target = full.topology_signature()
+    smallest = next(
+        (f for f, rep in by_fraction.items() if rep.topology_signature() == target), None
+    )
     return StabilityResult(by_fraction=by_fraction, full_report=full, smallest_stable=smallest)
 
 

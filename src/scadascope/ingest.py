@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 import struct
 import sys
 from collections import deque
@@ -46,9 +47,16 @@ _PCAP_MAGICS = {
 # 802.1Q and 802.1ad tag protocol identifiers.
 _VLAN_TPIDS = frozenset((0x8100, 0x88A8))
 
+# How far back in time ``ensure_time_order`` puts a late record in place, in
+# seconds.
+REORDER_WINDOW = 1.0
+
 # The pcap reader's read size.  It bounds the reader's memory, so the file is
 # neither mapped nor read whole.
 _CHUNK_BYTES = 1 << 20
+# The block size of ``_records_backwards``: a trace's tail needs a few lines,
+# and a larger block leaves more freed line objects behind for the pass.
+_TAIL_BYTES = 1 << 16
 # The largest captured length a pcap record may claim: libpcap's maximum
 # snapshot length for Ethernet, above which it refuses a record as invalid.
 MAX_RECORD_BYTES = 262_144
@@ -143,7 +151,9 @@ class FilterStats:
     dropped: int = 0
 
 
-def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRecord]:
+def read_pcap(
+    path: str, stats: IngestStats | None = None, start: int = 24
+) -> Iterator[PacketRecord]:
     """Yield one PacketRecord per TCP/UDP/ICMP packet with an IPv4 header.
 
     ``size`` is the captured length from the pcap record header (frame
@@ -159,12 +169,14 @@ def read_pcap(path: str, stats: IngestStats | None = None) -> Iterator[PacketRec
     The file is read in ``_CHUNK_BYTES`` pieces into one buffer and parsed
     in place; a record that straddles two pieces is carried over to the
     next.  The buffer holds a chunk and at least one record of the largest
-    allowed length, so it never grows.
+    allowed length, so it never grows.  ``start`` is the byte offset of the
+    first record read, which must be a record boundary.
     """
     if stats is None:
         stats = IngestStats()
     with open(path, "rb") as fp:
         unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
+        fp.seek(start)
         unpack_ipv4 = _ETH_IPV4.unpack_from
         unpack_ports = _PORTS.unpack_from
         proto_names = _IP_PROTO_NAMES
@@ -440,15 +452,18 @@ def filter_packets(
 
 def ensure_time_order(
     records: Iterable[PacketRecord],
-    reorder_window: float = 1.0,
+    reorder_window: float = REORDER_WINDOW,
     force_sort: bool = False,
 ) -> Iterator[PacketRecord]:
     """Yield records in non-decreasing timestamp order.
 
-    Mild disorder (within ``reorder_window`` seconds) is repaired with a
-    buffer; anything worse raises OutOfOrderError unless ``force_sort`` is
-    set, which buffers the whole stream and sorts it.  Equal timestamps keep
-    their arrival order.
+    A record is held until it is ``reorder_window`` seconds older than the
+    newest one, so a record arriving late by less than that is put back in
+    place.  A record older than one already yielded raises OutOfOrderError,
+    unless ``force_sort`` is set, which buffers the whole stream and sorts
+    it.  A record arriving early is never refused: it is held until the
+    stream catches up, so ``[0, 1, 1000, 2, 3, 4]`` yields 1000 last.  Equal
+    timestamps keep their arrival order.
 
     Records that arrive in order wait in a FIFO until they are
     ``reorder_window`` older than the newest one.  A record older than the
@@ -489,6 +504,116 @@ def ensure_time_order(
     while heap:
         yield heapq.heappop(heap)[2]
     yield from held
+
+
+def last_timestamp_hint(path: str, config: FilterConfig | None = None) -> float | None:
+    """A cheap guess at the last timestamp of the trace's ordered, filtered stream.
+
+    That timestamp is the largest of any record the filter keeps.  A JSON
+    lines file is decoded backwards from its end until a kept record is
+    ``REORDER_WINDOW`` older than the newest kept one; lines that do not
+    decode are passed over, as the forward read names them.  A pcap file's
+    record headers are walked to find a frame before every frame within
+    ``REORDER_WINDOW`` of the latest frame time, and the frames from there
+    on are parsed.  The
+    guess can be wrong when a far earlier record is later than the file's
+    tail, which ``ensure_time_order`` lets through; callers check it against
+    the stream.  None means no kept record was found.
+    """
+    pcap = sniff_format(path) == "pcap"
+    if pcap:
+        offset, latest = _pcap_tail(path)
+        records = read_pcap(path, start=offset)
+    else:
+        records = _records_backwards(path)
+    if config is not None:
+        records = filter_packets(records, config)
+    if pcap:
+        # The frames from the offset on hold every frame within the window of
+        # the latest one, so a kept one among those makes the guess exact.
+        # Otherwise the newest kept frame may lie before the offset; with no
+        # kept frame after it, the latest frame time is as good a guess.
+        return max((rec.ts for rec in records), default=latest)
+    newest = None
+    for rec in records:
+        if newest is None or rec.ts > newest:
+            newest = rec.ts
+        elif newest - rec.ts >= REORDER_WINDOW:
+            break
+    return newest
+
+
+def _records_backwards(path: str) -> Iterator[PacketRecord]:
+    """The records of a JSON-lines file from its last line to its first.
+
+    Lines are split as ``read_records`` splits them; a line that does not
+    decode to a record is skipped.
+    """
+    scan = json.JSONDecoder().scan_once
+    with open(path, "rb") as fp:
+        pos = fp.seek(0, 2)
+        carry = b""
+        while pos > 0:
+            step = min(_TAIL_BYTES, pos)
+            pos -= step
+            fp.seek(pos)
+            lines = (fp.read(step) + carry).splitlines()
+            # The first line may go on in the block before.
+            carry = lines.pop(0) if pos > 0 and lines else b""
+            for raw in reversed(lines):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    obj, end = scan(line, 0)
+                    if end == len(line):
+                        yield _build_record(obj)
+                except (StopIteration, ValueError):
+                    continue
+
+
+def _pcap_tail(path: str) -> tuple[int, float | None]:
+    """A byte offset before every frame within ``REORDER_WINDOW`` of the latest.
+
+    Returns that offset and the latest frame time, None for a capture with
+    no frame.  Only record headers are read.  The first frame at or after a
+    time T is later than every frame before it, so any such record-setting
+    frame earlier than T lies before it too.  The walk marks record-setting
+    frames at least a window apart and keeps the last three marks, which
+    include the last one earlier than the latest frame time less a window
+    when there is one.  It stops at a record longer than
+    ``MAX_RECORD_BYTES``, where the reader raises.
+    """
+    with open(path, "rb") as fp:
+        unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
+        marks: deque[tuple[float, int]] = deque(maxlen=3)
+        latest = next_mark = -math.inf
+        pos = 24  # file offset of buf[0]
+        buf = b""
+        i = size = 0  # next record header in buf, bytes in buf
+        while True:
+            if i + 16 > size:
+                pos += i
+                fp.seek(pos)
+                buf = fp.read(_CHUNK_BYTES)
+                i, size = 0, len(buf)
+                if size < 16:
+                    break
+            ts_sec, ts_frac, caplen, _orig_len = unpack_record(buf, i)
+            if caplen > MAX_RECORD_BYTES:
+                break
+            ts = ts_sec + ts_frac / frac_scale
+            if ts > latest:
+                latest = ts
+                if ts >= next_mark:
+                    marks.append((ts, pos + i))
+                    next_mark = ts + REORDER_WINDOW
+            i += 16 + caplen
+    if not marks:
+        return 24, None
+    start = 24
+    for ts, offset in marks:
+        if ts < latest - REORDER_WINDOW:
+            start = offset
+    return start, latest
 
 
 def sniff_format(path: str) -> str:

@@ -13,7 +13,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from scadascope.ingest import PacketRecord
 
@@ -78,13 +78,23 @@ class FtKey:
 
 
 def segment_stream(
-    records: Iterable[PacketRecord], t_comm: float = DEFAULT_T_COMM
+    records: Iterable[PacketRecord],
+    t_comm: float = DEFAULT_T_COMM,
+    cutoffs: Iterable[float] = (),
+    on_cutoff: Callable[[int, Iterator[CommunicationSegment]], None] | None = None,
 ) -> Iterator[CommunicationSegment]:
     """Split a time-ordered packet stream into communication segments.
 
     A gap >= t_comm to the previous packet on the same conversation closes
     the open segment; every packet lands in exactly one segment.  Open
     segments are flushed at end of stream in first-seen conversation order.
+
+    ``cutoffs`` are ascending times.  Before the first record later than one
+    or more of them is segmented, ``on_cutoff(passed, open_segments)`` is
+    called once: ``passed`` counts the cutoffs that record passes, and
+    ``open_segments`` iterates the open segments as the end of the stream
+    would flush them there.  Every segment closed before that record has
+    been yielded by then.
     """
     if not 0 < t_comm < math.inf:
         raise ValueError(f"t_comm must be positive and finite, got {t_comm}")
@@ -100,8 +110,16 @@ def segment_stream(
         tuple[str, int, str, int], tuple[list[CommunicationSegment], Endpoint, Endpoint]
     ] = {}
     get = entries.get
+    cuts = iter(cutoffs)
+    cut = next(cuts, math.inf)
     for rec in records:
         ts = rec.ts
+        if ts > cut:
+            passed = 0
+            while ts > cut:
+                passed += 1
+                cut = next(cuts, math.inf)
+            on_cutoff(passed, _open_segments(entries))
         fwd = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port)
         entry = get(fwd)
         if entry is None:
@@ -120,20 +138,33 @@ def segment_stream(
             continue
         yield seg
         cell[0] = CommunicationSegment(ts, ts, rec.size, 1, src, dst)
-    flushed = None
+    yield from _open_segments(entries)
+
+
+def _open_segments(entries: dict) -> Iterator[CommunicationSegment]:
+    """Each conversation's open segment, in first-seen conversation order."""
+    seen = None
     for cell, _, _ in entries.values():
-        if cell is not flushed:
+        if cell is not seen:
             yield cell[0]
-            flushed = cell
+            seen = cell
 
 
-def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, array]:
+# The table as aggregate_ft gathers it: (initiator, responder, size) -> start times.
+_Starts = dict[tuple[Endpoint, Endpoint, int], array]
+
+
+def aggregate_ft(
+    segments: Iterable[CommunicationSegment], starts: _Starts | None = None
+) -> dict[FtKey, array]:
     """The 5-tuple table: each 5-tuple's segment start times in arrival order.
 
     The times are kept as C doubles (``array('d')``); every time feature is
-    derived from them.
+    derived from them.  ``starts``, when given, is the dict the table is
+    gathered in, so a caller can read it while the segments still arrive.
     """
-    starts: dict[tuple[Endpoint, Endpoint, int], array] = {}
+    if starts is None:
+        starts = {}
     get = starts.get
     for seg in segments:
         ft = (seg.initiator, seg.responder, seg.seg_size)
@@ -141,6 +172,10 @@ def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, array]
         if times is None:
             times = starts[ft] = array("d")
         times.append(seg.start_ts)
+    return _keyed(starts)
+
+
+def _keyed(starts: _Starts) -> dict[FtKey, array]:
     return {
         FtKey(src_ip, src_port, dst_ip, dst_port, size): times
         for ((src_ip, src_port), (dst_ip, dst_port), size), times in starts.items()
@@ -148,7 +183,41 @@ def aggregate_ft(segments: Iterable[CommunicationSegment]) -> dict[FtKey, array]
 
 
 def aggregate_records(
-    records: Iterable[PacketRecord], t_comm: float = DEFAULT_T_COMM
+    records: Iterable[PacketRecord],
+    t_comm: float = DEFAULT_T_COMM,
+    cutoffs: Sequence[float] = (),
+    on_prefix: Callable[[int, dict[FtKey, array]], None] | None = None,
 ) -> dict[FtKey, array]:
-    """Segment and aggregate a time-ordered record stream in one pass."""
-    return aggregate_ft(segment_stream(records, t_comm))
+    """Segment and aggregate a time-ordered record stream in one pass.
+
+    ``cutoffs`` are ascending times.  Where the stream first passes one or
+    more of them, ``on_prefix(passed, table)`` gets the table of the records
+    before that point, equal to this function's result on that prefix, and
+    ``passed`` counts the cutoffs passed there.  The prefix table shares its
+    arrays with the growing one: read it before returning, and keep no
+    reference.
+    """
+    starts: _Starts = {}
+
+    def on_cutoff(passed: int, open_segments: Iterator[CommunicationSegment]) -> None:
+        # Add every open segment as the end of the prefix would flush it, hand
+        # the table over, then take those segments out again.  A 5-tuple has
+        # at most one open segment, the one of its conversation.
+        added: list[tuple[Endpoint, Endpoint, int]] = []
+        grown: list[array] = []
+        for seg in open_segments:
+            ft = (seg.initiator, seg.responder, seg.seg_size)
+            times = starts.get(ft)
+            if times is None:
+                starts[ft] = array("d", (seg.start_ts,))
+                added.append(ft)
+            else:
+                times.append(seg.start_ts)
+                grown.append(times)
+        on_prefix(passed, _keyed(starts))
+        for times in grown:
+            times.pop()
+        for ft in added:
+            del starts[ft]
+
+    return aggregate_ft(segment_stream(records, t_comm, cutoffs, on_cutoff), starts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -246,6 +247,28 @@ def test_eval_malformed_shape_is_exit_2(tmp_path, d1, caplog, which, content):
     assert f"{paths[which]}: " in caplog.text
 
 
+@pytest.mark.parametrize(
+    "content,field",
+    [
+        ('{"protocols": [', "not valid JSON"),
+        ('{"protocols": [{"scada_port": 20000, "field_devices": "10.0.10.1"}]}', "protocols[0].field_devices"),
+        ('{"protocols": [{"scada_port": 20000, "master_servers": [1]}]}', "protocols[0].master_servers"),
+        ('{"protocols": [{"field_devices": []}]}', "protocols[0] has no scada_port"),
+        ('{"protocols": [{"scada_port": "20000"}]}', "protocols[0].scada_port"),
+        ('{"protocols": [{"scada_port": true}]}', "protocols[0].scada_port"),
+        ('{"protocols": [], "hmi": 7}', "hmi must be a string or null"),
+    ],
+    ids=["truncated", "devices-str", "masters-int", "no-port", "port-str", "port-bool", "hmi-int"],
+)
+def test_eval_bad_report_names_file_and_field(tmp_path, d1, capsys, caplog, content, field):
+    report = tmp_path / "bad-report.json"
+    report.write_text(content)
+    code = main(["--quiet", "eval", "--report", str(report), "--truth", str(d1["truth"])])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().out == ""
+    assert f"{report}: " in caplog.text and field in caplog.text
+
+
 def test_missing_truth_is_exit_2(tmp_path, d1):
     report_path = tmp_path / "report.json"
     main(["--quiet", "analyze", str(d1["trace"]), "--out", str(report_path)])
@@ -268,6 +291,79 @@ def test_stability_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fraction 1: matches full trace" in out
     assert "smallest stable fraction" in out
+
+
+def _stability_run(capsys, caplog, *args):
+    """Exit code, stdout and warnings of one ``stability`` run."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        code = main(["--quiet", "stability", *args, "--fractions", "0.0001,0.1,0.5,0.999,1.0"])
+    return code, capsys.readouterr().out, caplog.text
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
+def test_stability_far_future_record_early(tmp_path, capsys, caplog, fmt):
+    # The record is held to the end of the ordered stream, so the trace's
+    # tail misses it.  The JSON-lines hint then names the wrong end and the
+    # pass reads the trace again; the pcap header walk finds it.  Two later
+    # last frames that the filter drops make the pcap guess wrong as well.
+    records = list(generate(dataset1_like(duration=1800.0, seed=506, fds=4))[0])
+    last = records[-1].ts
+    records.insert(10, dataclasses.replace(records[10], ts=last + 1000.0))
+    trace = tmp_path / f"t.{fmt}"
+    (write_records if fmt == "jsonl" else write_pcap)(records, str(trace))
+    code, out, log = _stability_run(capsys, caplog, str(trace))
+    assert code == EXIT_OK
+    assert out == _stability_run(capsys, caplog, str(trace), "--force-sort")[1]
+    assert ("reading it again" in log) == (fmt == "jsonl")
+    assert "fraction 0.0001: differs" in out and "fraction 1: matches" in out
+
+    for ahead in (1500.0, 2000.0):
+        records.append(PacketRecord(last + ahead, "10.0.9.1", 40000, "10.0.9.2", 123, "udp", 90))
+    (write_records if fmt == "jsonl" else write_pcap)(records, str(trace))
+    code, out, log = _stability_run(capsys, caplog, str(trace), "--filter-ports", "")
+    assert code == EXIT_OK
+    assert out == _stability_run(capsys, caplog, str(trace), "--filter-ports", "", "--force-sort")[1]
+    assert "reading it again" in log
+
+
+def test_stability_reads_crlf_lines(tmp_path, capsys, caplog):
+    records = list(generate(dataset1_like(duration=1800.0, seed=507, fds=4))[0])
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    write_records(records, str(lf))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    code, out, log = _stability_run(capsys, caplog, str(crlf))
+    assert code == EXIT_OK
+    assert out == _stability_run(capsys, caplog, str(lf))[1]
+    assert log == ""
+
+
+def test_stability_malformed_last_line_is_exit_2(tmp_path, capsys, caplog):
+    records = list(generate(dataset1_like(duration=600.0, seed=508, fds=4))[0])
+    trace = tmp_path / "t.jsonl"
+    write_records(records, str(trace))
+    with open(trace, "a", encoding="utf-8") as fp:
+        fp.write('{"ts": 1.0, "src_ip": "10.0.0.1"\n')
+    code, out, log = _stability_run(capsys, caplog, str(trace))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert f"{trace}:{len(records) + 1}: invalid JSON" in log
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
+def test_stability_on_an_empty_trace(tmp_path, capsys, caplog, fmt):
+    trace = tmp_path / f"empty.{fmt}"
+    (write_records if fmt == "jsonl" else write_pcap)([], str(trace))
+    code, out, log = _stability_run(capsys, caplog, str(trace))
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "fraction 0.0001: matches full trace",
+        "fraction 0.1: matches full trace",
+        "fraction 0.5: matches full trace",
+        "fraction 0.999: matches full trace",
+        "fraction 1: matches full trace",
+        "smallest stable fraction: 0.0001",
+    ]
 
 
 def test_inspect_counts_and_segment_dump(tmp_path, d1, capsys):

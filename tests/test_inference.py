@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import logging
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scadascope import inference
 from scadascope.features import FeatureVector, RankedFt, rank
@@ -492,23 +496,128 @@ def test_prefix_fraction_one_takes_last_record():
     assert result.smallest_stable == 1.0
 
 
-def test_prefix_stability_analyses_each_prefix_once(monkeypatch):
+def test_prefix_stability_reads_once_and_ranks_each_prefix_once(monkeypatch):
     config = dataset1_like(duration=600.0, seed=310, fds=4)
     records = list(generate(config)[0])
-    calls = []
+    pulled = []
 
-    def counting(prefix, **kwargs):
-        result = analyze_records(prefix, **kwargs)
-        calls.append(result.record_count)
-        return result
+    def stream():
+        for rec in records:
+            pulled.append(rec)
+            yield rec
 
-    monkeypatch.setattr(inference, "analyze_records", counting)
-    result = prefix_stability(records, [0.02, 0.06, 0.1, 0.25, 1.0])
-    # The full trace once, then one prefix per fraction below 1.
-    assert calls[0] == len(records)
-    assert len(calls) == 5
-    assert len(set(calls)) == 5
+    ranked_sizes = []
+
+    def counting(ft_map, *args, **kwargs):
+        ranked_sizes.append(sum(map(len, ft_map.values())))
+        return rank(ft_map, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "rank", counting)
+    fractions = [0.02, 0.06, 0.1, 0.25, 0.2500001, 1.0]
+    result = prefix_stability(stream(), fractions, end=records[-1].ts)
+    assert len(pulled) == len(records)
+    # 0.25 and 0.2500001 cut between the same two records: one prefix.
+    t0, span = records[0].ts, records[-1].ts - records[0].ts
+    lengths = {sum(r.ts <= t0 + f * span for r in records) for f in fractions[:-1]}
+    assert len(lengths) == 4
+    assert len(ranked_sizes) == len(lengths) + 1
+    assert result.by_fraction[0.25] is result.by_fraction[0.2500001]
     assert result.by_fraction[1.0] is result.full_report
+
+
+def _prefix_reruns(records, fractions, **kwargs):
+    """Each fraction's report as a separate analyze_records run on its prefix."""
+    t0, span = records[0].ts, records[-1].ts - records[0].ts
+    times = [r.ts for r in records]
+    out = {}
+    for f in fractions:
+        n = len(records) if f == 1 else bisect.bisect_right(times, t0 + f * span)
+        out[f] = analyze_records(records[:n], **kwargs).report.to_dict()
+    return out
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_prefix_stability_matches_prefix_reruns(seed, fractions, gap_pick, three_layer):
+    meta = random.Random(seed)
+    records = list(generate(small_random_scenario(meta))[0])
+    t0, span = records[0].ts, records[-1].ts - records[0].ts
+    # Two fractions cutting between the same two records, and a repeat.
+    k = gap_pick % (len(records) - 1)
+    low, high = records[k].ts, records[k + 1].ts
+    fractions += [(low + (high - low) * q - t0) / span for q in (0.25, 0.75)]
+    fractions = [f for f in fractions if 0 < f <= 1]
+    fractions.append(fractions[0])
+    config = InferenceConfig(num_scada_protocols=meta.randint(1, 2), three_layer=three_layer)
+    result = prefix_stability(iter(records), fractions, end=records[-1].ts, inference_config=config)
+    assert {f: rep.to_dict() for f, rep in result.by_fraction.items()} == _prefix_reruns(
+        records, set(fractions), inference_config=config
+    )
+
+
+class _Rereadable:
+    """A record list that counts how often it is iterated."""
+
+    def __init__(self, records):
+        self.records = records
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.records)
+
+
+@pytest.mark.parametrize("shift", [-3000.0, -0.5, 0.5])
+def test_prefix_stability_reads_again_when_the_end_hint_is_wrong(caplog, shift):
+    records = list(generate(dataset1_like(duration=3600.0, seed=313, fds=4))[0])
+    fractions = [0.02, 0.25, 0.5, 1.0]
+    source = _Rereadable(records)
+    with caplog.at_level(logging.WARNING):
+        result = prefix_stability(source, fractions, end=records[-1].ts + shift)
+    assert source.reads == 2
+    assert "reading it again" in caplog.text
+    assert {f: rep.to_dict() for f, rep in result.by_fraction.items()} == _prefix_reruns(
+        records, fractions
+    )
+
+
+def test_prefix_stability_wrong_end_hint_on_a_one_shot_stream_is_an_error():
+    records = list(generate(dataset1_like(duration=600.0, seed=314, fds=4))[0])
+    with pytest.raises(ValueError, match="cannot be read again"):
+        prefix_stability(iter(records), [0.5, 1.0], end=records[-1].ts - 10.0)
+
+
+def test_prefix_stability_peak_memory_tracks_analyze():
+    # The pass holds the 5-tuple table and the open conversations, not the
+    # trace: on a long trace its peak stays near analyze's on the same
+    # streamed generator.  A snapshot's ranking coexists with the stream's
+    # state, a fixed cost per 5-tuple that a short trace would magnify.
+    config = month_like(seed=315, days=4)
+    end = deque(generate(config)[0], maxlen=1)[0].ts
+    fractions = [0.02, 0.06, 0.1, 0.25, 0.999, 1.0]
+
+    def analyze():
+        analyze_records(generate(config)[0])
+
+    def stability():
+        prefix_stability(generate(config)[0], fractions, end=end)
+
+    def peak(run):
+        run()  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    held = peak(analyze), peak(stability)
+    assert held[1] <= 1.1 * held[0], held
 
 
 def test_prefix_rejects_bad_fractions():

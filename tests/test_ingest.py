@@ -28,7 +28,7 @@ from scadascope.ingest import (
     read_pcap,
     read_records,
 )
-from scadascope.synth import generate, write_records
+from scadascope.synth import generate, write_pcap, write_records
 
 from reference import RefOutOfOrder, RefPcapFormatError, ref_read_pcap, ref_time_order
 from scenarios import dataset1_like
@@ -605,6 +605,99 @@ def test_ensure_time_order_matches_reference(times, window):
     want, want_err = _drain(ref_time_order(packets, reorder_window=window), RefOutOfOrder)
     assert [id(r) for r in got] == [id(r) for r in want]
     assert got_err == want_err
+
+
+def test_ensure_time_order_holds_an_early_far_future_record():
+    # Not refused: it waits for the stream to catch up, and so comes last,
+    # where a trace's tail does not show it.
+    packets = [rec(ts=t, sport=i) for i, t in enumerate((0.0, 1.0, 1000.0, 2.0, 3.0, 4.0))]
+    out = list(ensure_time_order(packets, reorder_window=1.0))
+    assert [r.ts for r in out] == [0.0, 1.0, 2.0, 3.0, 4.0, 1000.0]
+    assert [id(r) for r in out] == [id(r) for r in ref_time_order(packets, reorder_window=1.0)]
+
+
+# --- last-timestamp hint --------------------------------------------------------
+
+
+def _stream_end(path, config=None):
+    """The last timestamp of the ordered, filtered stream, read in full."""
+    records = ensure_time_order(ingest.open_trace(str(path)))
+    if config is not None:
+        records = filter_packets(records, config)
+    last = None
+    for last in records:
+        pass
+    return None if last is None else last.ts
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("block", [1, 2, 7, 64, ingest._TAIL_BYTES])
+def test_records_backwards_reverses_read_records(tmp_path, monkeypatch, newline, block):
+    records = list(generate(dataset1_like(duration=60.0, seed=7, fds=3))[0])[:30]
+    lines = [r.to_json() for r in records]
+    lines[4:4] = ["", "   "]
+    path = tmp_path / "t.jsonl"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    monkeypatch.setattr(ingest, "_TAIL_BYTES", block)
+    assert list(ingest._records_backwards(str(path))) == list(read_records(str(path)))[::-1]
+
+
+def test_records_backwards_passes_over_lines_that_do_not_decode(tmp_path):
+    good = [rec(ts=float(t)).to_json() for t in range(3)]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join([good[0], "{oops", good[1], '{"ts": -1}', good[2], "\xff"]) + "\n")
+    assert [r.ts for r in ingest._records_backwards(str(path))] == [2.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
+@pytest.mark.parametrize("filtered", [False, True])
+def test_last_timestamp_hint_is_the_stream_end(tmp_path, monkeypatch, fmt, filtered):
+    # Mild disorder at the end, and UDP chatter the filter drops.
+    records = list(generate(dataset1_like(duration=600.0, seed=8, fds=4))[0])
+    records.append(dataclasses.replace(records[-1], ts=records[-1].ts - 0.5))
+    path = tmp_path / f"t.{fmt}"
+    (write_records if fmt == "jsonl" else write_pcap)(records, str(path))
+    config = FilterConfig() if filtered else None
+    want = _stream_end(path, config)
+    assert want is not None
+    for chunk in (16, 17, 50, ingest._CHUNK_BYTES):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        assert ingest.last_timestamp_hint(str(path), config) == want
+
+
+def test_last_timestamp_hint_misses_a_far_future_line_but_not_a_frame(tmp_path):
+    packets = [rec(ts=t, sport=i) for i, t in enumerate((0.0, 1.0, 1000.0, 2.0, 3.0, 4.0))]
+    jsonl, pcap = tmp_path / "t.jsonl", tmp_path / "t.pcap"
+    write_records(packets, str(jsonl))
+    write_pcap(packets, str(pcap))
+    assert _stream_end(jsonl) == _stream_end(pcap) == 1000.0
+    assert ingest.last_timestamp_hint(str(jsonl)) == 4.0
+    assert ingest.last_timestamp_hint(str(pcap)) == 1000.0
+
+
+def test_last_timestamp_hint_of_empty_traces(tmp_path):
+    jsonl, pcap = tmp_path / "t.jsonl", tmp_path / "t.pcap"
+    write_records([], str(jsonl))
+    write_pcap([], str(pcap))
+    assert ingest.last_timestamp_hint(str(jsonl)) is None
+    assert ingest.last_timestamp_hint(str(pcap)) is None
+    # Nothing the filter keeps.
+    write_records([rec(ts=1.0, proto="udp")], str(jsonl))
+    assert ingest.last_timestamp_hint(str(jsonl), FilterConfig()) is None
+
+
+def test_last_timestamp_hint_stops_at_a_bogus_record_length(tmp_path):
+    # The header walk stops there, and the frames parsed after it raise as
+    # the full read does, at the same byte offset.
+    frame = eth_ipv4_tcp("10.0.0.1", 20000, "10.0.0.2", 51382, 100)
+    bogus = struct.pack("<IIII", 2000, 0, ingest.MAX_RECORD_BYTES + 1, 0)
+    path = tmp_path / "bogus.pcap"
+    path.write_bytes(pcap_bytes([frame] * 3) + bogus + frame * 400)
+    with pytest.raises(PcapFormatError) as full:
+        list(read_pcap(str(path)))
+    with pytest.raises(PcapFormatError) as hint:
+        ingest.last_timestamp_hint(str(path))
+    assert str(hint.value) == str(full.value)
 
 
 def test_sniff_format(tmp_path):
