@@ -67,12 +67,34 @@ def _filter_config(args) -> ingest.FilterConfig | None:
     if args.filter_ports is None and not args.no_default_filter:
         return None
     ports: set[int] = set() if args.no_default_filter else set(ingest.DEFAULT_SERVICE_PORTS)
-    if args.filter_ports:
-        for part in args.filter_ports.split(","):
-            part = part.strip()
-            if part:
-                ports.add(int(part))
+    ports.update(args.filter_ports or ())
     return ingest.FilterConfig(service_ports=frozenset(ports))
+
+
+def _csv_items(text: str, convert, accept, what: str) -> list:
+    """A flag's comma-separated items, each converted and checked; blank items are skipped."""
+    values = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            value = convert(item)
+            ok = accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{item!r} is not {what}")
+        values.append(value)
+    return values
+
+
+def _port_list(text: str) -> list[int]:
+    return _csv_items(text, int, lambda port: 0 <= port <= 65535, "a port number (0..65535)")
+
+
+def _fraction_list(text: str) -> list[float]:
+    return _csv_items(text, float, lambda frac: 0 < frac <= 1, "a fraction in (0, 1]")
 
 
 def _load_stream(args):
@@ -108,7 +130,7 @@ def _configs(args) -> tuple[RankingConfig, InferenceConfig]:
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-comm", type=float, default=DEFAULT_T_COMM, metavar="SECONDS")
-    parser.add_argument("--filter-ports", metavar="CSV", default=None,
+    parser.add_argument("--filter-ports", type=_port_list, metavar="CSV", default=None,
                         help="enable service-port filtering and add these ports to the list")
     parser.add_argument("--no-default-filter", action="store_true",
                         help="when filtering, start from an empty port list instead of the default eleven")
@@ -301,7 +323,6 @@ class _Rereadable:
 
 
 def cmd_stability(args) -> int:
-    fractions = [float(part) for part in args.fractions.split(",") if part.strip()]
     if args.force_sort:
         # The sort holds the whole trace; prefix_stability takes its end from it.
         records, end = _load_stream(args)[0], None
@@ -311,7 +332,7 @@ def cmd_stability(args) -> int:
     ranking, inference = _configs(args)
     result = prefix_stability(
         records,
-        fractions,
+        args.fractions,
         t_comm=args.t_comm,
         ranking_config=ranking,
         inference_config=inference,
@@ -416,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="analyse trace prefixes in one pass")
     p.add_argument("input")
     _add_ranking_flags(p)
-    p.add_argument("--fractions", default="0.02,0.06,0.1,0.25,1.0")
+    p.add_argument("--fractions", type=_fraction_list, default="0.02,0.06,0.1,0.25,1.0", metavar="CSV")
     _add_inference_flags(p)
     p.set_defaults(func=cmd_stability)
 

@@ -262,7 +262,7 @@ def rank(
         fv.sR_n = fv.sR / max_s if max_s > 0 else 0.0
         fv.f = score_product(fv.pR_n, fv.dR_n, fv.cR_n, fv.uR_n, fv.sR_n)
 
-    entries.sort(key=lambda e: (-e.fv.f, -e.fv.pR_n, e.key.as_tuple()))
+    entries.sort(key=lambda e: (-e.fv.f, -e.fv.pR_n, e.key))
     return entries
 
 

@@ -493,11 +493,16 @@ _DOT_SHAPES = {
 }
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]]) -> str:
     """Render the inferred topology as an undirected DOT graph."""
     lines = ["graph scada_topology {", "  node [shape=ellipse];"]
     for ip in sorted(report.evidence):
-        lines.append(f'  "{ip}" [shape={_DOT_SHAPES[report.evidence[ip]["role"]]}];')
+        lines.append(f"  {_dot_id(ip)} [shape={_DOT_SHAPES[report.evidence[ip]['role']]}];")
 
     for entry in report.protocols:
         port = entry.scada_port
@@ -509,14 +514,14 @@ def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]
             seg_counts[pair] = seg_counts.get(pair, 0) + len(times)
         for (a, b), n in sorted(seg_counts.items()):
             if a in entry.field_devices or b in entry.field_devices:
-                lines.append(f'  "{a}" -- "{b}" [label="port {port} n={n}"];')
+                lines.append(f'  {_dot_id(a)} -- {_dot_id(b)} [label="port {port} n={n}"];')
     if report.hmi is not None:
         for entry in report.protocols:
             for master in sorted(entry.master_servers):
                 qty = {ip: q for q, ip in hmi_candidates(master, ft_map)}
                 if report.hmi in qty:
                     lines.append(
-                        f'  "{master}" -- "{report.hmi}" [label="hmi qty={qty[report.hmi]:.3e}"];'
+                        f'  {_dot_id(master)} -- {_dot_id(report.hmi)} [label="hmi qty={qty[report.hmi]:.3e}"];'
                     )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from scadascope.ingest import PacketRecord
 
@@ -56,12 +56,12 @@ class CommunicationSegment:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class FtKey:
+class FtKey(NamedTuple):
     """5-tuple identifying one ranked communication type.
 
     Direction follows the segment initiator; the size is part of the key, so
-    one conversation producing two segment sizes yields two entries.
+    one conversation producing two segment sizes yields two entries.  A key
+    equals, hashes and sorts as its plain tuple.
     """
 
     src_ip: str
@@ -69,9 +69,6 @@ class FtKey:
     dst_ip: str
     dst_port: int
     seg_size: int
-
-    def as_tuple(self) -> tuple[str, int, str, int, int]:
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.seg_size)
 
     def __str__(self) -> str:
         return f"{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port}/{self.seg_size}B"
@@ -150,12 +147,8 @@ def _open_segments(entries: dict) -> Iterator[CommunicationSegment]:
             seen = cell
 
 
-# The table as aggregate_ft gathers it: (initiator, responder, size) -> start times.
-_Starts = dict[tuple[Endpoint, Endpoint, int], array]
-
-
 def aggregate_ft(
-    segments: Iterable[CommunicationSegment], starts: _Starts | None = None
+    segments: Iterable[CommunicationSegment], starts: dict[FtKey, array] | None = None
 ) -> dict[FtKey, array]:
     """The 5-tuple table: each 5-tuple's segment start times in arrival order.
 
@@ -167,19 +160,13 @@ def aggregate_ft(
         starts = {}
     get = starts.get
     for seg in segments:
-        ft = (seg.initiator, seg.responder, seg.seg_size)
+        # A plain tuple finds its FtKey; the key is built once per 5-tuple.
+        ft = (*seg.initiator, *seg.responder, seg.seg_size)
         times = get(ft)
         if times is None:
-            times = starts[ft] = array("d")
+            times = starts[FtKey._make(ft)] = array("d")
         times.append(seg.start_ts)
-    return _keyed(starts)
-
-
-def _keyed(starts: _Starts) -> dict[FtKey, array]:
-    return {
-        FtKey(src_ip, src_port, dst_ip, dst_port, size): times
-        for ((src_ip, src_port), (dst_ip, dst_port), size), times in starts.items()
-    }
+    return starts
 
 
 def aggregate_records(
@@ -193,28 +180,28 @@ def aggregate_records(
     ``cutoffs`` are ascending times.  Where the stream first passes one or
     more of them, ``on_prefix(passed, table)`` gets the table of the records
     before that point, equal to this function's result on that prefix, and
-    ``passed`` counts the cutoffs passed there.  The prefix table shares its
-    arrays with the growing one: read it before returning, and keep no
-    reference.
+    ``passed`` counts the cutoffs passed there.  The prefix table is the
+    growing table itself with the open segments added for the call: read it
+    before returning, and keep no reference.
     """
-    starts: _Starts = {}
+    starts: dict[FtKey, array] = {}
 
     def on_cutoff(passed: int, open_segments: Iterator[CommunicationSegment]) -> None:
         # Add every open segment as the end of the prefix would flush it, hand
         # the table over, then take those segments out again.  A 5-tuple has
         # at most one open segment, the one of its conversation.
-        added: list[tuple[Endpoint, Endpoint, int]] = []
+        added: list[tuple[str, int, str, int, int]] = []
         grown: list[array] = []
         for seg in open_segments:
-            ft = (seg.initiator, seg.responder, seg.seg_size)
+            ft = (*seg.initiator, *seg.responder, seg.seg_size)
             times = starts.get(ft)
             if times is None:
-                starts[ft] = array("d", (seg.start_ts,))
+                starts[FtKey._make(ft)] = array("d", (seg.start_ts,))
                 added.append(ft)
             else:
                 times.append(seg.start_ts)
                 grown.append(times)
-        on_prefix(passed, _keyed(starts))
+        on_prefix(passed, starts)
         for times in grown:
             times.pop()
         for ft in added:

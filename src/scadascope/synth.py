@@ -12,11 +12,13 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 import random
 import struct
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from scadascope.ingest import ICMP, OTHER, TCP, UDP, PacketRecord
 
@@ -164,6 +166,8 @@ class ScenarioConfig:
             where = f"reporting[{r}]"
             if not self.scada_groups and spec.port is None:
                 raise ScenarioError(f"{where}: no SCADA group to borrow a port from")
+            if spec.port is not None and not 1 <= spec.port <= 65535:
+                raise ScenarioError(f"{where}: port out of range")
             if spec.consumers < 1:
                 raise ScenarioError(f"{where}: consumers must be >= 1")
             if spec.scada_period <= MIN_INTERVAL or (
@@ -539,76 +543,50 @@ def _build_frame(rec: PacketRecord, ip_id: int) -> bytes:
     return eth + ip_hdr + l4 + b"\x00" * padding
 
 
-_SCENARIO_KEYS = {
-    "duration",
-    "seed",
-    "scada_groups",
-    "master",
-    "layers",
-    "peripherals",
-    "noise",
-    "reporting",
-}
-
-
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
-    """Parse a scenario file object, rejecting unknown keys."""
-    unknown = set(obj) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    try:
-        groups = [
-            ScadaGroup(
-                port=int(g["port"]),
-                num_field_devices=int(g["num_field_devices"]),
-                poll_mean=float(g["poll_mean"]),
-                poll_jitter_stddev=float(g["poll_jitter_stddev"]),
-                object_sizes=[int(s) for s in g["object_sizes"]],
-                response=bool(g.get("response", True)),
-            )
-            for g in obj.get("scada_groups", [])
-        ]
-        master_obj = obj.get("master", {})
-        master = MasterConfig(
-            ephemeral_port_range=tuple(master_obj.get("ephemeral_port_range", (49152, 65535))),
-            reconnect_rate=float(master_obj.get("reconnect_rate", 0.0)),
-        )
-        peripherals = [
-            PeripheralSpec(
-                kind=p["kind"],
-                period=float(p["period"]),
-                size=int(p["size"]),
-                hosts=tuple(p["hosts"]) if p.get("hosts") else None,
-            )
-            for p in obj.get("peripherals", [])
-        ]
-        reporting = [
-            ReportingSpec(
-                scada_period=float(r["scada_period"]),
-                noise_period=float(r["noise_period"]) if r.get("noise_period") else None,
-                consumers=int(r.get("consumers", 1)),
-                report_size=int(r.get("report_size", 150)),
-                noise_size=int(r.get("noise_size", 120)),
-                port=int(r["port"]) if r.get("port") else None,
-            )
-            for r in obj.get("reporting", [])
-        ]
-        config = ScenarioConfig(
-            duration=float(obj["duration"]),
-            seed=int(obj["seed"]),
-            scada_groups=groups,
-            master=master,
-            layers=int(obj.get("layers", 2)),
-            peripherals=peripherals,
-            noise=NoiseConfig(nonresponder_retry=bool(obj.get("noise", {}).get("nonresponder_retry", False))),
-            reporting=reporting,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
+    """Read a scenario file object through the scenario dataclasses, then validate it."""
+    config = _read(ScenarioConfig, obj, "scenario")
     config.validate()
     return config
+
+
+def _read(tp, value, path: str):
+    """``value`` from a scenario file as type ``tp``; ``path`` names it in errors.
+
+    An object becomes a dataclass, whose defaults fill absent keys; a list
+    becomes a ``list[T]``, or a ``tuple`` of the same length.  An int is taken
+    for a float; nothing else is coerced, and a bool is not a number.
+    """
+    if is_dataclass(tp):
+        if type(value) is not dict:
+            raise ScenarioError(f"{path}: expected an object, got {value!r}")
+        hints = get_type_hints(tp)
+        unknown = set(value) - hints.keys()
+        if unknown:
+            raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = _read(hints[f.name], value[f.name], f"{path}.{f.name}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ScenarioError(f"{path}: missing key {f.name!r}")
+        return tp(**kwargs)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # every union here is ``X | None``
+        return None if value is None else _read(args[0], value, path)
+    if origin in (list, tuple):
+        if type(value) is not list or (origin is tuple and len(value) != len(args)):
+            raise ScenarioError(f"{path}: expected {tp}, got {value!r}")
+        items = [
+            _read(args[0] if origin is list else args[i], item, f"{path}[{i}]")
+            for i, item in enumerate(value)
+        ]
+        return items if origin is list else tuple(items)
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp or (tp is float and not math.isfinite(value)):
+        raise ScenarioError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -192,15 +192,40 @@ def test_coerced_record_value_is_exit_2(tmp_path, caplog, field, value):
         ("stability", ["--scada-fraction", "inf"], "scada_fraction_threshold must be positive and finite, got inf"),
         ("analyze", ["--pr-cap", "nan"], "pr_cap must be positive and finite, got nan"),
         ("rank", ["--pr-cap=-inf"], "pr_cap must be positive and finite, got -inf"),
-        ("stability", ["--fractions", "nan,0.5"], "fractions must lie in (0, 1], got nan"),
-        ("stability", ["--fractions", "0.5,inf"], "fractions must lie in (0, 1], got inf"),
+        ("stability", ["--fractions", "nan,0.5"], "argument --fractions: 'nan' is not a fraction in (0, 1]"),
+        ("stability", ["--fractions", "0.5,inf"], "argument --fractions: 'inf' is not a fraction in (0, 1]"),
     ],
     ids=["t-comm-nan", "t-comm-inf", "scada-fraction-nan", "scada-fraction-inf", "pr-cap-nan",
          "pr-cap-minus-inf", "fractions-nan", "fractions-inf"],
 )
-def test_non_finite_flag_is_exit_2(d1, caplog, command, flags, message):
-    assert main(["--quiet", command, str(d1["trace"]), *flags]) == EXIT_INPUT_ERROR
-    assert message in caplog.text
+def test_non_finite_flag_is_exit_2(d1, caplog, capsys, command, flags, message):
+    # A setting is refused by its config class (logged), a list item by the
+    # flag's parser (argparse's usage error on stderr); the message says which.
+    try:
+        code = main(["--quiet", command, str(d1["trace"]), *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_INPUT_ERROR
+    assert message in caplog.text + capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("analyze", ["--filter-ports", "80,abc"], "argument --filter-ports: 'abc' is not a port number"),
+        ("inspect", ["--filter-ports", "70000"], "argument --filter-ports: '70000' is not a port number"),
+        ("stability", ["--filter-ports", "-1"], "argument --filter-ports: '-1' is not a port number"),
+        ("stability", ["--fractions", "0.5,x"], "argument --fractions: 'x' is not a fraction in (0, 1]"),
+        ("stability", ["--fractions", "0"], "argument --fractions: '0' is not a fraction in (0, 1]"),
+        ("stability", ["--fractions", "0.5, 1.5"], "argument --fractions: '1.5' is not a fraction in (0, 1]"),
+    ],
+    ids=["port-word", "port-too-big", "port-negative", "fraction-word", "fraction-zero", "fraction-above-1"],
+)
+def test_bad_list_flag_item_names_flag_and_item(d1, capsys, command, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", command, str(d1["trace"]), *flags])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
 
 
 def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys):
@@ -279,6 +304,13 @@ def test_bad_scenario_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"duration": -5, "seed": 1}')
     assert main(["--quiet", "synth", "--scenario", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_INPUT_ERROR
+
+
+def test_scenario_of_wrong_shape_is_exit_2_naming_the_key(tmp_path, caplog):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"duration": 60, "seed": 1, "master": 5}')
+    assert main(["--quiet", "synth", "--scenario", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_INPUT_ERROR
+    assert "scenario.master: expected an object, got 5" in caplog.text
 
 
 def test_stability_command(tmp_path, capsys):

@@ -225,8 +225,8 @@ def test_rank_single_occurrence_scores_zero_and_sorts_last():
 
 def test_rank_matches_reference_features():
     table = synth_table(duration=600.0, seed=32, fds=5)
-    ranked = {e.key.as_tuple(): e.fv for e in rank(table)}
-    reference = ref_all_features({k.as_tuple(): list(s) for k, s in table.items()})
+    ranked = {tuple(e.key): e.fv for e in rank(table)}
+    reference = ref_all_features({tuple(k): list(s) for k, s in table.items()})
     assert set(ranked) == set(reference)
     for ft, want in reference.items():
         got = ranked[ft].raw()
@@ -311,8 +311,8 @@ def test_random_scenarios_feature_parity_with_reference():
         if not records:
             continue
         table = build_table(records)
-        got = {e.key.as_tuple(): e.fv.raw() for e in rank(table)}
-        want = ref_all_features({k.as_tuple(): list(s) for k, s in table.items()})
+        got = {tuple(e.key): e.fv.raw() for e in rank(table)}
+        want = ref_all_features({tuple(k): list(s) for k, s in table.items()})
         for ft in want:
             for g, w in zip(got[ft], want[ft]):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-300)

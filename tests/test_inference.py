@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import logging
 import random
+import re
 import tracemalloc
 from collections import deque
 
@@ -192,7 +193,7 @@ def test_hmi_matches_bruteforce_oracle():
         from scadascope.segmentation import aggregate_ft, segment_stream
 
         table = aggregate_ft(segment_stream(records, 1.0))
-        want = ref_hmi("10.0.0.1", {k.as_tuple(): list(s) for k, s in table.items()})
+        want = ref_hmi("10.0.0.1", {tuple(k): list(s) for k, s in table.items()})
         assert want is not None
         assert infer_hmi("10.0.0.1", table) == want[1]
 
@@ -641,6 +642,28 @@ def test_dot_export_shapes_and_edges():
     assert '[shape=diamond];' in dot
     assert 'port 20000' in dot
     assert 'hmi qty=' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids():
+    # An address is whatever string the trace holds; one with a quote must
+    # not close its ID and add statements of its own.
+    evil = '10.0.10.1" [shape=ellipse]; "x\\'
+    records = list(generate(dataset1_like(duration=1800.0, seed=310, fds=8))[0])
+    for rec in records:
+        rec.src_ip = evil if rec.src_ip == "10.0.10.1" else rec.src_ip
+        rec.dst_ip = evil if rec.dst_ip == "10.0.10.1" else rec.dst_ip
+    result = analyze_records(records, inference_config=analyze_config(three_layer=True))
+    assert evil in result.report.protocols[0].field_devices
+    dot = report_to_dot(result.report, result.ft_map)
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    statement = re.compile(rf"  {quoted}(?: -- {quoted})? \[[^\]\[]*\];")
+    ids = set()
+    for line in dot.splitlines()[2:-1]:
+        match = statement.fullmatch(line)
+        assert match, line
+        ids.update(re.sub(r"\\(.)", r"\1", g) for g in match.groups() if g is not None)
+    assert ids == set(result.report.evidence)
+    assert r'  "10.0.10.1\" [shape=ellipse]; \"x\\" [shape=box];' in dot.splitlines()
 
 
 def test_report_json_shape():

@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -297,6 +298,74 @@ def test_scenario_json_roundtrip_varied(config):
 def test_scenario_rejects_unknown_keys():
     with pytest.raises(ScenarioError):
         scenario_from_dict({"duration": 10, "seed": 1, "bogus": True})
+
+
+def scenario_file_object():
+    return {
+        "duration": 300,
+        "seed": 9,
+        "scada_groups": [
+            {"port": 502, "num_field_devices": 3, "poll_mean": 5, "poll_jitter_stddev": 0.5, "object_sizes": [340]}
+        ],
+        "peripherals": [{"kind": "ntp", "period": 64, "size": 180, "hosts": ["10.0.200.1", "10.0.200.2"]}],
+        "reporting": [{"scada_period": 10, "noise_period": None}],
+    }
+
+
+def test_scenario_reads_ints_as_floats_and_defaults_from_dataclasses():
+    config = scenario_from_dict(scenario_file_object())
+    assert type(config.duration) is float and type(config.scada_groups[0].poll_mean) is float
+    assert config.peripherals[0].hosts == ("10.0.200.1", "10.0.200.2")
+    assert config.master == MasterConfig() and config.noise == NoiseConfig()
+    assert config.reporting == [ReportingSpec(scada_period=10.0)]
+    assert config.scada_groups[0].response is True
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("scada_groups", 0, "port"), 502.9, "scenario.scada_groups[0].port: expected int, got 502.9"),
+        (("scada_groups", 0, "response"), "no", "scenario.scada_groups[0].response: expected bool, got 'no'"),
+        (("scada_groups", 0, "respones"), False, "scenario.scada_groups[0]: unknown keys ['respones']"),
+        (("scada_groups", 0, "port"), _DROP, "scenario.scada_groups[0]: missing key 'port'"),
+        (("scada_groups", 0, "object_sizes"), [340, "7"], "scenario.scada_groups[0].object_sizes[1]: expected int"),
+        (("scada_groups", 0, "poll_mean"), True, "scenario.scada_groups[0].poll_mean: expected float, got True"),
+        (("peripherals", 0, "hosts"), [], "scenario.peripherals[0].hosts: expected tuple[str, str], got []"),
+        (("seed",), 1.5, "scenario.seed: expected int, got 1.5"),
+        (("seed",), True, "scenario.seed: expected int, got True"),
+        (("duration",), math.nan, "scenario.duration: expected float, got nan"),
+        (("master",), 5, "scenario.master: expected an object, got 5"),
+        (("reporting", 0, "noise_period"), 0, "reporting[0]: periods must exceed"),
+        (("reporting", 0, "port"), 0, "reporting[0]: port out of range"),
+        (("reporting", 0, "port"), 70000, "reporting[0]: port out of range"),
+    ],
+    ids=["port-float", "response-str", "misspelled-key", "missing-key", "size-str", "bool-for-float",
+         "hosts-empty", "seed-float", "seed-bool", "duration-nan", "master-int", "noise-period-0",
+         "report-port-0", "report-port-big"],
+)
+def test_scenario_file_errors_name_the_path(path, value, message):
+    obj = scenario_file_object()
+    *parents, last = path
+    target = obj
+    for step in parents:
+        target = target[step]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(obj)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["day.json", "churn.json", "month.json"])
+def test_benchmark_scenarios_read_back_equal(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / name
+    config = load_scenario(str(path))
+    assert scenario_from_dict(json.loads(json.dumps(asdict(config)))) == config
 
 
 @pytest.mark.parametrize(
