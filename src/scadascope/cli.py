@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict
 
 import scadascope
 from scadascope import ingest
@@ -31,27 +31,13 @@ from scadascope.inference import (
     report_to_dot,
 )
 from scadascope.segmentation import DEFAULT_T_COMM, segment_stream
-from scadascope.synth import generate, load_scenario, write_pcap, write_records
+from scadascope.synth import generate, load_scenario, tee_json_lines, write_pcap, write_records
 
 log = logging.getLogger("scadascope")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_LOW_CONFIDENCE = 3
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility envelope embedded in every report."""
-
-    inputs: list[str]
-    input_sha256: str
-    tool_version: str
-    config: dict
-    records: int
-    segments: int
-    ft_count: int
-    duration_s: float
 
 
 def _sha256_of(path: str) -> str:
@@ -145,9 +131,9 @@ def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--num-protocols", type=int, default=1)
-    parser.add_argument("--fd-degree-threshold", type=int, default=5)
-    parser.add_argument("--scada-fraction", type=float, default=0.5)
+    parser.add_argument("--num-protocols", type=int, default=InferenceConfig.num_scada_protocols)
+    parser.add_argument("--fd-degree-threshold", type=int, default=InferenceConfig.fd_degree_threshold)
+    parser.add_argument("--scada-fraction", type=float, default=InferenceConfig.scada_fraction_threshold)
     parser.add_argument("--three-layer", action="store_true")
 
 
@@ -157,9 +143,8 @@ def cmd_synth(args) -> int:
         config.seed = args.seed
     records, truth = generate(config)
     if args.pcap:
-        records = list(records)
-        count = write_records(records, args.out)
-        write_pcap(records, args.pcap)
+        with open(args.out, "w", encoding="utf-8") as fp:
+            count = write_pcap(tee_json_lines(records, fp), args.pcap)
     else:
         count = write_records(records, args.out)
     if args.truth:
@@ -232,23 +217,21 @@ def cmd_analyze(args) -> int:
     report = result.report
     report.metrics["ingest"] = asdict(stats)
     report.metrics["filter"] = asdict(fstats) if filter_config else None
-    manifest = RunManifest(
-        inputs=[args.input],
-        input_sha256=_sha256_of(args.input),
-        tool_version=scadascope.__version__,
-        config={
+    payload = report.to_dict()
+    # The reproducibility envelope; its counts are those in ``metrics``.
+    payload["manifest"] = {
+        "inputs": [args.input],
+        "input_sha256": _sha256_of(args.input),
+        "tool_version": scadascope.__version__,
+        "config": {
             "t_comm": args.t_comm,
             "filter_ports": sorted(filter_config.service_ports) if filter_config else None,
             **asdict(inference),
             **asdict(ranking),
         },
-        records=result.record_count,
-        segments=result.segment_count,
-        ft_count=len(result.ft_map),
-        duration_s=round(time.monotonic() - started, 3),
-    )
-    payload = report.to_dict()
-    payload["manifest"] = asdict(manifest)
+        **{name: report.metrics[name] for name in ("records", "segments", "ft_count")},
+        "duration_s": round(time.monotonic() - started, 3),
+    }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:

@@ -82,9 +82,8 @@ class DeviceProfile:
     ip: str
     peers: set[str] = field(default_factory=set)
     ft_count: int = 0
-    ports_used: set[int] = field(default_factory=set)
+    # Segments per port on this device's own side; its keys are the ports it uses.
     own_port_segments: Counter = field(default_factory=Counter)
-    total_segments: int = 0
 
     @property
     def degree(self) -> int:
@@ -92,16 +91,17 @@ class DeviceProfile:
 
     def scada_fraction(self, port: int) -> float:
         """Share of this device's segments carrying ``port`` on its own side."""
-        if self.total_segments == 0:
+        total = self.own_port_segments.total()
+        if total == 0:
             return 0.0
-        return self.own_port_segments.get(port, 0) / self.total_segments
+        return self.own_port_segments.get(port, 0) / total
 
     def snapshot(self, port: int | None) -> dict:
         return {
             "degree": self.degree,
             "ft_count": self.ft_count,
-            "ports_used": len(self.ports_used),
-            "segments": self.total_segments,
+            "ports_used": len(self.own_port_segments),
+            "segments": self.own_port_segments.total(),
             "scada_fraction": None if port is None else round(self.scada_fraction(port), 6),
         }
 
@@ -124,12 +124,8 @@ def build_device_profiles(ft_map: Mapping[FtKey, Sequence[float]]) -> dict[str, 
         dst.peers.add(key.src_ip)
         src.ft_count += 1
         dst.ft_count += 1
-        src.ports_used.add(key.src_port)
-        dst.ports_used.add(key.dst_port)
         src.own_port_segments[key.src_port] += n
         dst.own_port_segments[key.dst_port] += n
-        src.total_segments += n
-        dst.total_segments += n
     return profiles
 
 
@@ -181,8 +177,8 @@ def compute_dR(times: Sequence[float]) -> float:
 def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
     """Complexity gap: larger-over-smaller ratio of the endpoints' port counts."""
     try:
-        a = len(profiles[key.src_ip].ports_used)
-        b = len(profiles[key.dst_ip].ports_used)
+        a = len(profiles[key.src_ip].own_port_segments)
+        b = len(profiles[key.dst_ip].own_port_segments)
     except KeyError as exc:
         raise ValueError(f"device {exc.args[0]} not present in the device table") from None
     return max(a / b, b / a)

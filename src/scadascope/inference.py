@@ -73,7 +73,6 @@ class ProtocolEntry:
 class TopologyReport:
     protocols: list[ProtocolEntry] = field(default_factory=list)
     hmi: str | None = None
-    unclassified: set[str] = field(default_factory=set)
     evidence: dict[str, dict] = field(default_factory=dict)
     status: str = "ok"  # ok | partial
     warnings: list[str] = field(default_factory=list)
@@ -91,6 +90,10 @@ class TopologyReport:
         if self.hmi is not None:
             out.add(self.hmi)
         return out
+
+    @property
+    def unclassified(self) -> set[str]:
+        return {ip for ip, ev in self.evidence.items() if ev["role"] == "unclassified"}
 
     def topology_signature(self) -> tuple:
         """Comparable summary of the inferred topology (ignores evidence)."""
@@ -262,8 +265,6 @@ def run_algorithm1(
     first_port = report.protocols[0].scada_port if report.protocols else None
     for ip, prof in profiles.items():
         role, port = roles.get(ip, ("unclassified", first_port))
-        if role == "unclassified":
-            report.unclassified.add(ip)
         report.evidence[ip] = prof.snapshot(port)
         report.evidence[ip]["role"] = role
     return report
@@ -275,7 +276,6 @@ class AnalysisResult:
     ranked: list[RankedFt]
     ft_map: dict[FtKey, array]
     record_count: int
-    segment_count: int
     last_ts: float | None = None
     prefix_reports: list[TopologyReport] = field(default_factory=list)
 
@@ -329,7 +329,6 @@ def analyze_records(
         ranked=ranked,
         ft_map=ft_map,
         record_count=count,
-        segment_count=report.metrics["segments"],
         last_ts=last_ts,
         prefix_reports=prefix_reports,
     )
@@ -389,11 +388,14 @@ def evaluate(report: TopologyReport, truth: dict[str, str]) -> dict:
 class StabilityResult:
     by_fraction: dict[float, TopologyReport]
     full_report: TopologyReport
-    smallest_stable: float | None
 
     def stable_fractions(self) -> list[float]:
         target = self.full_report.topology_signature()
         return [f for f, rep in self.by_fraction.items() if rep.topology_signature() == target]
+
+    @property
+    def smallest_stable(self) -> float | None:
+        return min(self.stable_fractions(), default=None)
 
 
 def prefix_stability(
@@ -463,13 +465,9 @@ def prefix_stability(
             end,
         )
         result = one_pass(result.last_ts)
-    full = result.report
-    by_fraction = dict(zip(fractions, result.prefix_reports))
-    target = full.topology_signature()
-    smallest = next(
-        (f for f, rep in by_fraction.items() if rep.topology_signature() == target), None
+    return StabilityResult(
+        by_fraction=dict(zip(fractions, result.prefix_reports)), full_report=result.report
     )
-    return StabilityResult(by_fraction=by_fraction, full_report=full, smallest_stable=smallest)
 
 
 def load_ground_truth(obj: dict) -> dict[str, str]:
@@ -516,12 +514,12 @@ def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]
             if a in entry.field_devices or b in entry.field_devices:
                 lines.append(f'  {_dot_id(a)} -- {_dot_id(b)} [label="port {port} n={n}"];')
     if report.hmi is not None:
-        for entry in report.protocols:
-            for master in sorted(entry.master_servers):
-                qty = {ip: q for q, ip in hmi_candidates(master, ft_map)}
-                if report.hmi in qty:
-                    lines.append(
-                        f'  {_dot_id(master)} -- {_dot_id(report.hmi)} [label="hmi qty={qty[report.hmi]:.3e}"];'
-                    )
+        masters = set().union(*(entry.master_servers for entry in report.protocols))
+        for master in sorted(masters):
+            qty = {ip: q for q, ip in hmi_candidates(master, ft_map)}
+            if report.hmi in qty:
+                lines.append(
+                    f'  {_dot_id(master)} -- {_dot_id(report.hmi)} [label="hmi qty={qty[report.hmi]:.3e}"];'
+                )
     lines.append("}")
     return "\n".join(lines) + "\n"

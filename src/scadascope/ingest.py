@@ -376,15 +376,15 @@ def _build_record(obj: dict) -> PacketRecord:
         src_ip = obj["src_ip"]
         src_port = obj["src_port"]
         if type(src_port) is not int:
-            _raise_not_int("src_port", src_port)
+            raise _InvalidRecord(f"src_port must be an integer, got {src_port!r}")
         dst_ip = obj["dst_ip"]
         dst_port = obj["dst_port"]
         if type(dst_port) is not int:
-            _raise_not_int("dst_port", dst_port)
+            raise _InvalidRecord(f"dst_port must be an integer, got {dst_port!r}")
         proto = obj["proto"]
         size = obj["size"]
         if type(size) is not int:
-            _raise_not_int("size", size)
+            raise _InvalidRecord(f"size must be an integer, got {size!r}")
     except (KeyError, TypeError) as exc:
         raise _InvalidRecord(f"missing or malformed field ({exc})") from exc
     if not 0.0 <= ts < _INF:
@@ -406,31 +406,13 @@ def _build_record(obj: dict) -> PacketRecord:
     )
 
 
-# Values of the wrong type that ``float()``/``int()`` would also refuse keep
-# the wording those calls give them; the others (bools, numeric strings,
-# fractional ports and sizes) are named as the wrong type.
-
-
 def _float_ts(value) -> float:
     if type(value) is int:
         try:
             return float(value)
         except OverflowError:
             raise _InvalidRecord(f"ts must be finite, got {value}") from None
-    _raise_refused(value, float)
     raise _InvalidRecord(f"ts must be a number, got {value!r}")
-
-
-def _raise_not_int(name: str, value) -> None:
-    _raise_refused(value, int)
-    raise _InvalidRecord(f"{name} must be an integer, got {value!r}")
-
-
-def _raise_refused(value, cast) -> None:
-    try:
-        cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _InvalidRecord(f"missing or malformed field ({exc})") from exc
 
 
 def filter_packets(

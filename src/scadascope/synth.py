@@ -17,8 +17,9 @@ import random
 import struct
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from ipaddress import IPv4Address
 from types import UnionType
-from typing import Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, TextIO, Union, get_args, get_origin, get_type_hints
 
 from scadascope.ingest import ICMP, OTHER, TCP, UDP, PacketRecord
 
@@ -151,6 +152,9 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: unknown kind {spec.kind!r}")
             if spec.period <= 0:
                 raise ScenarioError(f"{where}: period must be positive")
+            for host in spec.hosts or ():
+                if not _is_ipv4(host):
+                    raise ScenarioError(f"{where}: host {host!r} is not an IPv4 address")
             sizes = _peripheral_packet_sizes(spec)
             if min(sizes) < MIN_FRAME_BYTES:
                 raise ScenarioError(
@@ -176,6 +180,14 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: periods must exceed {MIN_INTERVAL}s")
             if spec.report_size < MIN_FRAME_BYTES or spec.noise_size < MIN_FRAME_BYTES:
                 raise ScenarioError(f"{where}: sizes below the {MIN_FRAME_BYTES}-byte floor")
+
+
+def _is_ipv4(host) -> bool:
+    try:
+        IPv4Address(host)
+    except ValueError:
+        return False
+    return isinstance(host, str)
 
 
 def _peripheral_packet_sizes(spec: PeripheralSpec) -> tuple[int, ...]:
@@ -215,7 +227,7 @@ class GroundTruth:
 
 @dataclass
 class _Layout:
-    """Deterministic address plan for one scenario."""
+    """Deterministic address plan for one scenario, with its labels."""
 
     master_ip: str | None
     hmi_ip: str | None
@@ -223,38 +235,55 @@ class _Layout:
     peripheral_hosts: list[tuple[str, str]]
     reporting_ips: list[str]
     consumer_ips: list[list[str]]
-    noise_peer_ips: list[str]
+    noise_peer_ips: list[str | None]
     retrier_ip: str | None
     dead_ip: str | None
+    truth: GroundTruth
 
 
 def _plan_layout(config: ScenarioConfig) -> _Layout:
-    master_ip = "10.0.0.1" if config.scada_groups else None
-    hmi_ip = "10.0.0.2" if config.layers == 3 else None
+    """Assign every address and label it; an address keeps its first label."""
+    truth = GroundTruth()
+
+    def label(ip: str, role: str, protocol: int | None = None) -> str:
+        if ip not in truth.labels:
+            truth.add(ip, role, protocol)
+        return ip
+
+    master_ip = label("10.0.0.1", "master") if config.scada_groups else None
+    hmi_ip = label("10.0.0.2", "hmi") if config.layers == 3 else None
     fd_ips = [
-        [f"10.0.{10 + g}.{1 + i}" for i in range(group.num_field_devices)]
+        [label(f"10.0.{10 + g}.{1 + i}", "field_device", group.port) for i in range(group.num_field_devices)]
         for g, group in enumerate(config.scada_groups)
     ]
     peripheral_hosts: list[tuple[str, str]] = []
     auto = 1
     for spec in config.peripherals:
         if spec.hosts is not None:
-            peripheral_hosts.append((spec.hosts[0], spec.hosts[1]))
+            src, dst = spec.hosts
         elif config.layers == 3 and spec.kind == "backup" and master_ip is not None:
-            peripheral_hosts.append((master_ip, f"10.0.200.{auto}"))
+            src, dst = master_ip, f"10.0.200.{auto}"
             auto += 1
         else:
-            peripheral_hosts.append((f"10.0.200.{auto}", f"10.0.200.{auto + 1}"))
+            src, dst = f"10.0.200.{auto}", f"10.0.200.{auto + 1}"
             auto += 2
-    reporting_ips = [f"10.0.240.{1 + i}" for i in range(len(config.reporting))]
-    consumer_ips = []
+        peripheral_hosts.append((label(src, "peripheral"), label(dst, "peripheral")))
+    reporting_ips: list[str] = []
+    consumer_ips: list[list[str]] = []
+    noise_peer_ips: list[str | None] = []
     consumer_auto = 1
-    for spec in config.reporting:
-        consumer_ips.append([f"10.0.241.{consumer_auto + j}" for j in range(spec.consumers)])
+    for r, spec in enumerate(config.reporting):
+        reporting_ips.append(label(f"10.0.240.{1 + r}", "peripheral"))
+        consumer_ips.append(
+            [label(f"10.0.241.{consumer_auto + j}", "peripheral") for j in range(spec.consumers)]
+        )
         consumer_auto += spec.consumers
-    noise_peer_ips = [f"10.0.242.{1 + i}" for i in range(len(config.reporting))]
-    retrier_ip = "10.0.250.1" if config.noise.nonresponder_retry else None
-    dead_ip = "10.0.250.2" if config.noise.nonresponder_retry else None
+        noise_peer_ips.append(
+            None if spec.noise_period is None else label(f"10.0.242.{1 + r}", "peripheral")
+        )
+    retrier_ip = dead_ip = None
+    if config.noise.nonresponder_retry:
+        retrier_ip, dead_ip = label("10.0.250.1", "peripheral"), label("10.0.250.2", "peripheral")
     return _Layout(
         master_ip=master_ip,
         hmi_ip=hmi_ip,
@@ -265,39 +294,19 @@ def _plan_layout(config: ScenarioConfig) -> _Layout:
         noise_peer_ips=noise_peer_ips,
         retrier_ip=retrier_ip,
         dead_ip=dead_ip,
+        truth=truth,
     )
 
 
 def ground_truth(config: ScenarioConfig) -> GroundTruth:
-    layout = _plan_layout(config)
-    truth = GroundTruth()
-    if layout.master_ip is not None:
-        truth.add(layout.master_ip, "master")
-    if layout.hmi_ip is not None:
-        truth.add(layout.hmi_ip, "hmi")
-    for g, group in enumerate(config.scada_groups):
-        for ip in layout.fd_ips[g]:
-            truth.add(ip, "field_device", group.port)
-    for src, dst in layout.peripheral_hosts:
-        for ip in (src, dst):
-            if ip not in truth.labels:
-                truth.add(ip, "peripheral")
-    for i, spec in enumerate(config.reporting):
-        truth.add(layout.reporting_ips[i], "peripheral")
-        for ip in layout.consumer_ips[i]:
-            truth.add(ip, "peripheral")
-        if spec.noise_period is not None:
-            truth.add(layout.noise_peer_ips[i], "peripheral")
-    if layout.retrier_ip is not None:
-        truth.add(layout.retrier_ip, "peripheral")
-        truth.add(layout.dead_ip, "peripheral")
-    return truth
+    return _plan_layout(config).truth
 
 
 def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTruth]:
     """Build the packet stream and its labels; fully determined by the seed."""
     config.validate()
-    return _packet_stream(config), ground_truth(config)
+    layout = _plan_layout(config)
+    return _packet_stream(config, layout), layout.truth
 
 
 def _ts(t_us: int) -> float:
@@ -306,9 +315,8 @@ def _ts(t_us: int) -> float:
     return (t_us // 1_000_000) + (t_us % 1_000_000) / 1e6
 
 
-def _packet_stream(config: ScenarioConfig) -> Iterator[PacketRecord]:
+def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRecord]:
     rng = random.Random(config.seed)
-    layout = _plan_layout(config)
     duration_us = round(config.duration * 1e6)
 
     heap: list[tuple[int, int, object]] = []
@@ -462,15 +470,18 @@ def _packet_stream(config: ScenarioConfig) -> Iterator[PacketRecord]:
             )
 
 
+def tee_json_lines(records: Iterable[PacketRecord], fp: TextIO) -> Iterator[PacketRecord]:
+    """Yield ``records``, writing each to ``fp`` in the canonical JSON-lines format."""
+    for rec in records:
+        fp.write(rec.to_json())
+        fp.write("\n")
+        yield rec
+
+
 def write_records(records: Iterable[PacketRecord], path: str) -> int:
     """Write the canonical JSON-lines format; returns the record count."""
-    count = 0
     with open(path, "w", encoding="utf-8") as fp:
-        for rec in records:
-            fp.write(rec.to_json())
-            fp.write("\n")
-            count += 1
-    return count
+        return sum(1 for _ in tee_json_lines(records, fp))
 
 
 def _mac_for(ip: str) -> bytes:

@@ -34,7 +34,7 @@ from scadascope.inference import (
 )
 from scadascope.ingest import PacketRecord
 from scadascope.segmentation import FtKey
-from scadascope.synth import generate
+from scadascope.synth import ScadaGroup, ScenarioConfig, generate
 
 from reference import ref_hmi
 from scenarios import dataset1_like, dataset2_like, month_like, office_like, small_random_scenario
@@ -642,6 +642,24 @@ def test_dot_export_shapes_and_edges():
     assert '[shape=diamond];' in dot
     assert 'port 20000' in dot
     assert 'hmi qty=' in dot
+
+
+def test_dot_draws_shared_master_hmi_edge_once():
+    # One master serves both protocols; its edge to the HMI is one statement.
+    groups = [
+        ScadaGroup(port=port, num_field_devices=6, poll_mean=8.0, poll_jitter_stddev=1.0, object_sizes=[340, 225])
+        for port in (20000, 502)
+    ]
+    config = ScenarioConfig(duration=1800.0, seed=7, scada_groups=groups, layers=3)
+    result = analyze_records(
+        generate(config)[0], inference_config=analyze_config(num_scada_protocols=2, three_layer=True)
+    )
+    report = result.report
+    assert [p.master_servers for p in report.protocols] == [{"10.0.0.1"}, {"10.0.0.1"}]
+    assert report.hmi == "10.0.0.2"
+    hmi_edges = [line for line in report_to_dot(report, result.ft_map).splitlines() if "hmi qty=" in line]
+    assert len(hmi_edges) == 1
+    assert hmi_edges[0].startswith('  "10.0.0.1" -- "10.0.0.2" [label="hmi qty=')
 
 
 def test_dot_escapes_quotes_and_backslashes_in_ids():

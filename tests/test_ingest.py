@@ -411,6 +411,13 @@ BIG_INT = "<5001 digits>"
         ("src_port", True, "src_port must be an integer"),
         ("dst_port", 80.9, "dst_port must be an integer"),
         ("size", "3", "size must be an integer"),
+        # Values that int()/float() would refuse too still name their field.
+        ("src_port", "abc", "src_port must be an integer, got 'abc'"),
+        ("dst_port", None, "dst_port must be an integer, got None"),
+        ("size", "abc", "size must be an integer, got 'abc'"),
+        ("size", None, "size must be an integer, got None"),
+        ("ts", "abc", "ts must be a number, got 'abc'"),
+        ("ts", [1.0], "ts must be a number, got [1.0]"),
         # Past the int/str digit limit the JSON scanner itself refuses the number.
         ("src_port", BIG_INT, "invalid JSON (Exceeds the limit (4300 digits)"),
     ],

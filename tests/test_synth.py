@@ -341,10 +341,13 @@ _DROP = object()
         (("reporting", 0, "noise_period"), 0, "reporting[0]: periods must exceed"),
         (("reporting", 0, "port"), 0, "reporting[0]: port out of range"),
         (("reporting", 0, "port"), 70000, "reporting[0]: port out of range"),
+        (("peripherals", 0, "hosts"), ["host-a", "10.0.0.9"], "peripherals[0]: host 'host-a' is not an IPv4 address"),
+        (("peripherals", 0, "hosts"), ["10.0.0.9", "10.0.0.256"], "peripherals[0]: host '10.0.0.256' is not an IPv4"),
+        (("peripherals", 0, "hosts"), ["10.0.0.9", "::1"], "peripherals[0]: host '::1' is not an IPv4 address"),
     ],
     ids=["port-float", "response-str", "misspelled-key", "missing-key", "size-str", "bool-for-float",
          "hosts-empty", "seed-float", "seed-bool", "duration-nan", "master-int", "noise-period-0",
-         "report-port-0", "report-port-big"],
+         "report-port-0", "report-port-big", "host-name", "host-octet-256", "host-ipv6"],
 )
 def test_scenario_file_errors_name_the_path(path, value, message):
     obj = scenario_file_object()
@@ -388,6 +391,14 @@ def test_validation_rejects_impossible_configs(mutate):
     ])
     mutate(config)
     with pytest.raises(ScenarioError):
+        config.validate()
+
+
+def test_validation_rejects_non_ipv4_hosts_set_in_code():
+    config = office_like()
+    config.validate()  # explicit dotted-quad hosts pass
+    config.peripherals[1].hosts = ("10.0.200.10", 7)
+    with pytest.raises(ScenarioError, match=r"peripherals\[1\]: host 7 is not an IPv4 address"):
         config.validate()
 
 
