@@ -49,6 +49,11 @@ MIN_INTERVAL = 1.1
 
 _IP_PROTO_NUM = {TCP: 6, UDP: 17, ICMP: 1, OTHER: 253}
 
+# The last host address of an auto-numbered /24 block, and the most SCADA
+# groups whose blocks 10.0.10.x, 10.0.11.x, ... stay below 10.0.200.x.
+_LAST_HOST = 254
+_MAX_GROUPS = 190
+
 
 class ScenarioError(ValueError):
     """The scenario configuration is impossible or inconsistent."""
@@ -180,6 +185,32 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: periods must exceed {MIN_INTERVAL}s")
             if spec.report_size < MIN_FRAME_BYTES or spec.noise_size < MIN_FRAME_BYTES:
                 raise ScenarioError(f"{where}: sizes below the {MIN_FRAME_BYTES}-byte floor")
+        # Each auto-numbered block is one /24 (see ``_plan_layout``).
+        if len(self.scada_groups) > _MAX_GROUPS:
+            raise ScenarioError(f"scada_groups: at most {_MAX_GROUPS} groups, got {len(self.scada_groups)}")
+        auto = sum(1 if _backs_up_master(self, spec) else 2 for spec in self.peripherals if spec.hosts is None)
+        if auto > _LAST_HOST:
+            raise ScenarioError(
+                f"peripherals: {auto} auto-addressed hosts exceed the {_LAST_HOST} addresses of 10.0.200.x"
+            )
+        if len(self.reporting) > _LAST_HOST:
+            raise ScenarioError(
+                f"reporting: {len(self.reporting)} workstations exceed the {_LAST_HOST} addresses "
+                "of 10.0.240.x and 10.0.242.x"
+            )
+        consumers = 0
+        for r, spec in enumerate(self.reporting):
+            consumers += spec.consumers
+            if consumers > _LAST_HOST:
+                raise ScenarioError(
+                    f"reporting[{r}].consumers: {consumers} consumers in all exceed the "
+                    f"{_LAST_HOST} addresses of 10.0.241.x"
+                )
+
+
+def _backs_up_master(config: ScenarioConfig, spec: PeripheralSpec) -> bool:
+    """An auto-addressed backup in a three-layer scenario copies from the master."""
+    return config.layers == 3 and spec.kind == "backup" and bool(config.scada_groups)
 
 
 def _is_ipv4(host) -> bool:
@@ -261,7 +292,7 @@ def _plan_layout(config: ScenarioConfig) -> _Layout:
     for spec in config.peripherals:
         if spec.hosts is not None:
             src, dst = spec.hosts
-        elif config.layers == 3 and spec.kind == "backup" and master_ip is not None:
+        elif _backs_up_master(config, spec):
             src, dst = master_ip, f"10.0.200.{auto}"
             auto += 1
         else:

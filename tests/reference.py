@@ -8,9 +8,12 @@ the feature formulas directly with the statistics module.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import statistics
 import struct
+
+from scadascope.ingest import RecordFormatError, _build_record, _InvalidRecord
 
 PR_CAP = 1e6
 
@@ -122,6 +125,34 @@ def ref_read_pcap(blob):
             counts["yielded"] += 1
             records.append(out)
     return records, counts
+
+
+# --- JSON lines ---------------------------------------------------------------
+
+
+def ref_read_records(path):
+    """The records of a JSON-lines file, each line decoded whole.
+
+    Per stripped, non-blank line: ``json.loads``, then the library's
+    ``_build_record``, with no memo.  A bad line raises the library's
+    RecordFormatError in its words, naming the line.
+    """
+    records = []
+    with open(path, "r", encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise RecordFormatError(f"{path}:{lineno}: invalid JSON ({msg})") from None
+            try:
+                records.append(_build_record(obj))
+            except _InvalidRecord as exc:
+                raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def ref_time_order(records, reorder_window=1.0):

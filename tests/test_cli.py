@@ -102,6 +102,18 @@ def test_synth_refuses_a_host_that_is_not_ipv4_before_writing(tmp_path, caplog):
     assert not out.exists() and not pcap.exists()
 
 
+def test_synth_refuses_too_many_consumers_before_writing(tmp_path, caplog):
+    obj = asdict(dataset1_like(duration=60.0))
+    obj["reporting"] = [{"scada_period": 20.0, "consumers": 300}]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(obj))
+    out, pcap = tmp_path / "o.jsonl", tmp_path / "o.pcap"
+    args = ["--quiet", "synth", "--scenario", str(scenario), "--out", str(out), "--pcap", str(pcap)]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "reporting[0].consumers: 300 consumers in all exceed the 254 addresses" in caplog.text
+    assert not out.exists() and not pcap.exists()
+
+
 def test_analyze_writes_report_and_dot(tmp_path, d1, capsys):
     report_path = tmp_path / "report.json"
     dot_path = tmp_path / "graph.dot"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import re
 import struct
@@ -10,7 +11,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scadascope import ingest
 from scadascope.cli import EXIT_INPUT_ERROR, main
@@ -30,7 +31,7 @@ from scadascope.ingest import (
 )
 from scadascope.synth import generate, write_pcap, write_records
 
-from reference import RefOutOfOrder, RefPcapFormatError, ref_read_pcap, ref_time_order
+from reference import RefOutOfOrder, RefPcapFormatError, ref_read_pcap, ref_read_records, ref_time_order
 from scenarios import dataset1_like
 
 
@@ -461,6 +462,119 @@ def test_read_records_roundtrip_thousand(tmp_path):
     back = list(read_records(str(path)))
     assert back == records
     assert all(b.ts >= a.ts for a, b in zip(back, back[1:]))
+
+
+# --- the record tail memo ------------------------------------------------------
+
+TAIL = ',"src_ip":"10.0.0.1","src_port":502,"dst_ip":"10.0.0.2","dst_port":50000,"proto":"tcp","size":60}'
+
+
+def _outcome(reader, path):
+    """A reader's records, ts through float.hex, or the text of its RecordFormatError."""
+    try:
+        return [(r.ts.hex(), r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.proto, r.size) for r in reader(path)]
+    except RecordFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("separator", [",", ", "])
+def test_read_records_decodes_a_repeated_tail_once(tmp_path, separator):
+    path = tmp_path / "t.jsonl"
+    tail = TAIL.replace(",", separator).replace(":", ": " if separator == ", " else ":")
+    path.write_text("".join(f'{{"ts": {i}.25{tail}\n' for i in range(100)))
+    stats = IngestStats()
+    with mock.patch.object(ingest, "_build_record", wraps=ingest._build_record) as build:
+        records = list(read_records(str(path), stats))
+    assert build.call_count == 1
+    assert [r.ts for r in records] == [i + 0.25 for i in range(100)]
+    assert records[-1] == PacketRecord(99.25, "10.0.0.1", 502, "10.0.0.2", 50000, "tcp", 60)
+    assert (stats.frames, stats.yielded) == (100, 100)
+
+
+def test_read_records_decodes_a_long_tail_every_time(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tail = TAIL.replace('"10.0.0.1"', '"' + "h" * 300 + '"')
+    path.write_text("".join(f'{{"ts":{i}.5{tail}\n' for i in range(3)))
+    with mock.patch.object(ingest, "_build_record", wraps=ingest._build_record) as build:
+        records = list(read_records(str(path)))
+    assert build.call_count == 3
+    assert [(r.ts, r.src_ip) for r in records] == [(i + 0.5, "h" * 300) for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["01.5", "1_0.5", ".5", "5.", "-1.0", "-0", "NaN", "Infinity", "1e400", '"1.0"', "true",
+     pytest.param("1" * 5001, id="5001-digits"),
+     # Whitespace and digits that str.strip() and float() take but JSON does not.
+     pytest.param("\x0c1.0", id="form-feed"), pytest.param("\u00a01.0", id="no-break-space"),
+     pytest.param("1\u0661.5", id="arabic-indic-digit")],
+)
+def test_read_records_bad_ts_on_a_memoized_tail(tmp_path, token):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"ts":1.5' + TAIL + "\n" + '{"ts":' + token + TAIL + "\n")
+    expected = _outcome(ref_read_records, str(path))
+    assert _outcome(read_records, str(path)) == expected
+    if token != "-0":  # -0 is valid JSON, the integer 0: both read ts 0.0
+        assert expected.startswith(f"{path}:2: ")
+
+
+@st.composite
+def json_lines_files(draw):
+    """Lines that share a few tails, in several layouts, with good and bad ts tokens."""
+    tails = []
+    for _ in range(draw(st.integers(1, 4))):
+        fields = {
+            "src_ip": draw(st.sampled_from(["10.0.0.1", "10.0.10.7"])),
+            "src_port": draw(st.sampled_from([502, 50123])),
+            "dst_ip": draw(st.sampled_from(["10.0.0.1", "10.0.10.7"])),
+            "dst_port": draw(st.sampled_from([502, 50123])),
+            "proto": draw(st.sampled_from(["tcp", "udp"])),
+            "size": draw(st.integers(60, 61)),
+        }
+        spaced = draw(st.booleans())
+        text = json.dumps(fields, separators=(", ", ": ") if spaced else (",", ":"))[1:]
+        kind = draw(st.sampled_from(["plain", "escaped key", "duplicate ts", "escaped duplicate ts"]))
+        if kind == "escaped key":
+            text = text.replace('"src_ip"', '"src\\u005fip"')
+        elif kind != "plain":
+            key = '"ts"' if kind == "duplicate ts" else '"\\u0074s"'
+            text = f"{text[:-1]},{key}:{draw(st.integers(0, 99))}.5}}"
+        tails.append(("," + " " * spaced) + text)
+    valid = st.one_of(
+        st.floats(0, 1e12).map(repr),
+        st.integers(0, 10**20).map(str),
+        st.sampled_from(["0", "0.0", "1e3", "2E-3", "1.5e+2", "0e0"]),
+    )
+    bad = st.sampled_from(["-0", "-1.0", "01.5", "1_0.5", ".5", "5.", "NaN", "1e400", '"1.0"',
+                           "true", "[1.0]", "\x0c1.0", "\u00a01.0", "1\u0661.5", "1" * 400])
+    lines = []
+    for _ in range(draw(st.integers(1, 25))):
+        token = draw(bad) if draw(st.integers(0, 7)) == 0 else draw(valid)
+        space = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        head = draw(st.sampled_from(['{"ts":', '{"ts":', '{ "ts":']))
+        lines.append(head + space + token + draw(st.sampled_from(["", " "])) + draw(st.sampled_from(tails)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(text=json_lines_files(), memo_entries=st.sampled_from([1, 2, 4096]))
+def test_read_records_matches_reference(tmp_path_factory, text, memo_entries):
+    path = tmp_path_factory.mktemp("memo") / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(ingest, "_TAIL_MEMO_ENTRIES", memo_entries):
+        got = _outcome(read_records, str(path))
+    assert got == _outcome(ref_read_records, str(path))
+
+
+def test_read_records_with_more_tails_than_the_memo_holds(tmp_path):
+    count = ingest._TAIL_MEMO_ENTRIES + 1000
+    lines = [f'{{"ts":{i}.5,"src_ip":"10.0.0.1","src_port":{i % 60000},"dst_ip":"10.0.0.2",'
+             f'"dst_port":502,"proto":"tcp","size":{60 + i // 60000}}}' for i in range(count)]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines + [line.replace(".5,", ".75,", 1) for line in lines]) + "\n")
+    got = _outcome(read_records, str(path))
+    assert len(got) == 2 * count
+    assert got == _outcome(ref_read_records, str(path))
 
 
 # --- filtering ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 from dataclasses import asdict
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
@@ -424,3 +425,59 @@ def test_validation_rejects_backup_rivaling_feed():
 def test_generate_validates_first():
     with pytest.raises(ScenarioError):
         generate(tiny_config(duration=0.0))
+
+
+def _auto_heartbeats(n):
+    return [PeripheralSpec("heartbeat", 5.0, 66) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "fits,over,message",
+    [
+        # Each auto-addressed peripheral takes two hosts of 10.0.200.x.
+        (dict(peripherals=_auto_heartbeats(127)), dict(peripherals=_auto_heartbeats(128)),
+         "peripherals: 256 auto-addressed hosts exceed the 254 addresses of 10.0.200.x"),
+        (dict(reporting=[ReportingSpec(20.0, consumers=200), ReportingSpec(20.0, consumers=54)]),
+         dict(reporting=[ReportingSpec(20.0, consumers=200), ReportingSpec(20.0, consumers=55)]),
+         "reporting[1].consumers: 255 consumers in all exceed the 254 addresses of 10.0.241.x"),
+        (dict(reporting=[ReportingSpec(20.0, noise_period=9.0)] * 254),
+         dict(reporting=[ReportingSpec(20.0, noise_period=9.0)] * 255),
+         "reporting: 255 workstations exceed the 254 addresses of 10.0.240.x and 10.0.242.x"),
+        (dict(scada_groups=[ScadaGroup(1000 + g, 0, 5.0, 0.5, [340]) for g in range(190)]),
+         dict(scada_groups=[ScadaGroup(1000 + g, 0, 5.0, 0.5, [340]) for g in range(191)]),
+         "scada_groups: at most 190 groups, got 191"),
+    ],
+)
+def test_validation_bounds_each_auto_numbered_block(fits, over, message):
+    tiny_config(**fits).validate()
+    with pytest.raises(ScenarioError) as exc:
+        tiny_config(**over).validate()
+    assert str(exc.value) == message
+
+
+@st.composite
+def address_heavy_scenarios(draw):
+    """Scenarios near the edges of the auto-numbered address blocks."""
+    layers = draw(st.sampled_from([2, 3]))
+    kinds = draw(st.lists(st.sampled_from(["heartbeat", "backup"]), max_size=130))
+    peripherals = [
+        PeripheralSpec(kind, 60.0 if kind == "heartbeat" else 600.0, 66) for kind in kinds
+    ]
+    reporting = [
+        ReportingSpec(20.0, noise_period=draw(st.sampled_from([None, 9.0])), consumers=consumers)
+        for consumers in draw(st.lists(st.integers(1, 160), max_size=3))
+    ]
+    return tiny_config(duration=30.0, layers=layers, peripherals=peripherals, reporting=reporting)
+
+
+@given(address_heavy_scenarios())
+def test_every_generated_address_is_ipv4(config):
+    try:
+        records, truth = generate(config)
+    except ScenarioError:
+        return
+    for ip in truth.labels:
+        IPv4Address(ip)
+    for rec in records:
+        IPv4Address(rec.src_ip)
+        IPv4Address(rec.dst_ip)
