@@ -24,7 +24,6 @@ from scadascope.segmentation import (
 from scadascope.features import (
     FeatureVector,
     RankedFt,
-    RankingConfig,
     rank,
 )
 from scadascope.inference import (
@@ -50,7 +49,6 @@ __all__ = [
     "InferenceConfig",
     "PacketRecord",
     "RankedFt",
-    "RankingConfig",
     "ScenarioConfig",
     "TopologyReport",
     "aggregate_ft",

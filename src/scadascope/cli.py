@@ -15,11 +15,11 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import scadascope
 from scadascope import ingest
-from scadascope.features import RankingConfig, write_ranking_csv
+from scadascope.features import write_ranking_csv
 from scadascope.inference import (
     InferenceConfig,
     ProtocolEntry,
@@ -30,7 +30,7 @@ from scadascope.inference import (
     prefix_stability,
     report_to_dot,
 )
-from scadascope.segmentation import DEFAULT_T_COMM, segment_stream
+from scadascope.segmentation import segment_stream
 from scadascope.synth import generate, load_scenario, tee_json_lines, write_pcap, write_records
 
 log = logging.getLogger("scadascope")
@@ -98,24 +98,18 @@ def _load_stream(args):
     return records, stats, fstats, config
 
 
-def _configs(args) -> tuple[RankingConfig, InferenceConfig]:
-    """Ranking and inference settings from the flags.
+def _config(args) -> InferenceConfig:
+    """The analysis settings: each config field the subcommand has a flag for.
 
-    ``rank`` has no inference flags and gets the default InferenceConfig.
+    The flags' dests are the field names; a field without a flag (``rank``
+    has no inference flags) keeps its default.
     """
-    ranking = RankingConfig(pr_cap=args.pr_cap)
-    if "num_protocols" not in args:
-        return ranking, InferenceConfig()
-    return ranking, InferenceConfig(
-        num_scada_protocols=args.num_protocols,
-        fd_degree_threshold=args.fd_degree_threshold,
-        scada_fraction_threshold=args.scada_fraction,
-        three_layer=args.three_layer,
-    )
+    names = [f.name for f in fields(InferenceConfig)]
+    return InferenceConfig(**{name: getattr(args, name) for name in names if name in args})
 
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-comm", type=float, default=DEFAULT_T_COMM, metavar="SECONDS")
+    parser.add_argument("--t-comm", type=float, default=InferenceConfig.t_comm, metavar="SECONDS")
     parser.add_argument("--filter-ports", type=_port_list, metavar="CSV", default=None,
                         help="enable service-port filtering and add these ports to the list")
     parser.add_argument("--no-default-filter", action="store_true",
@@ -126,14 +120,16 @@ def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
     _add_stream_flags(parser)
-    parser.add_argument("--pr-cap", type=float, default=RankingConfig.pr_cap,
+    parser.add_argument("--pr-cap", type=float, default=InferenceConfig.pr_cap,
                         help="periodicity value assigned when variance is exactly zero")
 
 
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--num-protocols", type=int, default=InferenceConfig.num_scada_protocols)
+    parser.add_argument("--num-protocols", type=int, default=InferenceConfig.num_scada_protocols,
+                        dest="num_scada_protocols", metavar="NUM_PROTOCOLS")
     parser.add_argument("--fd-degree-threshold", type=int, default=InferenceConfig.fd_degree_threshold)
-    parser.add_argument("--scada-fraction", type=float, default=InferenceConfig.scada_fraction_threshold)
+    parser.add_argument("--scada-fraction", type=float, default=InferenceConfig.scada_fraction_threshold,
+                        dest="scada_fraction_threshold", metavar="SCADA_FRACTION")
     parser.add_argument("--three-layer", action="store_true")
 
 
@@ -159,11 +155,8 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     started = time.monotonic()
-    records, _stats, _fstats, _config = _load_stream(args)
-    ranking, inference = _configs(args)
-    result = analyze_records(
-        records, t_comm=args.t_comm, ranking_config=ranking, inference_config=inference
-    )
+    records = _load_stream(args)[0]
+    result = analyze_records(records, inference_config=_config(args))
     ranked = result.ranked
     if not ranked:
         log.warning("empty trace, nothing to rank")
@@ -210,10 +203,8 @@ def cmd_rank(args) -> int:
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     records, stats, fstats, filter_config = _load_stream(args)
-    ranking, inference = _configs(args)
-    result = analyze_records(
-        records, t_comm=args.t_comm, ranking_config=ranking, inference_config=inference
-    )
+    config = _config(args)
+    result = analyze_records(records, inference_config=config)
     report = result.report
     report.metrics["ingest"] = asdict(stats)
     report.metrics["filter"] = asdict(fstats) if filter_config else None
@@ -224,10 +215,8 @@ def cmd_analyze(args) -> int:
         "input_sha256": _sha256_of(args.input),
         "tool_version": scadascope.__version__,
         "config": {
-            "t_comm": args.t_comm,
             "filter_ports": sorted(filter_config.service_ports) if filter_config else None,
-            **asdict(inference),
-            **asdict(ranking),
+            **asdict(config),
         },
         **{name: report.metrics[name] for name in ("records", "segments", "ft_count")},
         "duration_s": round(time.monotonic() - started, 3),
@@ -276,7 +265,7 @@ def cmd_eval(args) -> int:
             payload = json.load(fp)
         except ValueError as exc:
             raise ValueError(f"{args.report}: not valid JSON ({exc})") from None
-    protocols = payload.get("protocols", []) if isinstance(payload, dict) else None
+    protocols = payload.get("protocols") if isinstance(payload, dict) else None
     if not isinstance(protocols, list) or not all(isinstance(e, dict) for e in protocols):
         raise ValueError(f"{args.report}: not a report: expected an object with a list of protocol objects")
     entries = [_report_entry(args.report, i, e) for i, e in enumerate(protocols)]
@@ -312,15 +301,7 @@ def cmd_stability(args) -> int:
     else:
         records = _Rereadable(args)
         end = ingest.last_timestamp_hint(args.input, _filter_config(args))
-    ranking, inference = _configs(args)
-    result = prefix_stability(
-        records,
-        args.fractions,
-        t_comm=args.t_comm,
-        ranking_config=ranking,
-        inference_config=inference,
-        end=end,
-    )
+    result = prefix_stability(records, args.fractions, inference_config=_config(args), end=end)
     stable = set(result.stable_fractions())
     for frac in sorted(result.by_fraction):
         print(f"fraction {frac:g}: {'matches full trace' if frac in stable else 'differs'}")

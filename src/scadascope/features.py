@@ -32,15 +32,6 @@ DEFAULT_PR_CAP = 1e6
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
-class RankingConfig:
-    pr_cap: float = DEFAULT_PR_CAP
-
-    def __post_init__(self) -> None:
-        if not 0 < self.pr_cap < math.inf:
-            raise ValueError(f"pr_cap must be positive and finite, got {self.pr_cap}")
-
-
 @dataclass(slots=True)
 class FeatureVector:
     """Raw and normalized feature values plus the product score f."""
@@ -207,19 +198,19 @@ def compute_sR(key: FtKey, max_seg_size: int) -> float:
 def rank(
     ft_map: Mapping[FtKey, Sequence[float]],
     profiles: dict[str, DeviceProfile] | None = None,
-    config: RankingConfig | None = None,
+    pr_cap: float = DEFAULT_PR_CAP,
 ) -> list[RankedFt]:
     """Score every 5-tuple and sort by descending product score.
 
     ``profiles`` is the device table of ``ft_map``, built here when not
-    given.  Each feature is normalized by its maximum over this dataset.
-    Ties are broken by normalized periodicity, then by the 5-tuple itself,
-    so the order is deterministic.
+    given.  ``pr_cap`` is the periodicity of a zero variance, as in
+    ``compute_pR``; ``InferenceConfig`` checks it.  Each feature is
+    normalized by its maximum over this dataset.  Ties are broken by
+    normalized periodicity, then by the 5-tuple itself, so the order is
+    deterministic.
     """
     if not ft_map:
         return []
-    if config is None:
-        config = RankingConfig()
     if profiles is None:
         profiles = build_device_profiles(ft_map)
     pair_counts = port_pair_counts(ft_map)
@@ -231,7 +222,7 @@ def rank(
     entries: list[RankedFt] = []
     for key, times in ft_map.items():
         fv = FeatureVector(
-            pR=compute_pR(times, cap=config.pr_cap),
+            pR=compute_pR(times, cap=pr_cap),
             dR=compute_dR(times),
             cR=compute_cR(key, profiles),
             uR=compute_uR(key, pair_counts),

@@ -17,9 +17,9 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from scadascope.features import (
+    DEFAULT_PR_CAP,
     DeviceProfile,
     RankedFt,
-    RankingConfig,
     build_device_profiles,
     rank,
 )
@@ -37,15 +37,24 @@ class NoScadaFoundError(LookupError):
 
 @dataclass
 class InferenceConfig:
+    """Every setting of one analysis, from segmentation to Algorithm 1.
+
+    ``t_comm`` is the segment gap, checked where the gap rule lives, in
+    ``segment_stream``; ``pr_cap`` is the periodicity given to a zero
+    variance.  The rest steer Algorithm 1.
+    """
+
     num_scada_protocols: int = 1
     fd_degree_threshold: int = 5
     scada_fraction_threshold: float = 0.5
     three_layer: bool = False
+    t_comm: float = DEFAULT_T_COMM
+    pr_cap: float = DEFAULT_PR_CAP
 
     def __post_init__(self) -> None:
         if self.num_scada_protocols < 1:
             raise ValueError("num_scada_protocols must be >= 1")
-        for name in ("fd_degree_threshold", "scada_fraction_threshold"):
+        for name in ("fd_degree_threshold", "scada_fraction_threshold", "pr_cap"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -282,13 +291,12 @@ class AnalysisResult:
 
 def analyze_records(
     records: Iterable[PacketRecord],
-    t_comm: float = DEFAULT_T_COMM,
-    ranking_config: RankingConfig | None = None,
     inference_config: InferenceConfig | None = None,
     cutoffs: Sequence[float] = (),
 ) -> AnalysisResult:
     """Full pipeline from a time-ordered record stream to a topology report.
 
+    ``inference_config`` holds every setting, the default one when absent.
     Records are counted on the way in, with an INFO log line every
     ``PROGRESS_EVERY`` records.  The device table is built once and read by
     both ranking and Algorithm 1.
@@ -318,11 +326,11 @@ def analyze_records(
 
     def on_prefix(passed: int, ft_map: dict[FtKey, array]) -> None:
         # The record that passed the cutoffs is counted but not segmented.
-        report, _ = _analyze_table(ft_map, count - 1, ranking_config, inference_config)
+        report, _ = _analyze_table(ft_map, count - 1, inference_config)
         prefix_reports.extend([report] * passed)
 
-    ft_map = aggregate_records(counted(), t_comm, cutoffs, on_prefix)
-    report, ranked = _analyze_table(ft_map, count, ranking_config, inference_config)
+    ft_map = aggregate_records(counted(), inference_config.t_comm, cutoffs, on_prefix)
+    report, ranked = _analyze_table(ft_map, count, inference_config)
     prefix_reports.extend([report] * (len(cutoffs) - len(prefix_reports)))
     return AnalysisResult(
         report=report,
@@ -337,14 +345,13 @@ def analyze_records(
 def _analyze_table(
     ft_map: Mapping[FtKey, Sequence[float]],
     record_count: int,
-    ranking_config: RankingConfig | None,
-    inference_config: InferenceConfig,
+    config: InferenceConfig,
 ) -> tuple[TopologyReport, list[RankedFt]]:
     """Rank a 5-tuple table and run Algorithm 1 on it."""
     profiles = build_device_profiles(ft_map)
-    ranked = rank(ft_map, profiles, ranking_config)
+    ranked = rank(ft_map, profiles, config.pr_cap)
     if ranked:
-        report = run_algorithm1(ft_map, ranked, inference_config, profiles)
+        report = run_algorithm1(ft_map, ranked, config, profiles)
     else:
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
     report.metrics = {
@@ -401,8 +408,6 @@ class StabilityResult:
 def prefix_stability(
     records: Iterable[PacketRecord],
     fractions: Iterable[float],
-    t_comm: float = DEFAULT_T_COMM,
-    ranking_config: RankingConfig | None = None,
     inference_config: InferenceConfig | None = None,
     end: float | None = None,
 ) -> StabilityResult:
@@ -412,7 +417,8 @@ def prefix_stability(
     and ``end`` are the first and last timestamps, and a fraction of 1 the
     whole trace.  Each fraction's report equals an ``analyze_records`` rerun
     on its prefix.  The result records which fractions already reproduce
-    the full-trace topology.
+    the full-trace topology.  ``inference_config`` holds every setting, as
+    for ``analyze_records``.
 
     ``end`` is a hint of the last timestamp, which lets a stream be read
     without holding it.  Without a hint, ``records`` is held as a list and
@@ -444,13 +450,7 @@ def prefix_stability(
             # A fraction of 1 takes every record: its cutoff t0 + 1.0 * span
             # can round below the last timestamp.
             cutoffs = [t0 + f * (end - t0) if f < 1 else math.inf for f in fractions]
-        return analyze_records(
-            stream,
-            t_comm=t_comm,
-            ranking_config=ranking_config,
-            inference_config=inference_config,
-            cutoffs=cutoffs,
-        )
+        return analyze_records(stream, inference_config=inference_config, cutoffs=cutoffs)
 
     result = one_pass(end)
     if result.last_ts is not None and result.last_ts != end:

@@ -450,8 +450,9 @@ def _build_record(obj: dict) -> PacketRecord:
         raise _InvalidRecord(f"size must be >= 1, got {size}")
     if type(src_ip) is not str or not src_ip or type(dst_ip) is not str or not dst_ip:
         raise _InvalidRecord("endpoint addresses must be non-empty strings")
+    # ``+ 0.0`` turns a ts of -0.0, which passes the range check, into 0.0.
     return PacketRecord(
-        ts, sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port, sys.intern(proto), size
+        ts + 0.0, sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port, sys.intern(proto), size
     )
 
 

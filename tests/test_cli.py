@@ -5,19 +5,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 import scadascope
 
+from scadascope import cli
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
+from scadascope.inference import InferenceConfig
 from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
 from scadascope.synth import generate, load_scenario, write_pcap, write_records
 
@@ -310,8 +313,13 @@ def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "which,content",
-    [("report", "[]"), ("truth", "[]"), ("report", '{"protocols": 5}')],
-    ids=["report-list", "truth-list", "protocols-int"],
+    [
+        ("report", "[]"),
+        ("truth", "[]"),
+        ("report", '{"protocols": 5}'),
+        ("report", '{"10.0.10.1": {"protocol": 20000, "role": "field_device"}}'),
+    ],
+    ids=["report-list", "truth-list", "protocols-int", "report-is-truth"],
 )
 def test_eval_malformed_shape_is_exit_2(tmp_path, d1, caplog, which, content):
     paths = {"report": tmp_path / "report.json", "truth": d1["truth"]}
@@ -459,6 +467,16 @@ def test_inspect_counts_and_segment_dump(tmp_path, d1, capsys):
     assert {"key", "start", "end", "size", "initiator", "packets"} <= set(first)
 
 
+def test_inspect_reads_a_negative_zero_ts_as_zero(tmp_path, capsys):
+    tail = '"src_ip":"10.0.0.1","src_port":20000,"dst_ip":"10.0.0.2","dst_port":51382,"proto":"tcp","size":340}'
+    trace, dump = tmp_path / "t.jsonl", tmp_path / "segs.jsonl"
+    trace.write_text(f'{{"ts":-0.0,{tail}\n{{"ts":1.0,{tail}\n')
+    assert main(["--quiet", "inspect", str(trace), "--dump-segments", str(dump)]) == EXIT_OK
+    assert "time span: 0.000000 .. 1.000000 (1.000s)" in capsys.readouterr().out
+    first = json.loads(dump.read_text().splitlines()[0])
+    assert [math.copysign(1.0, first[name]) for name in ("start", "end")] == [1.0, 1.0]
+
+
 def test_inspect_with_filter_reports_drops(tmp_path, capsys):
     records, _ = generate(dataset1_like(duration=300.0, seed=505, fds=3))
     trace = tmp_path / "t.jsonl"
@@ -566,3 +584,41 @@ def test_progress_line_and_quiet(tmp_path, quiet):
         f"INFO scadascope.inference: processed {n} records" for n in range(1000, count + 1, 1000)
     ]
     assert lines == expected
+
+
+@pytest.mark.parametrize("command", ["rank", "analyze", "stability"])
+def test_flags_build_the_one_config(tmp_path, d1, monkeypatch, command):
+    target = "prefix_stability" if command == "stability" else "analyze_records"
+    original, seen = getattr(cli, target), []
+
+    def capturing(*args, inference_config, **kwargs):
+        seen.append(inference_config)
+        return original(*args, inference_config=inference_config, **kwargs)
+
+    monkeypatch.setattr(cli, target, capturing)
+    flags = ["--t-comm", "2.5", "--pr-cap", "1000"]
+    want = {"t_comm": 2.5, "pr_cap": 1000.0}
+    if command != "rank":
+        flags += ["--num-protocols", "2", "--fd-degree-threshold", "7", "--scada-fraction", "0.4", "--three-layer"]
+        want.update(num_scada_protocols=2, fd_degree_threshold=7, scada_fraction_threshold=0.4, three_layer=True)
+    out = tmp_path / "report.json"
+    if command != "stability":
+        flags += ["--out", str(out)]
+    assert main(["--quiet", command, str(d1["trace"]), *flags]) in (EXIT_OK, EXIT_LOW_CONFIDENCE)
+    [config] = seen
+    assert type(config) is InferenceConfig
+    assert set(want) <= {field.name for field in fields(config)}
+    defaults = InferenceConfig()
+    for field in fields(InferenceConfig):
+        assert getattr(config, field.name) == want.get(field.name, getattr(defaults, field.name)), field.name
+    if command == "analyze":
+        assert json.loads(out.read_text())["manifest"]["config"] == {"filter_ports": None, **asdict(config)}
+
+
+@pytest.mark.parametrize("command", ["analyze", "stability"])
+def test_config_flags_keep_their_metavars(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--num-protocols NUM_PROTOCOLS" in out
+    assert "--scada-fraction SCADA_FRACTION" in out

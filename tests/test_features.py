@@ -10,7 +10,6 @@ import pytest
 
 from scadascope.features import (
     FeatureVector,
-    RankingConfig,
     build_device_profiles,
     compute_cR,
     compute_dR,
@@ -22,6 +21,7 @@ from scadascope.features import (
     score_product,
     write_ranking_csv,
 )
+from scadascope.inference import InferenceConfig
 from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate
 
@@ -300,7 +300,7 @@ def test_ranking_csv_layout(tmp_path):
 
 def test_ranking_config_validation():
     with pytest.raises(ValueError):
-        RankingConfig(pr_cap=0.0)
+        InferenceConfig(pr_cap=0.0)
 
 
 def test_random_scenarios_feature_parity_with_reference():

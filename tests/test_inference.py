@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scadascope import inference
-from scadascope.features import FeatureVector, RankedFt, rank
+from scadascope.features import DEFAULT_PR_CAP, FeatureVector, RankedFt, rank
 from scadascope.inference import (
     InferenceConfig,
     NoScadaFoundError,
@@ -322,9 +322,9 @@ def test_analyze_builds_one_device_table_for_rank_and_algorithm1(monkeypatch):
         built.append(build_device_profiles(ft_map))
         return built[-1]
 
-    def ranking(ft_map, profiles=None, config=None):
+    def ranking(ft_map, profiles=None, pr_cap=DEFAULT_PR_CAP):
         handed["rank"] = profiles
-        return rank(ft_map, profiles, config)
+        return rank(ft_map, profiles, pr_cap)
 
     def algorithm1(ft_map, ranked, config, profiles=None):
         handed["run_algorithm1"] = profiles

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import re
 import struct
@@ -392,6 +393,18 @@ def test_read_records_single_line(tmp_path):
     )
     records = list(read_records(str(path)))
     assert records == [PacketRecord(1.5, "10.0.0.1", 20000, "10.0.0.2", 51382, "tcp", 340)]
+
+
+def test_read_records_reads_a_negative_zero_ts_as_zero(tmp_path):
+    # -0.0 passes the range check; a pcap gives the same packet a ts of 0.0.
+    tail = '"src_ip":"10.0.0.1","src_port":20000,"dst_ip":"10.0.0.2","dst_port":51382,"proto":"tcp","size":340}'
+    path = tmp_path / "a.jsonl"
+    # The second line's tail is memoized, but its signed ts is decoded in full.
+    path.write_text("".join(f'{{"ts":{ts},{tail}\n' for ts in ("-0.0", "-0.0", "1.0")))
+    backwards = list(ingest._records_backwards(str(path)))[::-1]
+    for records in (list(read_records(str(path))), backwards, ref_read_records(str(path))):
+        assert [r.ts for r in records] == [0.0, 0.0, 1.0]
+        assert [math.copysign(1.0, r.ts) for r in records] == [1.0, 1.0, 1.0]
 
 
 # Stands for a 5001-digit integer, which json.dumps cannot write itself.
