@@ -22,7 +22,6 @@ from scadascope.segmentation import (
     segment_stream,
 )
 from scadascope.features import (
-    FeatureVector,
     RankedFt,
     rank,
 )
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_SERVICE_PORTS",
     "CommunicationSegment",
-    "FeatureVector",
     "FilterConfig",
     "FtKey",
     "GroundTruth",

@@ -165,20 +165,10 @@ def cmd_rank(args) -> int:
 
     if args.format == "json":
         rows = [
-            {
-                "rank": i + 1,
-                "src_ip": e.key.src_ip,
-                "src_port": e.key.src_port,
-                "dst_ip": e.key.dst_ip,
-                "dst_port": e.key.dst_port,
-                "seg_size": e.key.seg_size,
-                "n": e.n,
-                "features": list(e.fv.normalized()),
-                "f": e.fv.f,
-            }
-            for i, e in enumerate(ranked[: args.top])
+            {"rank": i, **e.key._asdict(), "n": e.n, "features": list(e.normalized), "f": e.f}
+            for i, e in enumerate(ranked[: args.top], start=1)
         ]
-        out = json.dumps(rows, indent=2)
+        out = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         write_ranking_csv(ranked, buf, top=args.top)
@@ -187,7 +177,7 @@ def cmd_rank(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(out)
     else:
-        print(out, end="" if out.endswith("\n") else "\n")
+        print(out, end="")
 
     log.info("ranked %d 5-tuples in %.2fs", len(ranked), time.monotonic() - started)
     port = result.report.protocols[0].scada_port

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import sub
+from operator import sub, truediv
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from scadascope.segmentation import FtKey
@@ -32,27 +32,8 @@ DEFAULT_PR_CAP = 1e6
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(slots=True)
-class FeatureVector:
-    """Raw and normalized feature values plus the product score f."""
-
-    pR: float
-    dR: float
-    cR: float
-    uR: float
-    sR: float
-    pR_n: float = 0.0
-    dR_n: float = 0.0
-    cR_n: float = 0.0
-    uR_n: float = 0.0
-    sR_n: float = 0.0
-    f: float = 0.0
-
-    def raw(self) -> tuple[float, float, float, float, float]:
-        return (self.pR, self.dR, self.cR, self.uR, self.sR)
-
-    def normalized(self) -> tuple[float, float, float, float, float]:
-        return (self.pR_n, self.dR_n, self.cR_n, self.uR_n, self.sR_n)
+# The five features in the order of ``RankedFt.raw`` and ``RankedFt.normalized``.
+FEATURES = ("pR", "dR", "cR", "uR", "sR")
 
 
 def score_product(pR_n: float, dR_n: float, cR_n: float, uR_n: float, sR_n: float) -> float:
@@ -61,9 +42,18 @@ def score_product(pR_n: float, dR_n: float, cR_n: float, uR_n: float, sR_n: floa
 
 @dataclass(slots=True)
 class RankedFt:
+    """One ranked 5-tuple: its segment count, its features and its score.
+
+    ``raw`` and ``normalized`` hold the five features in ``FEATURES`` order;
+    each normalized value is the raw one over its maximum in the dataset, and
+    ``f`` is their product (``score_product``).
+    """
+
     key: FtKey
     n: int
-    fv: FeatureVector
+    raw: tuple[float, ...]
+    normalized: tuple[float, ...] = ()
+    f: float = 0.0
 
 
 @dataclass
@@ -204,8 +194,10 @@ def rank(
 
     ``profiles`` is the device table of ``ft_map``, built here when not
     given.  ``pr_cap`` is the periodicity of a zero variance, as in
-    ``compute_pR``; ``InferenceConfig`` checks it.  Each feature is
-    normalized by its maximum over this dataset.  Ties are broken by
+    ``compute_pR``; ``InferenceConfig`` checks it.  Each entry's ``raw``
+    features (``FEATURES`` order) are divided by their column's maximum over
+    this dataset to give ``normalized``; a column of zeros stays 0.0.  ``f``
+    is the product of the normalized features.  Ties are broken by
     normalized periodicity, then by the 5-tuple itself, so the order is
     deterministic.
     """
@@ -216,57 +208,32 @@ def rank(
     pair_counts = port_pair_counts(ft_map)
     max_seg = max(key.seg_size for key in ft_map)
 
-    # The maxima start at 0.0: every feature is >= 0, and a maximum that is
-    # not positive normalizes its feature to 0.0 either way.
-    max_p = max_d = max_c = max_u = max_s = 0.0
-    entries: list[RankedFt] = []
-    for key, times in ft_map.items():
-        fv = FeatureVector(
-            pR=compute_pR(times, cap=pr_cap),
-            dR=compute_dR(times),
-            cR=compute_cR(key, profiles),
-            uR=compute_uR(key, pair_counts),
-            sR=compute_sR(key, max_seg),
+    entries = [
+        RankedFt(
+            key,
+            len(times),
+            (
+                compute_pR(times, cap=pr_cap),
+                compute_dR(times),
+                compute_cR(key, profiles),
+                compute_uR(key, pair_counts),
+                compute_sR(key, max_seg),
+            ),
         )
-        if fv.pR > max_p:
-            max_p = fv.pR
-        if fv.dR > max_d:
-            max_d = fv.dR
-        if fv.cR > max_c:
-            max_c = fv.cR
-        if fv.uR > max_u:
-            max_u = fv.uR
-        if fv.sR > max_s:
-            max_s = fv.sR
-        entries.append(RankedFt(key=key, n=len(times), fv=fv))
-
+        for key, times in ft_map.items()
+    ]
+    # Every feature is finite and >= 0, so a column whose maximum is not
+    # positive holds only zeros; dividing them by infinity gives 0.0.
+    divisors = [m if m > 0 else math.inf for m in map(max, zip(*(e.raw for e in entries)))]
     for entry in entries:
-        fv = entry.fv
-        fv.pR_n = fv.pR / max_p if max_p > 0 else 0.0
-        fv.dR_n = fv.dR / max_d if max_d > 0 else 0.0
-        fv.cR_n = fv.cR / max_c if max_c > 0 else 0.0
-        fv.uR_n = fv.uR / max_u if max_u > 0 else 0.0
-        fv.sR_n = fv.sR / max_s if max_s > 0 else 0.0
-        fv.f = score_product(fv.pR_n, fv.dR_n, fv.cR_n, fv.uR_n, fv.sR_n)
+        entry.normalized = normalized = tuple(map(truediv, entry.raw, divisors))
+        entry.f = score_product(*normalized)
 
-    entries.sort(key=lambda e: (-e.fv.f, -e.fv.pR_n, e.key))
+    entries.sort(key=lambda e: (-e.f, -e.normalized[0], e.key))
     return entries
 
 
-RANKING_CSV_COLUMNS = [
-    "rank",
-    "src_ip",
-    "src_port",
-    "dst_ip",
-    "dst_port",
-    "seg_size",
-    "pR_n",
-    "dR_n",
-    "cR_n",
-    "uR_n",
-    "sR_n",
-    "f",
-]
+RANKING_CSV_COLUMNS = ["rank", *FtKey._fields, *(f"{name}_n" for name in FEATURES), "f"]
 
 
 def write_ranking_csv(ranked: list[RankedFt], fp: TextIO, top: int | None = None) -> None:
@@ -275,20 +242,6 @@ def write_ranking_csv(ranked: list[RankedFt], fp: TextIO, top: int | None = None
     writer.writerow(RANKING_CSV_COLUMNS)
     rows = ranked if top is None else ranked[:top]
     for pos, entry in enumerate(rows, start=1):
-        key, fv = entry.key, entry.fv
         writer.writerow(
-            [
-                pos,
-                key.src_ip,
-                key.src_port,
-                key.dst_ip,
-                key.dst_port,
-                key.seg_size,
-                f"{fv.pR_n:.4f}",
-                f"{fv.dR_n:.4f}",
-                f"{fv.cR_n:.4f}",
-                f"{fv.uR_n:.4f}",
-                f"{fv.sR_n:.4f}",
-                f"{fv.f:.6e}",
-            ]
+            [pos, *entry.key, *(f"{x:.4f}" for x in entry.normalized), f"{entry.f:.6e}"]
         )

@@ -255,7 +255,7 @@ def test_criterion_6_oracle_equivalence():
             assert list(times) == ref_table[key]
             assert list(inter_arrival_times(times)) == ref_iat(ref_table[key])
 
-        got_features = {tuple(e.key): e.fv.raw() for e in rank(table)}
+        got_features = {tuple(e.key): e.raw for e in rank(table)}
         want_features = ref_all_features(ref_table)
         for ft_key, want in want_features.items():
             got = got_features[ft_key]
@@ -293,7 +293,7 @@ def test_criterion_7_invariances():
         scaled_ranked = rank(scaled_table)
         assert [e.key for e in ranked] == [e.key for e in scaled_ranked], f"scenario {i}: rescale"
         for a, b in zip(ranked, scaled_ranked):
-            assert a.fv.normalized() == b.fv.normalized()
+            assert a.normalized == b.normalized
 
         # relabel addresses; order of positive-score entries must map over
         ips = sorted({k.src_ip for k in table} | {k.dst_ip for k in table}, reverse=True)
@@ -304,8 +304,8 @@ def test_criterion_7_invariances():
         ]
         rel_table = aggregate_ft(segment_stream(iter(relabeled), 1.0))
         rel_ranked = rank(rel_table)
-        orig_pos = [e for e in ranked if e.fv.f > 0]
-        rel_pos = [e for e in rel_ranked if e.fv.f > 0]
+        orig_pos = [e for e in ranked if e.f > 0]
+        rel_pos = [e for e in rel_ranked if e.f > 0]
         assert len(orig_pos) == len(rel_pos), f"scenario {i}: relabel changed positive count"
         for a, b in zip(orig_pos, rel_pos):
             assert b.key.src_ip == mapping[a.key.src_ip], f"scenario {i}: relabel order"
@@ -315,7 +315,7 @@ def test_criterion_7_invariances():
                 a.key.dst_port,
                 a.key.seg_size,
             )
-            assert b.fv.f == a.fv.f
+            assert b.f == a.f
 
         # HMI argmax under uniform segment-size scaling, where a master exists
         master = "10.0.0.1"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -174,6 +176,35 @@ def test_rank_json_format(tmp_path, d1, capsys):
     rows = json.loads(out[: out.rindex("]") + 1])
     assert len(rows) == 3
     assert rows[0]["rank"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rank_out_file_equals_printed_table(tmp_path, d1, capsys, fmt):
+    args = ["--quiet", "rank", str(d1["trace"]), "--top", "4", "--format", fmt]
+    assert main(args) == EXIT_OK
+    printed = capsys.readouterr().out
+    table, summary = printed[: printed.rindex("summary: ")], printed[printed.rindex("summary: ") :]
+    out = tmp_path / f"rank.{fmt}"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == summary
+    assert out.read_bytes().decode("utf-8") == table
+
+
+def test_rank_json_rows_match_csv_rows(d1, capsys):
+    args = ["--quiet", "rank", str(d1["trace"]), "--top", "50"]
+    assert main(args) == EXIT_OK
+    printed = capsys.readouterr().out
+    header, *cells = csv.reader(io.StringIO(printed[: printed.rindex("summary: ")]))
+    assert main([*args, "--format", "json"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    rows = json.loads(printed[: printed.rindex("summary: ")])
+    assert len(rows) == len(cells) == 50
+    key_fields = ["rank", "src_ip", "src_port", "dst_ip", "dst_port", "seg_size"]
+    assert header == [*key_fields, "pR_n", "dR_n", "cR_n", "uR_n", "sR_n", "f"]
+    for row, cell in zip(rows, cells):
+        assert [str(row[name]) for name in key_fields] == cell[:6]
+        assert [f"{x:.4f}" for x in row["features"]] == cell[6:11]
+        assert f"{row['f']:.6e}" == cell[11]
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from scadascope.features import (
-    FeatureVector,
     build_device_profiles,
     compute_cR,
     compute_dR,
@@ -205,12 +204,12 @@ def test_rank_normalization_invariants():
     table = synth_table()
     ranked = rank(table)
     for i in range(5):
-        values = [e.fv.normalized()[i] for e in ranked]
+        values = [e.normalized[i] for e in ranked]
         assert max(values) == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= v <= 1.0 for v in values)
     for e in ranked:
-        assert 0.0 <= e.fv.f <= 1.0
-        assert e.fv.f == score_product(*e.fv.normalized())  # exact product consistency
+        assert 0.0 <= e.f <= 1.0
+        assert e.f == score_product(*e.normalized)  # exact product consistency
 
 
 def test_rank_single_occurrence_scores_zero_and_sorts_last():
@@ -218,18 +217,18 @@ def test_rank_single_occurrence_scores_zero_and_sorts_last():
     ranked = rank(table)
     singles = [e for e in ranked if e.n == 1]
     assert singles, "scenario should contain single-occurrence entries"
-    assert all(e.fv.f == 0.0 for e in singles)
-    boundary = min(i for i, e in enumerate(ranked) if e.fv.f == 0.0)
-    assert all(e.fv.f == 0.0 for e in ranked[boundary:])
+    assert all(e.f == 0.0 for e in singles)
+    boundary = min(i for i, e in enumerate(ranked) if e.f == 0.0)
+    assert all(e.f == 0.0 for e in ranked[boundary:])
 
 
 def test_rank_matches_reference_features():
     table = synth_table(duration=600.0, seed=32, fds=5)
-    ranked = {tuple(e.key): e.fv for e in rank(table)}
+    ranked = {tuple(e.key): e for e in rank(table)}
     reference = ref_all_features({tuple(k): list(s) for k, s in table.items()})
     assert set(ranked) == set(reference)
     for ft, want in reference.items():
-        got = ranked[ft].raw()
+        got = ranked[ft].raw
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
 
@@ -244,8 +243,8 @@ def test_rank_order_invariant_under_exact_time_rescale():
     ranked2 = rank(scaled)
     assert [e.key for e in ranked] == [e.key for e in ranked2]
     for a, b in zip(ranked, ranked2):
-        assert a.fv.normalized() == b.fv.normalized()
-        assert a.fv.f == b.fv.f
+        assert a.normalized == b.normalized
+        assert a.f == b.f
 
 
 def test_rank_order_invariant_under_relabeling():
@@ -257,17 +256,17 @@ def test_rank_order_invariant_under_relabeling():
         nk = FtKey(mapping[k.src_ip], k.src_port, mapping[k.dst_ip], k.dst_port, k.seg_size)
         relabeled[nk] = list(s)
     ranked = rank(table)
-    ranked2 = {e.key: e.fv for e in rank(relabeled)}
+    ranked2 = {e.key: e for e in rank(relabeled)}
     for entry in ranked:
-        if entry.fv.f == 0.0:
+        if entry.f == 0.0:
             continue  # zero scores tie; their relative order is name-dependent
         k = entry.key
         twin = ranked2[FtKey(mapping[k.src_ip], k.src_port, mapping[k.dst_ip], k.dst_port, k.seg_size)]
-        assert twin.f == entry.fv.f
-        assert twin.normalized() == entry.fv.normalized()
-    nonzero = [e for e in rank(relabeled) if e.fv.f > 0]
-    original_nonzero = [e for e in ranked if e.fv.f > 0]
-    assert [e.fv.f for e in nonzero] == [e.fv.f for e in original_nonzero]
+        assert twin.f == entry.f
+        assert twin.normalized == entry.normalized
+    nonzero = [e for e in rank(relabeled) if e.f > 0]
+    original_nonzero = [e for e in ranked if e.f > 0]
+    assert [e.f for e in nonzero] == [e.f for e in original_nonzero]
 
 
 def test_rank_deterministic_tiebreak():
@@ -280,6 +279,24 @@ def test_rank_deterministic_tiebreak():
     first = rank(table)
     second = rank(dict(reversed(list(table.items()))))
     assert [e.key for e in first] == [e.key for e in second]
+
+
+def test_rank_column_of_zeros_normalizes_to_positive_zero():
+    # One segment per 5-tuple: no gaps, so every pR and dR is 0.
+    keys = [
+        FtKey("10.0.0.2", 502, "10.0.0.1", 40000, 60),
+        FtKey("10.0.0.1", 40000, "10.0.0.2", 502, 12),
+        FtKey("10.0.0.3", 502, "10.0.0.1", 40001, 60),
+        FtKey("10.0.0.1", 40001, "10.0.0.3", 502, 12),
+    ]
+    ranked = rank({k: [float(i)] for i, k in enumerate(keys)})
+    for e in ranked:
+        assert e.raw[:2] == (0.0, 0.0)
+        for value in e.normalized[:2]:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert all(value > 0.0 for value in e.normalized[2:])
+        assert e.f == 0.0
+    assert [e.key for e in ranked] == sorted(keys)
 
 
 def test_rank_reads_a_given_device_table_as_its_own():
@@ -311,7 +328,7 @@ def test_random_scenarios_feature_parity_with_reference():
         if not records:
             continue
         table = build_table(records)
-        got = {tuple(e.key): e.fv.raw() for e in rank(table)}
+        got = {tuple(e.key): e.raw for e in rank(table)}
         want = ref_all_features({tuple(k): list(s) for k, s in table.items()})
         for ft in want:
             for g, w in zip(got[ft], want[ft]):

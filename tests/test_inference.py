@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scadascope import inference
-from scadascope.features import DEFAULT_PR_CAP, FeatureVector, RankedFt, rank
+from scadascope.features import DEFAULT_PR_CAP, RankedFt, rank
 from scadascope.inference import (
     InferenceConfig,
     NoScadaFoundError,
@@ -50,7 +50,7 @@ def table_of(*entries):
 
 
 def ranked_stub(key, n=5):
-    return RankedFt(key=key, n=n, fv=FeatureVector(1, 1, 1, 1, 1))
+    return RankedFt(key=key, n=n, raw=(1, 1, 1, 1, 1))
 
 
 # --- port inference -------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_cR_matches_reported_port_counts():
     for entry in result.ranked:
         a = evidence[entry.key.src_ip]["ports_used"]
         b = evidence[entry.key.dst_ip]["ports_used"]
-        assert entry.fv.cR == max(a, b) / min(a, b)
+        assert entry.raw[2] == max(a, b) / min(a, b)
 
 
 def test_analyze_builds_one_device_table_for_rank_and_algorithm1(monkeypatch):
