@@ -34,7 +34,6 @@ from scadascope.inference import (
     prefix_stability,
     run_algorithm1,
 )
-from scadascope.synth import GroundTruth, ScenarioConfig, generate, write_pcap, write_records
 
 __version__ = "0.1.0"
 
@@ -43,17 +42,14 @@ __all__ = [
     "CommunicationSegment",
     "FilterConfig",
     "FtKey",
-    "GroundTruth",
     "InferenceConfig",
     "PacketRecord",
     "RankedFt",
-    "ScenarioConfig",
     "TopologyReport",
     "aggregate_ft",
     "analyze_records",
     "evaluate",
     "filter_packets",
-    "generate",
     "infer_hmi",
     "prefix_stability",
     "rank",
@@ -61,7 +57,5 @@ __all__ = [
     "read_records",
     "run_algorithm1",
     "segment_stream",
-    "write_pcap",
-    "write_records",
     "__version__",
 ]

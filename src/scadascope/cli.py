@@ -31,7 +31,6 @@ from scadascope.inference import (
     report_to_dot,
 )
 from scadascope.segmentation import segment_stream
-from scadascope.synth import generate, load_scenario, tee_json_lines, write_pcap, write_records
 
 log = logging.getLogger("scadascope")
 
@@ -134,6 +133,9 @@ def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
+    # Imported here: no other subcommand needs the generator.
+    from scadascope.synth import generate, load_scenario, tee_json_lines, write_pcap, write_records
+
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config.seed = args.seed

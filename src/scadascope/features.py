@@ -128,31 +128,39 @@ def inter_arrival_times(times: Sequence[float]) -> Iterator[float]:
     return map(sub, islice(times, 1, None), times)
 
 
-def compute_pR(times: Sequence[float], cap: float = DEFAULT_PR_CAP) -> float:
-    """Periodicity: mean over population variance of the inter-arrival times.
+def periodicity_durability(times: Sequence[float], cap: float = DEFAULT_PR_CAP) -> tuple[float, float]:
+    """pR and dR of one 5-tuple's segment start times, in order, from one sum of the gaps.
 
-    ``times`` are one 5-tuple's segment start times in order.  Fewer than
-    two gaps means no measurable periodicity (0); zero variance with enough
-    gaps returns ``cap``.
+    pR is the mean over the population variance of the inter-arrival times:
+    fewer than two gaps means no measurable periodicity (0), and zero
+    variance with enough gaps gives ``cap``.  dR, the durability, is the
+    observed length in hours times the natural log of the occurrence count,
+    0 for a single occurrence.
     """
-    k = len(times) - 1
-    if k < 2:
-        return 0.0
+    n = len(times)
+    if n <= 1:
+        return 0.0, 0.0
     iat = list(inter_arrival_times(times))
-    mean = math.fsum(iat) / k
+    total = math.fsum(iat)
+    dR = (total / SECONDS_PER_HOUR) * math.log(n)
+    if n <= 2:
+        return 0.0, dR
+    k = n - 1
+    mean = total / k
     var = math.fsum((x - mean) ** 2 for x in iat) / k
     if var == 0.0:
-        return cap
-    return mean / var
+        return cap, dR
+    return mean / var, dR
+
+
+def compute_pR(times: Sequence[float], cap: float = DEFAULT_PR_CAP) -> float:
+    """Periodicity: mean over population variance of the inter-arrival times."""
+    return periodicity_durability(times, cap)[0]
 
 
 def compute_dR(times: Sequence[float]) -> float:
     """Durability: observed length (hours) times the natural log of the occurrence count."""
-    n = len(times)
-    if n <= 1:
-        return 0.0
-    hours = math.fsum(inter_arrival_times(times)) / SECONDS_PER_HOUR
-    return hours * math.log(n)
+    return periodicity_durability(times)[1]
 
 
 def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
@@ -213,8 +221,7 @@ def rank(
             key,
             len(times),
             (
-                compute_pR(times, cap=pr_cap),
-                compute_dR(times),
+                *periodicity_durability(times, pr_cap),
                 compute_cR(key, profiles),
                 compute_uR(key, pair_counts),
                 compute_sR(key, max_seg),

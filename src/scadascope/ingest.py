@@ -74,9 +74,12 @@ _IP_PROTO_NAMES = {6: TCP, 17: UDP, 1: ICMP}
 # keeps a file of long lines from taking more than about 2 MB.
 _TAIL_MEMO_ENTRIES = 4096
 _TAIL_MAX_CHARS = 256
-# An unsigned JSON number (RFC 8259), in ASCII digits, and JSON's whitespace.
-_TS_NUMBER = re.compile(r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
-_JSON_SPACE = " \t\r\n"
+# The start of a line as read whose ts may come from the memo: ``{"ts":``, an
+# unsigned JSON number (RFC 8259, ASCII digits) as group 1 between optional
+# JSON whitespace, and the comma that ends the first member.
+_MEMO_HEAD = re.compile(
+    r'\{"ts":[ \t\r\n]*((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)[ \t\r\n]*,'
+)
 
 
 class PcapFormatError(ValueError):
@@ -335,40 +338,42 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
     RecordFormatError naming the line number.  The counts reach ``stats``
     when the stream ends or is closed.
 
-    A line that begins ``{"ts":`` and whose text after the first comma (its
-    tail) repeats that of an earlier valid line is not decoded again: when
-    the ts token, less JSON whitespace, is an unsigned JSON number with a
-    finite value, the record is that number and the fields the tail gave
-    before.  Every other line is decoded in full, so one validator words
-    every error.  A tail is remembered only when it holds no backslash and
-    no ``"ts"``, which could be a key that overrides the first ts; at most
-    ``_TAIL_MEMO_ENTRIES`` tails of at most ``_TAIL_MAX_CHARS`` characters
-    are remembered.
+    A line that, as read, begins ``{"ts":``, an unsigned JSON number
+    between optional JSON whitespace and a comma (``_MEMO_HEAD``), and whose
+    rest (its tail, line end included) repeats that of an earlier valid line
+    is not decoded again: when the number's value is finite, the record is
+    that number and the fields the tail gave before.  Every other line is
+    decoded in full, so one validator words every error.  A tail is
+    remembered only when its line matched ``_MEMO_HEAD`` and the tail holds
+    no backslash and no ``"ts"``, which could be a key that overrides the
+    first ts; at most ``_TAIL_MEMO_ENTRIES`` tails of at most
+    ``_TAIL_MAX_CHARS`` characters are remembered.
     """
     if stats is None:
         stats = IngestStats()
     scan = json.JSONDecoder().scan_once
-    is_number = _TS_NUMBER.fullmatch
+    match_head = _MEMO_HEAD.match
     tails: dict[str, tuple[str, int, str, int, str, int]] = {}
     room = _TAIL_MEMO_ENTRIES
     frames = yielded = 0
     try:
         with open(path, "r", encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
+                head = match_head(line)
+                if head is not None:
+                    tail = line[head.end() :]
+                    fields = tails.get(tail)
+                    if fields is not None:
+                        ts = float(head[1])
+                        if ts < _INF:
+                            frames += 1
+                            yielded += 1
+                            yield PacketRecord(ts, *fields)
+                            continue
                 line = line.strip()
                 if not line:
                     continue
                 frames += 1
-                head, _, tail = line.partition(",")
-                fields = tails.get(tail)
-                if fields is not None and head.startswith('{"ts":'):
-                    token = head[6:].strip(_JSON_SPACE)
-                    if is_number(token):
-                        ts = float(token)
-                        if ts < _INF:
-                            yielded += 1
-                            yield PacketRecord(ts, *fields)
-                            continue
                 try:
                     obj, end = scan(line, 0)
                 except (StopIteration, ValueError):
@@ -387,9 +392,9 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
                 except _InvalidRecord as exc:
                     raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc.__cause__
                 if (
-                    room
+                    head is not None
+                    and room
                     and len(tail) <= _TAIL_MAX_CHARS
-                    and head.startswith('{"ts":')
                     and "\\" not in tail
                     and '"ts"' not in tail
                 ):

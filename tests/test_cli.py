@@ -617,6 +617,17 @@ def test_progress_line_and_quiet(tmp_path, quiet):
     assert lines == expected
 
 
+def test_cli_import_leaves_the_generator_unloaded():
+    # A fresh interpreter: this one has imported the generator for the fixtures.
+    script = "import sys, scadascope.cli; print('scadascope.synth' in sys.modules)"
+    src = str(Path(scadascope.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("command", ["rank", "analyze", "stability"])
 def test_flags_build_the_one_config(tmp_path, d1, monkeypatch, command):
     target = "prefix_stability" if command == "stability" else "analyze_records"

@@ -490,11 +490,19 @@ def _outcome(reader, path):
         return str(exc)
 
 
-@pytest.mark.parametrize("separator", [",", ", "])
-def test_read_records_decodes_a_repeated_tail_once(tmp_path, separator):
+@pytest.mark.parametrize(
+    "separator, newline",
+    [
+        pytest.param(",", "\n", id=","),
+        pytest.param(", ", "\n", id=", "),
+        pytest.param(",", "\r\n", id=",-crlf"),
+        pytest.param(", ", "\r\n", id=", -crlf"),
+    ],
+)
+def test_read_records_decodes_a_repeated_tail_once(tmp_path, separator, newline):
     path = tmp_path / "t.jsonl"
     tail = TAIL.replace(",", separator).replace(":", ": " if separator == ", " else ":")
-    path.write_text("".join(f'{{"ts": {i}.25{tail}\n' for i in range(100)))
+    path.write_bytes("".join(f'{{"ts": {i}.25{tail}{newline}' for i in range(100)).encode())
     stats = IngestStats()
     with mock.patch.object(ingest, "_build_record", wraps=ingest._build_record) as build:
         records = list(read_records(str(path), stats))
@@ -533,7 +541,11 @@ def test_read_records_bad_ts_on_a_memoized_tail(tmp_path, token):
 
 @st.composite
 def json_lines_files(draw):
-    """Lines that share a few tails, in several layouts, with good and bad ts tokens."""
+    """Lines that share a few tails, in several layouts, with good and bad ts tokens.
+
+    Lines may be indented, carry whitespace after the closing brace and end
+    in ``\\n`` or ``\\r\\n``; the last line may have no line end.
+    """
     tails = []
     for _ in range(draw(st.integers(1, 4))):
         fields = {
@@ -560,20 +572,34 @@ def json_lines_files(draw):
     )
     bad = st.sampled_from(["-0", "-1.0", "01.5", "1_0.5", ".5", "5.", "NaN", "1e400", '"1.0"',
                            "true", "[1.0]", "\x0c1.0", "\u00a01.0", "1\u0661.5", "1" * 400])
+    # A bad line makes the outcome its error alone, which would hide a wrong
+    # record before it, so half the files hold none.
+    with_bad = draw(st.booleans())
     lines = []
     for _ in range(draw(st.integers(1, 25))):
-        token = draw(bad) if draw(st.integers(0, 7)) == 0 else draw(valid)
+        token = draw(bad) if with_bad and draw(st.integers(0, 7)) == 0 else draw(valid)
         space = draw(st.sampled_from(["", " ", "\t", " \t "]))
         head = draw(st.sampled_from(['{"ts":', '{"ts":', '{ "ts":']))
-        lines.append(head + space + token + draw(st.sampled_from(["", " "])) + draw(st.sampled_from(tails)))
-    return "\n".join(lines) + "\n"
+        indent = draw(st.sampled_from(["", "", "", " ", "\t", " \t"]))
+        after = draw(st.sampled_from(["", "", "", " ", "\t", " \t "]))
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        lines.append(indent + head + space + token + draw(st.sampled_from(["", " "]))
+                     + draw(st.sampled_from(tails)) + after + newline)
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
 
 
 @settings(max_examples=300)
 @given(text=json_lines_files(), memo_entries=st.sampled_from([1, 2, 4096]))
+# An indented line, decoded in full, between two lines that share a tail.
+@example(
+    text='{"ts":1.5' + TAIL + '\n {"ts":2.5' + TAIL.replace("10.0.0.1", "10.0.0.3") + '\n{"ts":3.5' + TAIL + "\n",
+    memo_entries=4096,
+)
 def test_read_records_matches_reference(tmp_path_factory, text, memo_entries):
     path = tmp_path_factory.mktemp("memo") / "t.jsonl"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(ingest, "_TAIL_MEMO_ENTRIES", memo_entries):
         got = _outcome(read_records, str(path))
     assert got == _outcome(ref_read_records, str(path))
