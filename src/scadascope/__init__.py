@@ -30,7 +30,6 @@ from scadascope.inference import (
     TopologyReport,
     analyze_records,
     evaluate,
-    infer_hmi,
     prefix_stability,
     run_algorithm1,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "analyze_records",
     "evaluate",
     "filter_packets",
-    "infer_hmi",
     "prefix_stability",
     "rank",
     "read_pcap",

@@ -287,13 +287,14 @@ class _Rereadable:
 
 
 def cmd_stability(args) -> int:
+    config = _config(args)  # a bad setting exits before the trace is read
     if args.force_sort:
         # The sort holds the whole trace; prefix_stability takes its end from it.
         records, end = _load_stream(args)[0], None
     else:
         records = _Rereadable(args)
         end = ingest.last_timestamp_hint(args.input, _filter_config(args))
-    result = prefix_stability(records, args.fractions, inference_config=_config(args), end=end)
+    result = prefix_stability(records, args.fractions, inference_config=config, end=end)
     stable = set(result.stable_fractions())
     for frac in sorted(result.by_fraction):
         print(f"fraction {frac:g}: {'matches full trace' if frac in stable else 'differs'}")

@@ -60,7 +60,6 @@ class RankedFt:
 class DeviceProfile:
     """Per-device connectivity and port-usage evidence."""
 
-    ip: str
     peers: set[str] = field(default_factory=set)
     ft_count: int = 0
     # Segments per port on this device's own side; its keys are the ports it uses.
@@ -94,7 +93,7 @@ def build_device_profiles(ft_map: Mapping[FtKey, Sequence[float]]) -> dict[str, 
     def get(ip: str) -> DeviceProfile:
         prof = profiles.get(ip)
         if prof is None:
-            prof = profiles[ip] = DeviceProfile(ip)
+            prof = profiles[ip] = DeviceProfile()
         return prof
 
     for key, times in ft_map.items():
@@ -153,16 +152,6 @@ def periodicity_durability(times: Sequence[float], cap: float = DEFAULT_PR_CAP) 
     return mean / var, dR
 
 
-def compute_pR(times: Sequence[float], cap: float = DEFAULT_PR_CAP) -> float:
-    """Periodicity: mean over population variance of the inter-arrival times."""
-    return periodicity_durability(times, cap)[0]
-
-
-def compute_dR(times: Sequence[float]) -> float:
-    """Durability: observed length (hours) times the natural log of the occurrence count."""
-    return periodicity_durability(times)[1]
-
-
 def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
     """Complexity gap: larger-over-smaller ratio of the endpoints' port counts."""
     try:
@@ -202,7 +191,7 @@ def rank(
 
     ``profiles`` is the device table of ``ft_map``, built here when not
     given.  ``pr_cap`` is the periodicity of a zero variance, as in
-    ``compute_pR``; ``InferenceConfig`` checks it.  Each entry's ``raw``
+    ``periodicity_durability``; ``InferenceConfig`` checks it.  Each entry's ``raw``
     features (``FEATURES`` order) are divided by their column's maximum over
     this dataset to give ``normalized``; a column of zeros stays 0.0.  ``f``
     is the product of the normalized features.  Ties are broken by

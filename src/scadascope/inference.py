@@ -198,14 +198,6 @@ def hmi_candidates(
     return sorted(((q, ip) for ip, q in qty.items()), key=lambda t: (-t[0], t[1]))
 
 
-def infer_hmi(master: str, ft_map: Mapping[FtKey, Sequence[float]]) -> str:
-    """The peer receiving the largest communication quantity from the master."""
-    candidates = hmi_candidates(master, ft_map)
-    if not candidates:
-        raise NoScadaFoundError(f"master {master} initiates no communication")
-    return candidates[0][1]
-
-
 def run_algorithm1(
     ft_map: Mapping[FtKey, Sequence[float]],
     ranked: Sequence[RankedFt],

@@ -488,28 +488,28 @@ def filter_packets(
 
 
 def ensure_time_order(
-    records: Iterable[PacketRecord],
-    reorder_window: float = REORDER_WINDOW,
-    force_sort: bool = False,
+    records: Iterable[PacketRecord], force_sort: bool = False
 ) -> Iterator[PacketRecord]:
     """Yield records in non-decreasing timestamp order.
 
-    A record is held until it is ``reorder_window`` seconds older than the
+    A record is held until it is ``REORDER_WINDOW`` (1 s) older than the
     newest one, so a record arriving late by less than that is put back in
-    place.  A record older than one already yielded raises OutOfOrderError,
-    unless ``force_sort`` is set, which buffers the whole stream and sorts
-    it.  A record arriving early is never refused: it is held until the
-    stream catches up, so ``[0, 1, 1000, 2, 3, 4]`` yields 1000 last.  Equal
-    timestamps keep their arrival order.
+    place.  The window is fixed: ``last_timestamp_hint`` reads a trace's
+    tail back over the same one.  A record older than one already yielded
+    raises OutOfOrderError, unless ``force_sort`` is set, which buffers the
+    whole stream and sorts it.  A record arriving early is never refused: it
+    is held until the stream catches up, so ``[0, 1, 1000, 2, 3, 4]`` yields
+    1000 last.  Equal timestamps keep their arrival order.
 
     Records that arrive in order wait in a FIFO until they are
-    ``reorder_window`` older than the newest one.  A record older than the
+    ``REORDER_WINDOW`` older than the newest one.  A record older than the
     newest moves the FIFO into a heap keyed by (ts, arrival); everything in
     the heap precedes everything in the FIFO, so the heap drains first.
     """
     if force_sort:
         yield from sorted(records, key=lambda r: r.ts)
         return
+    window = REORDER_WINDOW
     held: deque[PacketRecord] = deque()
     heap: list[tuple[float, int, PacketRecord]] = []
     seq = 0
@@ -524,7 +524,7 @@ def ensure_time_order(
             if out is not None and ts < out.ts:
                 raise OutOfOrderError(
                     f"timestamp {ts:.6f} arrived after {out.ts:.6f} was emitted; "
-                    f"disorder exceeds the {reorder_window}s reorder window (use force sort)"
+                    f"disorder exceeds the {window}s reorder window (use force sort)"
                 )
             for old in held:
                 heapq.heappush(heap, (old.ts, seq, old))
@@ -532,10 +532,10 @@ def ensure_time_order(
             held.clear()
             heapq.heappush(heap, (ts, seq, rec))
             seq += 1
-        while heap and high - heap[0][0] >= reorder_window:
+        while heap and high - heap[0][0] >= window:
             out = heapq.heappop(heap)[2]
             yield out
-        while held and high - held[0].ts >= reorder_window:
+        while held and high - held[0].ts >= window:
             out = held.popleft()
             yield out
     while heap:

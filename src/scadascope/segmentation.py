@@ -100,12 +100,12 @@ def segment_stream(
     # holding its open segment, shared by both directions; src and dst are
     # that direction's endpoints.  A packet so finds the open segment, and a
     # new segment its initiator and responder, without building the
-    # direction-free key.  The two keys go in together when a conversation is
-    # first seen and keep their place, so the entries run in first-seen order
-    # with each conversation's cell once or twice in a row.
+    # direction-free key.  ``cells`` holds each conversation's cell once, in
+    # first-seen order.
     entries: dict[
         tuple[str, int, str, int], tuple[list[CommunicationSegment], Endpoint, Endpoint]
     ] = {}
+    cells: list[list[CommunicationSegment]] = []
     get = entries.get
     cuts = iter(cutoffs)
     cut = next(cuts, math.inf)
@@ -116,7 +116,7 @@ def segment_stream(
             while ts > cut:
                 passed += 1
                 cut = next(cuts, math.inf)
-            on_cutoff(passed, _open_segments(entries))
+            on_cutoff(passed, (cell[0] for cell in cells))
         fwd = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port)
         entry = get(fwd)
         if entry is None:
@@ -125,6 +125,7 @@ def segment_stream(
             cell = [CommunicationSegment(ts, ts, rec.size, 1, src, dst)]
             entries[fwd] = (cell, src, dst)
             entries[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = (cell, dst, src)
+            cells.append(cell)
             continue
         cell, src, dst = entry
         seg = cell[0]
@@ -135,16 +136,8 @@ def segment_stream(
             continue
         yield seg
         cell[0] = CommunicationSegment(ts, ts, rec.size, 1, src, dst)
-    yield from _open_segments(entries)
-
-
-def _open_segments(entries: dict) -> Iterator[CommunicationSegment]:
-    """Each conversation's open segment, in first-seen conversation order."""
-    seen = None
-    for cell, _, _ in entries.values():
-        if cell is not seen:
-            yield cell[0]
-            seen = cell
+    for cell in cells:
+        yield cell[0]
 
 
 def aggregate_ft(

@@ -329,10 +329,6 @@ def _plan_layout(config: ScenarioConfig) -> _Layout:
     )
 
 
-def ground_truth(config: ScenarioConfig) -> GroundTruth:
-    return _plan_layout(config).truth
-
-
 def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTruth]:
     """Build the packet stream and its labels; fully determined by the seed."""
     config.validate()

@@ -20,7 +20,7 @@ from scadascope.inference import (
     InferenceConfig,
     analyze_records,
     evaluate,
-    infer_hmi,
+    hmi_candidates,
     prefix_stability,
 )
 from scadascope.features import inter_arrival_times
@@ -95,10 +95,10 @@ def test_criterion_2_size_feature():
 
 
 def test_criterion_3_periodicity_anchor():
-    from scadascope.features import compute_pR
+    from scadascope.features import periodicity_durability
 
     d = math.sqrt(1.48)
-    got = compute_pR([0.0, 8.75 - d, 17.5])
+    got = periodicity_durability([0.0, 8.75 - d, 17.5])[0]
     assert abs(got - 5.912) <= 1e-3, got
     ok(3, f"mean 8.75 s / variance 1.48 s^2 gives pR={got:.4f}")
 
@@ -324,7 +324,8 @@ def test_criterion_7_invariances():
             for k, s in table.items():
                 nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 5)
                 scaled[nk] = list(s)
-            assert infer_hmi(master, table) == infer_hmi(master, scaled), f"scenario {i}: hmi scale"
+            hmi = hmi_candidates(master, table)[0][1]
+            assert hmi == hmi_candidates(master, scaled)[0][1], f"scenario {i}: hmi scale"
             hmi_checked += 1
     assert hmi_checked >= 4
     ok(7, f"20 scenarios: rescale and relabel invariant, HMI argmax scale-invariant ({hmi_checked} checked)")

@@ -415,6 +415,15 @@ def test_stability_command(tmp_path, capsys):
     assert "smallest stable fraction" in out
 
 
+def test_stability_refuses_a_bad_setting_before_reading_the_trace(d1, caplog, monkeypatch):
+    def hint(*args):
+        raise AssertionError("the trace was read before the settings were checked")
+
+    monkeypatch.setattr(cli.ingest, "last_timestamp_hint", hint)
+    assert main(["--quiet", "stability", str(d1["trace"]), "--pr-cap", "0"]) == EXIT_INPUT_ERROR
+    assert "pr_cap must be positive and finite, got 0.0" in caplog.text
+
+
 def _stability_run(capsys, caplog, *args):
     """Exit code, stdout and warnings of one ``stability`` run."""
     caplog.clear()

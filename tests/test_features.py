@@ -11,10 +11,9 @@ import pytest
 from scadascope.features import (
     build_device_profiles,
     compute_cR,
-    compute_dR,
-    compute_pR,
     compute_sR,
     compute_uR,
+    periodicity_durability,
     port_pair_counts,
     rank,
     score_product,
@@ -46,42 +45,43 @@ def test_periodicity_reference_anchor():
     # two gaps engineered to hit mean 8.75 and population variance 1.48
     d = math.sqrt(1.48)
     starts = starts_from_iat([8.75 - d, 8.75 + d])
-    assert abs(compute_pR(starts) - 5.912) <= 1e-3
+    assert abs(periodicity_durability(starts)[0] - 5.912) <= 1e-3
 
 
 def test_periodicity_empty_iat_is_zero():
-    assert compute_pR(starts_with_n(1)) == 0.0
-    assert compute_pR(starts_with_n(0)) == 0.0
-    assert compute_pR(starts_from_iat([4.0])) == 0.0  # single gap
+    assert periodicity_durability(starts_with_n(1))[0] == 0.0
+    assert periodicity_durability(starts_with_n(0))[0] == 0.0
+    assert periodicity_durability(starts_from_iat([4.0]))[0] == 0.0  # single gap
 
 
 def test_periodicity_simple_arithmetic():
-    assert compute_pR(starts_from_iat([2.0, 4.0, 2.0, 4.0])) == pytest.approx(3.0, abs=1e-12)
+    pR, _ = periodicity_durability(starts_from_iat([2.0, 4.0, 2.0, 4.0]))
+    assert pR == pytest.approx(3.0, abs=1e-12)
 
 
 def test_periodicity_zero_variance_capped():
     starts = starts_from_iat([5.0, 5.0, 5.0])
-    assert compute_pR(starts) == 1e6
-    assert compute_pR(starts, cap=123.0) == 123.0
+    assert periodicity_durability(starts)[0] == 1e6
+    assert periodicity_durability(starts, cap=123.0)[0] == 123.0
 
 
 # --- durability ----------------------------------------------------------------
 
 
 def test_durability_single_occurrence_is_zero():
-    assert compute_dR(starts_with_n(1)) == 0.0
+    assert periodicity_durability(starts_with_n(1))[1] == 0.0
 
 
 def test_durability_two_hours_hundred_occurrences():
     starts = starts_from_iat([7200.0 / 99] * 99)  # sums to exactly 2h over n=100
-    assert compute_dR(starts) == pytest.approx(2.0 * math.log(100), rel=1e-9)
-    assert compute_dR(starts) == pytest.approx(9.2103, abs=1e-3)
+    assert periodicity_durability(starts)[1] == pytest.approx(2.0 * math.log(100), rel=1e-9)
+    assert periodicity_durability(starts)[1] == pytest.approx(9.2103, abs=1e-3)
 
 
 def test_durability_hour_of_ten_second_polling():
     starts = starts_from_iat([10.0] * 360)  # n = 361, observed length 1 hour
-    assert compute_dR(starts) == pytest.approx(math.log(361), rel=1e-9)
-    assert compute_dR(starts) == pytest.approx(5.889, abs=1e-3)
+    assert periodicity_durability(starts)[1] == pytest.approx(math.log(361), rel=1e-9)
+    assert periodicity_durability(starts)[1] == pytest.approx(5.889, abs=1e-3)
 
 
 # --- complexity gap ------------------------------------------------------------

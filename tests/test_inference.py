@@ -24,7 +24,6 @@ from scadascope.inference import (
     evaluate,
     hmi_candidates,
     infer_field_devices,
-    infer_hmi,
     infer_master_servers,
     infer_scada_port,
     load_ground_truth,
@@ -168,18 +167,32 @@ def test_hmi_dominant_quantity():
         ft("m", 49002, "fd1", 20000, 340, n=100),
     ]
     table = table_of(*entries)
-    assert infer_hmi("m", table) == "hmi"
+    assert hmi_candidates("m", table)[0][1] == "hmi"
 
 
 def test_hmi_single_peer():
     table = table_of(ft("m", 49000, "only", 8055, 100, n=1))
-    assert infer_hmi("m", table) == "only"
+    assert hmi_candidates("m", table)[0][1] == "only"
 
 
-def test_hmi_no_outgoing_errors():
+def test_three_layer_master_without_outgoing_leaves_hmi_unknown():
+    # The field device initiates; the master it answers initiates nothing.
     table = table_of(ft("fd", 20000, "m", 49000, 340))
-    with pytest.raises(NoScadaFoundError):
-        infer_hmi("m", table)
+    report = run_algorithm1(table, rank(table), InferenceConfig(three_layer=True))
+    assert report.protocols[0].master_servers == {"m"}
+    assert report.hmi is None
+    assert "master m initiates no communication, HMI unknown" in report.warnings
+    assert report.evidence["m"]["role"] == "master"
+
+
+def test_three_layer_without_master_warns():
+    # Two field devices poll each other on the SCADA port: no master to follow.
+    table = table_of(ft("fd1", 20000, "fd2", 20000, 340))
+    report = run_algorithm1(table, rank(table), InferenceConfig(three_layer=True))
+    assert report.protocols[0].field_devices == {"fd1", "fd2"}
+    assert report.protocols[0].master_servers == set()
+    assert report.hmi is None
+    assert "three-layer requested but no master server was inferred" in report.warnings
 
 
 def test_hmi_matches_bruteforce_oracle():
@@ -195,7 +208,7 @@ def test_hmi_matches_bruteforce_oracle():
         table = aggregate_ft(segment_stream(records, 1.0))
         want = ref_hmi("10.0.0.1", {tuple(k): list(s) for k, s in table.items()})
         assert want is not None
-        assert infer_hmi("10.0.0.1", table) == want[1]
+        assert hmi_candidates("10.0.0.1", table)[0][1] == want[1]
 
 
 def test_hmi_argmax_invariant_under_size_scaling():
@@ -208,7 +221,7 @@ def test_hmi_argmax_invariant_under_size_scaling():
     for k, s in table.items():
         nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 7)
         scaled[nk] = list(s)
-    assert infer_hmi("m", table) == infer_hmi("m", scaled)
+    assert hmi_candidates("m", table)[0][1] == hmi_candidates("m", scaled)[0][1]
 
 
 # --- the full loop -----------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from scadascope.features import inter_arrival_times
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
+from scadascope.segmentation import FtKey, aggregate_ft, aggregate_records, segment_stream
 from scadascope.synth import MasterConfig, ScadaGroup, ScenarioConfig, generate
 
 from reference import ref_ft_table, ref_iat, ref_segments
@@ -268,3 +270,52 @@ def test_segment_yield_order_is_pinned():
         (b_fd, b_master),
         (loop, loop),
     ]
+
+
+@st.composite
+def records_and_cutoffs(draw):
+    """Time-ordered records on three endpoints, one pair a self-conversation,
+    and ascending cutoffs, most of them equal to a record's timestamp."""
+    ends = [("10.0.0.1", 1000), ("10.0.0.2", 2000), ("10.0.0.3", 3000)]
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.5]),
+                st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 2)]),  # (2, 2) talks to itself
+                st.sampled_from([10, 20]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    records, t = [], 0.0
+    for step, (a, b), size in rows:
+        t += step
+        records.append(PacketRecord(t, *ends[a], *ends[b], "tcp", size))
+    times = [rec.ts for rec in records]
+    cutoffs = draw(st.lists(st.sampled_from([*times, times[0] - 0.25, times[-1] + 0.25]), max_size=6))
+    return records, sorted(cutoffs)
+
+
+def table_items(table):
+    return [(key, list(times)) for key, times in table.items()]
+
+
+@given(records_and_cutoffs(), st.sampled_from([0.5, 1.0]))
+def test_aggregate_records_prefix_tables_match_reruns(drawn, t_comm):
+    records, cutoffs = drawn
+    calls = []
+    table = aggregate_records(
+        records, t_comm, cutoffs, lambda passed, prefix: calls.append((passed, table_items(prefix)))
+    )
+    # A cutoff is passed by the first record later than it; cutoffs passed
+    # by one record share one call, and a cutoff no record passes gets none.
+    times = [rec.ts for rec in records]
+    lengths = Counter(bisect.bisect_right(times, cut) for cut in cutoffs)
+    lengths.pop(len(records), None)
+    assert calls == [
+        (passed, table_items(aggregate_ft(segment_stream(records[:n], t_comm))))
+        for n, passed in lengths.items()
+    ]
+    assert table_items(table) == table_items(aggregate_records(records, t_comm))
+    assert dict(table_items(table)) == ref_ft_table(ref_segments(records, t_comm))

@@ -28,7 +28,6 @@ from scadascope.synth import (
     ScenarioConfig,
     ScenarioError,
     generate,
-    ground_truth,
     load_scenario,
     scenario_from_dict,
     write_pcap,
@@ -196,7 +195,7 @@ def test_every_emitted_ip_is_labeled():
 
 def test_truth_roles_and_protocol_tags():
     config = dataset2_like(duration=60.0, seed=11)
-    truth = ground_truth(config)
+    truth = generate(config)[1]
     assert truth.labels["10.0.0.1"]["role"] == "master"
     assert truth.labels["10.0.10.1"] == {"role": "field_device", "protocol": 2404}
     assert truth.labels["10.0.11.1"] == {"role": "field_device", "protocol": 44818}
@@ -205,7 +204,7 @@ def test_truth_roles_and_protocol_tags():
 
 def test_reporting_workstations_labeled_peripheral():
     config = dataset1_like(duration=60.0, seed=12, fds=3)
-    truth = ground_truth(config)
+    truth = generate(config)[1]
     assert truth.labels["10.0.240.1"]["role"] == "peripheral"
     assert truth.labels["10.0.240.2"]["role"] == "peripheral"
 
