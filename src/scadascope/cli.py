@@ -157,8 +157,8 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     started = time.monotonic()
-    records = _load_stream(args)[0]
-    result = analyze_records(records, inference_config=_config(args))
+    config = _config(args)  # a bad setting exits before the trace is read
+    result = analyze_records(_load_stream(args)[0], inference_config=config)
     ranked = result.ranked
     if not ranked:
         log.warning("empty trace, nothing to rank")
@@ -194,8 +194,8 @@ def cmd_rank(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
+    config = _config(args)  # a bad setting exits before the trace is read
     records, stats, fstats, filter_config = _load_stream(args)
-    config = _config(args)
     result = analyze_records(records, inference_config=config)
     report = result.report
     report.metrics["ingest"] = asdict(stats)
@@ -288,13 +288,9 @@ class _Rereadable:
 
 def cmd_stability(args) -> int:
     config = _config(args)  # a bad setting exits before the trace is read
-    if args.force_sort:
-        # The sort holds the whole trace; prefix_stability takes its end from it.
-        records, end = _load_stream(args)[0], None
-    else:
-        records = _Rereadable(args)
-        end = ingest.last_timestamp_hint(args.input, _filter_config(args))
-    result = prefix_stability(records, args.fractions, inference_config=config, end=end)
+    # The sort holds the whole trace, so prefix_stability takes its end from it.
+    end = None if args.force_sort else ingest.last_timestamp_hint(args.input, _filter_config(args))
+    result = prefix_stability(_Rereadable(args), args.fractions, inference_config=config, end=end)
     stable = set(result.stable_fractions())
     for frac in sorted(result.by_fraction):
         print(f"fraction {frac:g}: {'matches full trace' if frac in stable else 'differs'}")
@@ -306,6 +302,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    t_comm = _config(args).t_comm  # a bad setting exits before a file is opened
     records, stats, fstats, config = _load_stream(args)
     protos: dict[str, int] = {}
     ips: set[str] = set()
@@ -330,7 +327,7 @@ def cmd_inspect(args) -> int:
 
     seg_count = 0
     try:
-        for seg in segment_stream(watch(records), t_comm=args.t_comm):
+        for seg in segment_stream(watch(records), t_comm=t_comm):
             seg_count += 1
             if dump:
                 dump.write(seg.to_json())
@@ -349,7 +346,7 @@ def cmd_inspect(args) -> int:
     print(f"transports: {json.dumps(protos, sort_keys=True)}")
     if first is not None:
         print(f"time span: {first:.6f} .. {last:.6f} ({last - first:.3f}s)")
-    print(f"segments (t_comm={args.t_comm:g}s): {seg_count}")
+    print(f"segments (t_comm={t_comm:g}s): {seg_count}")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ the product of the five normalized values.  cR reads the device table
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ from operator import sub, truediv
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from scadascope.segmentation import FtKey
-
-log = logging.getLogger(__name__)
 
 SRC = "src"
 DST = "dst"

@@ -39,9 +39,11 @@ class NoScadaFoundError(LookupError):
 class InferenceConfig:
     """Every setting of one analysis, from segmentation to Algorithm 1.
 
-    ``t_comm`` is the segment gap, checked where the gap rule lives, in
-    ``segment_stream``; ``pr_cap`` is the periodicity given to a zero
-    variance.  The rest steer Algorithm 1.
+    ``t_comm`` is the segment gap and ``pr_cap`` the periodicity given to a
+    zero variance; both are checked here, when the config is built, so a
+    bad value is refused before a trace is read.  ``segment_stream`` checks
+    the gap again for callers that pass it directly.  The rest steer
+    Algorithm 1.
     """
 
     num_scada_protocols: int = 1
@@ -54,7 +56,7 @@ class InferenceConfig:
     def __post_init__(self) -> None:
         if self.num_scada_protocols < 1:
             raise ValueError("num_scada_protocols must be >= 1")
-        for name in ("fd_degree_threshold", "scada_fraction_threshold", "pr_cap"):
+        for name in ("fd_degree_threshold", "scada_fraction_threshold", "t_comm", "pr_cap"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -8,15 +8,16 @@ The canonical text format is JSON lines with one packet object per line, see
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
 import re
 import struct
 import sys
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -487,6 +488,9 @@ def filter_packets(
             yield rec
 
 
+_by_ts = attrgetter("ts")
+
+
 def ensure_time_order(
     records: Iterable[PacketRecord], force_sort: bool = False
 ) -> Iterator[PacketRecord]:
@@ -501,18 +505,15 @@ def ensure_time_order(
     is held until the stream catches up, so ``[0, 1, 1000, 2, 3, 4]`` yields
     1000 last.  Equal timestamps keep their arrival order.
 
-    Records that arrive in order wait in a FIFO until they are
-    ``REORDER_WINDOW`` older than the newest one.  A record older than the
-    newest moves the FIFO into a heap keyed by (ts, arrival); everything in
-    the heap precedes everything in the FIFO, so the heap drains first.
+    The held records wait in one deque sorted by time, ties in arrival
+    order: a record in order is appended, a late one is inserted after every
+    held record not later than it, and records leave from the front.
     """
     if force_sort:
-        yield from sorted(records, key=lambda r: r.ts)
+        yield from sorted(records, key=_by_ts)
         return
     window = REORDER_WINDOW
     held: deque[PacketRecord] = deque()
-    heap: list[tuple[float, int, PacketRecord]] = []
-    seq = 0
     high = float("-inf")
     out = None  # the record yielded last
     for rec in records:
@@ -526,20 +527,10 @@ def ensure_time_order(
                     f"timestamp {ts:.6f} arrived after {out.ts:.6f} was emitted; "
                     f"disorder exceeds the {window}s reorder window (use force sort)"
                 )
-            for old in held:
-                heapq.heappush(heap, (old.ts, seq, old))
-                seq += 1
-            held.clear()
-            heapq.heappush(heap, (ts, seq, rec))
-            seq += 1
-        while heap and high - heap[0][0] >= window:
-            out = heapq.heappop(heap)[2]
-            yield out
+            held.insert(bisect_right(held, ts, key=_by_ts), rec)
         while held and high - held[0].ts >= window:
             out = held.popleft()
             yield out
-    while heap:
-        yield heapq.heappop(heap)[2]
     yield from held
 
 

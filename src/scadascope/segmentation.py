@@ -9,15 +9,12 @@ size), which is the unit everything downstream ranks and classifies.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from scadascope.ingest import PacketRecord
-
-log = logging.getLogger(__name__)
 
 DEFAULT_T_COMM = 1.0
 
@@ -151,6 +148,12 @@ def aggregate_ft(
     """
     if starts is None:
         starts = {}
+    _insert(segments, starts)
+    return starts
+
+
+def _insert(segments: Iterable[CommunicationSegment], starts: dict[FtKey, array]) -> None:
+    """Append each segment's start time to its 5-tuple's entry in ``starts``."""
     get = starts.get
     for seg in segments:
         # A plain tuple finds its FtKey; the key is built once per 5-tuple.
@@ -159,7 +162,6 @@ def aggregate_ft(
         if times is None:
             times = starts[FtKey._make(ft)] = array("d")
         times.append(seg.start_ts)
-    return starts
 
 
 def aggregate_records(
@@ -182,22 +184,16 @@ def aggregate_records(
     def on_cutoff(passed: int, open_segments: Iterator[CommunicationSegment]) -> None:
         # Add every open segment as the end of the prefix would flush it, hand
         # the table over, then take those segments out again.  A 5-tuple has
-        # at most one open segment, the one of its conversation.
-        added: list[tuple[str, int, str, int, int]] = []
-        grown: list[array] = []
-        for seg in open_segments:
-            ft = (*seg.initiator, *seg.responder, seg.seg_size)
-            times = starts.get(ft)
-            if times is None:
-                starts[FtKey._make(ft)] = array("d", (seg.start_ts,))
-                added.append(ft)
-            else:
-                times.append(seg.start_ts)
-                grown.append(times)
+        # at most one open segment, the one of its conversation, so its last
+        # time is that segment's, and an emptied entry was added here.
+        flushed = list(open_segments)
+        _insert(flushed, starts)
         on_prefix(passed, starts)
-        for times in grown:
+        for seg in flushed:
+            ft = (*seg.initiator, *seg.responder, seg.seg_size)
+            times = starts[ft]
             times.pop()
-        for ft in added:
-            del starts[ft]
+            if not times:
+                del starts[ft]
 
     return aggregate_ft(segment_stream(records, t_comm, cutoffs, on_cutoff), starts)

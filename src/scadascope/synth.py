@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import math
 import random
 import struct
@@ -22,8 +21,6 @@ from types import UnionType
 from typing import Callable, Iterable, Iterator, TextIO, Union, get_args, get_origin, get_type_hints
 
 from scadascope.ingest import ICMP, OTHER, TCP, UDP, PacketRecord
-
-log = logging.getLogger(__name__)
 
 MIN_FRAME_BYTES = 54  # ethernet + IPv4 + TCP headers
 ACK_BYTES = 66

@@ -420,8 +420,19 @@ def test_stability_refuses_a_bad_setting_before_reading_the_trace(d1, caplog, mo
         raise AssertionError("the trace was read before the settings were checked")
 
     monkeypatch.setattr(cli.ingest, "last_timestamp_hint", hint)
-    assert main(["--quiet", "stability", str(d1["trace"]), "--pr-cap", "0"]) == EXIT_INPUT_ERROR
-    assert "pr_cap must be positive and finite, got 0.0" in caplog.text
+    for name, flag in (("pr_cap", "--pr-cap"), ("t_comm", "--t-comm")):
+        caplog.clear()
+        assert main(["--quiet", "stability", str(d1["trace"]), flag, "0"]) == EXIT_INPUT_ERROR
+        assert f"{name} must be positive and finite, got 0.0" in caplog.text
+
+
+def test_inspect_refuses_a_bad_t_comm_before_writing_the_dump(d1, tmp_path, caplog):
+    dump = tmp_path / "segments.jsonl"
+    dump.write_text("kept\n")
+    args = ["--quiet", "inspect", str(d1["trace"]), "--t-comm", "0", "--dump-segments", str(dump)]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "t_comm must be positive and finite, got 0.0" in caplog.text
+    assert dump.read_text() == "kept\n"
 
 
 def _stability_run(capsys, caplog, *args):

@@ -758,7 +758,7 @@ def timestamp_runs(draw):
 @given(timestamp_runs(), st.sampled_from([0.5, 1.0, 2.0]))
 @example([10.0, 10.0, 10.0, 9.75, 10.0], 1.0)  # equal timestamps held when disorder starts
 @example([10.0, 10.5, 9.75, 11.0, 12.0, 10.75], 1.0)  # repaired, then too late
-@example([10.0, 9.75, 10.75, 9.7], 1.0)  # a heap entry leaves exactly at the window edge
+@example([10.0, 9.75, 10.75, 9.7], 1.0)  # a late entry leaves exactly at the window edge
 def test_ensure_time_order_matches_reference(times, window):
     # The window is fixed at 1 s; dividing the times by ``window`` reorders
     # them as that window would the undivided ones.  The division is exact
@@ -768,6 +768,25 @@ def test_ensure_time_order_matches_reference(times, window):
     want, want_err = _drain(ref_time_order(packets), RefOutOfOrder)
     assert [id(r) for r in got] == [id(r) for r in want]
     assert got_err == want_err
+
+
+@pytest.mark.parametrize("late_share", [0.01, 0.1])
+def test_ensure_time_order_matches_reference_on_dense_disorder(late_share):
+    # About 2,048 records a second, in pairs of equal times, so the buffer
+    # holds a window of some two thousand records and a late one goes in
+    # deep inside it.  A late record arrives where its time plus a delay
+    # below 0.9 s would be, so none is too late.
+    rng = random.Random(1016)
+    arrivals = []
+    for i in range(20_000):
+        ts = (i // 2) / 1024
+        delay = rng.uniform(0.0, 0.9) if rng.random() < late_share else 0.0
+        arrivals.append((ts + delay, rec(ts=ts, sport=i)))
+    arrivals.sort(key=lambda pair: pair[0])
+    packets = [packet for _, packet in arrivals]
+    assert packets != sorted(packets, key=lambda r: r.ts)
+    got = list(ensure_time_order(packets))
+    assert [id(r) for r in got] == [id(r) for r in ref_time_order(packets)]
 
 
 def test_ensure_time_order_holds_an_early_far_future_record():
