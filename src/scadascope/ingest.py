@@ -69,6 +69,10 @@ _PORTS = struct.Struct(">HH")
 
 _IP_PROTO_NAMES = {6: TCP, 17: UDP, 1: ICMP}
 
+# What ``json.dumps(obj, separators=(",", ":"))`` builds on every call: the
+# compact layout of every JSON-lines record and segment dump line.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 # How many record tails ``read_records`` remembers, and how long one may be.
 # Polling repeats a few hundred tails per trace.  4,096 tails of the
 # ~110-character lines ``synth`` writes take 1.2 MB, and the length bound
@@ -108,7 +112,7 @@ class PacketRecord:
     size: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        return compact_json(
             {
                 "ts": self.ts,
                 "src_ip": self.src_ip,
@@ -117,8 +121,7 @@ class PacketRecord:
                 "dst_port": self.dst_port,
                 "proto": self.proto,
                 "size": self.size,
-            },
-            separators=(",", ":"),
+            }
         )
 
 

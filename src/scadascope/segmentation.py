@@ -8,13 +8,12 @@ size), which is the unit everything downstream ranks and classifies.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from scadascope.ingest import PacketRecord
+from scadascope.ingest import PacketRecord, compact_json
 
 DEFAULT_T_COMM = 1.0
 
@@ -40,7 +39,7 @@ class CommunicationSegment:
 
     def to_json(self) -> str:
         (a_ip, a_port), (b_ip, b_port) = self.key
-        return json.dumps(
+        return compact_json(
             {
                 "key": f"{a_ip}:{a_port}|{b_ip}:{b_port}",
                 "start": self.start_ts,
@@ -48,8 +47,7 @@ class CommunicationSegment:
                 "size": self.seg_size,
                 "initiator": f"{self.initiator[0]}:{self.initiator[1]}",
                 "packets": self.packet_count,
-            },
-            separators=(",", ":"),
+            }
         )
 
 

@@ -23,6 +23,10 @@ from typing import Callable, Iterable, Iterator, TextIO, Union, get_args, get_or
 from scadascope.ingest import ICMP, OTHER, TCP, UDP, PacketRecord
 
 MIN_FRAME_BYTES = 54  # ethernet + IPv4 + TCP headers
+# The snapshot length ``write_pcap``'s file header declares: no frame is longer.
+PCAP_SNAPLEN = 65535
+# The last microsecond the 32-bit seconds field of a pcap record holds.
+_PCAP_MAX_TS = 2**32 - 1e-6
 ACK_BYTES = 66
 
 PERIPHERAL_KINDS = ("ntp", "heartbeat", "backup", "x11", "netbios")
@@ -147,6 +151,8 @@ class ScenarioConfig:
             for size in group.object_sizes:
                 if size < floor:
                     raise ScenarioError(f"{where}: object size {size} below the {floor}-byte floor")
+                if size > PCAP_SNAPLEN:
+                    raise ScenarioError(f"{where}: object size {size} above the {PCAP_SNAPLEN}-byte snaplen")
         feed_rate = sum(HMI_FEED_FRAMES) / len(HMI_FEED_FRAMES) / HMI_FEED_INTERVAL
         for k, spec in enumerate(self.peripherals):
             where = f"peripherals[{k}]"
@@ -157,6 +163,8 @@ class ScenarioConfig:
             for host in spec.hosts or ():
                 if not _is_ipv4(host):
                     raise ScenarioError(f"{where}: host {host!r} is not an IPv4 address")
+            if spec.size > PCAP_SNAPLEN:
+                raise ScenarioError(f"{where}: size {spec.size} above the {PCAP_SNAPLEN}-byte snaplen")
             sizes = _peripheral_packet_sizes(spec)
             if min(sizes) < MIN_FRAME_BYTES:
                 raise ScenarioError(
@@ -182,6 +190,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: periods must exceed {MIN_INTERVAL}s")
             if spec.report_size < MIN_FRAME_BYTES or spec.noise_size < MIN_FRAME_BYTES:
                 raise ScenarioError(f"{where}: sizes below the {MIN_FRAME_BYTES}-byte floor")
+            if max(spec.report_size, spec.noise_size) > PCAP_SNAPLEN:
+                raise ScenarioError(f"{where}: sizes above the {PCAP_SNAPLEN}-byte snaplen")
         # Each auto-numbered block is one /24 (see ``_plan_layout``).
         if len(self.scada_groups) > _MAX_GROUPS:
             raise ScenarioError(f"scada_groups: at most {_MAX_GROUPS} groups, got {len(self.scada_groups)}")
@@ -276,7 +286,7 @@ def _plan_layout(config: ScenarioConfig) -> _Layout:
     def label(ip: str, role: str, protocol: int | None = None) -> str:
         if ip not in truth.labels:
             truth.add(ip, role, protocol)
-        return ip
+        return sys.intern(ip)
 
     master_ip = label("10.0.0.1", "master") if config.scada_groups else None
     hmi_ip = label("10.0.0.2", "hmi") if config.layers == 3 else None
@@ -488,10 +498,7 @@ def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRe
         if callable(item):
             item(t_us)
         else:
-            src_ip, sport, dst_ip, dport, proto, size = item
-            yield PacketRecord(
-                _ts(t_us), sys.intern(src_ip), sport, sys.intern(dst_ip), dport, proto, size
-            )
+            yield PacketRecord(_ts(t_us), *item)
 
 
 def tee_json_lines(records: Iterable[PacketRecord], fp: TextIO) -> Iterator[PacketRecord]:
@@ -508,44 +515,39 @@ def write_records(records: Iterable[PacketRecord], path: str) -> int:
         return sum(1 for _ in tee_json_lines(records, fp))
 
 
-def _mac_for(ip: str) -> bytes:
-    octets = [int(part) & 0xFF for part in ip.split(".")[:4]]
-    while len(octets) < 4:
-        octets.append(0)
-    return bytes([0x02, 0x00, *octets])
-
-
-def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
 def write_pcap(records: Iterable[PacketRecord], path: str) -> int:
     """Write a classic little-endian pcap whose captured lengths equal record sizes.
 
     Frames are synthetic Ethernet/IPv4/TCP-or-UDP-or-ICMP with zero padding;
-    payload content is meaningless by design.  Records smaller than the
-    54-byte header floor are rejected.
+    payload content is meaningless by design.  A record a classic pcap cannot
+    hold raises a ``ValueError`` naming it: a size outside 54 bytes (the header
+    floor) .. 65535 (the snaplen), a ts outside 0 .. 2**32 s, a port outside
+    0 .. 65535, or an address that is not an IPv4 dotted quad.
     """
     count = 0
     ip_id = 0
+    packed: dict[str, bytes] = {}  # dotted quad -> its 4 bytes, filled once per address
     with open(path, "wb") as fp:
-        fp.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
+        fp.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, PCAP_SNAPLEN, 1))
         for rec in records:
-            if rec.size < MIN_FRAME_BYTES:
+            if not MIN_FRAME_BYTES <= rec.size <= PCAP_SNAPLEN:
                 raise ValueError(
-                    f"record of {rec.size} bytes cannot be framed (floor {MIN_FRAME_BYTES})"
+                    f"{rec!r}: {rec.size} bytes cannot be framed "
+                    f"(floor {MIN_FRAME_BYTES}, snaplen {PCAP_SNAPLEN})"
                 )
+            if not 0.0 <= rec.ts <= _PCAP_MAX_TS:
+                raise ValueError(f"{rec!r}: ts {rec.ts} outside the 0 .. 2**32 s a pcap holds")
+            src = packed.get(rec.src_ip) or _pack_ipv4(rec.src_ip, rec, packed)
+            dst = packed.get(rec.dst_ip) or _pack_ipv4(rec.dst_ip, rec, packed)
             sec = int(rec.ts)
             usec = round((rec.ts - sec) * 1e6)
             if usec == 1_000_000:
                 sec += 1
                 usec = 0
-            frame = _build_frame(rec, ip_id)
+            try:
+                frame = _build_frame(rec, src, dst, ip_id)
+            except struct.error as exc:  # a port out of range
+                raise ValueError(f"{rec!r} cannot be framed: {exc}") from None
             ip_id = (ip_id + 1) & 0xFFFF
             fp.write(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
             fp.write(frame)
@@ -553,16 +555,24 @@ def write_pcap(records: Iterable[PacketRecord], path: str) -> int:
     return count
 
 
-def _build_frame(rec: PacketRecord, ip_id: int) -> bytes:
-    eth = _mac_for(rec.dst_ip) + _mac_for(rec.src_ip) + b"\x08\x00"
-    proto_num = _IP_PROTO_NUM[rec.proto]
+def _pack_ipv4(ip: str, rec: PacketRecord, packed: dict[str, bytes]) -> bytes:
+    """``ip``'s 4 bytes, kept in ``packed``; the rule of ``_is_ipv4``."""
+    if not _is_ipv4(ip):
+        raise ValueError(f"{rec!r}: address {ip!r} is not an IPv4 dotted quad")
+    packed[ip] = IPv4Address(ip).packed
+    return packed[ip]
+
+
+def _build_frame(rec: PacketRecord, src: bytes, dst: bytes, ip_id: int) -> bytes:
+    eth = b"\x02\x00" + dst + b"\x02\x00" + src + b"\x08\x00"
     total_len = rec.size - 14
-    src = bytes(int(p) for p in rec.src_ip.split("."))
-    dst = bytes(int(p) for p in rec.dst_ip.split("."))
     ip_hdr = struct.pack(
-        ">BBHHHBBH4s4s", 0x45, 0, total_len, ip_id, 0x4000, 64, proto_num, 0, src, dst
+        ">BBHHHBBH4s4s", 0x45, 0, total_len, ip_id, 0x4000, 64, _IP_PROTO_NUM[rec.proto], 0, src, dst
     )
-    ip_hdr = ip_hdr[:10] + struct.pack(">H", _ip_checksum(ip_hdr)) + ip_hdr[12:]
+    total = sum(struct.unpack(">10H", ip_hdr))
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    ip_hdr = ip_hdr[:10] + struct.pack(">H", ~total & 0xFFFF) + ip_hdr[12:]
     if rec.proto == TCP:
         l4 = struct.pack(
             ">HHIIBBHHH", rec.src_port, rec.dst_port, 0, 0, 5 << 4, 0x18, 8192, 0, 0
@@ -574,8 +584,7 @@ def _build_frame(rec: PacketRecord, ip_id: int) -> bytes:
         l4 = struct.pack(">BBHHH", 8, 0, 0, 0, 0)
     else:
         l4 = b""
-    padding = rec.size - 14 - 20 - len(l4)
-    return eth + ip_hdr + l4 + b"\x00" * padding
+    return eth + ip_hdr + l4 + bytes(rec.size - 14 - 20 - len(l4))
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:

@@ -119,6 +119,21 @@ def test_synth_refuses_too_many_consumers_before_writing(tmp_path, caplog):
     assert not out.exists() and not pcap.exists()
 
 
+def test_synth_refuses_a_size_above_the_snaplen_before_writing(tmp_path, caplog):
+    month = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "month.json"
+    obj = json.loads(month.read_text())
+    obj["duration"] = 600
+    obj["scada_groups"][0]["object_sizes"] = [70000]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(obj))
+    out, pcap, truth = tmp_path / "big.jsonl", tmp_path / "big.pcap", tmp_path / "truth.json"
+    args = ["--quiet", "synth", "--scenario", str(scenario), "--out", str(out), "--pcap", str(pcap),
+            "--truth", str(truth)]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "scada_groups[0]: object size 70000 above the 65535-byte snaplen" in caplog.text
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
 def test_analyze_writes_report_and_dot(tmp_path, d1, capsys):
     report_path = tmp_path / "report.json"
     dot_path = tmp_path / "graph.dot"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from scadascope.features import inter_arrival_times
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import FtKey, aggregate_ft, aggregate_records, segment_stream
+from scadascope.segmentation import CommunicationSegment, FtKey, aggregate_ft, aggregate_records, segment_stream
 from scadascope.synth import MasterConfig, ScadaGroup, ScenarioConfig, generate
 
 from reference import ref_ft_table, ref_iat, ref_segments
@@ -319,3 +320,27 @@ def test_aggregate_records_prefix_tables_match_reruns(drawn, t_comm):
     ]
     assert table_items(table) == table_items(aggregate_records(records, t_comm))
     assert dict(table_items(table)) == ref_ft_table(ref_segments(records, t_comm))
+
+
+# Quotes, backslashes, control and non-ASCII characters: JSON-lines input
+# takes any string as an address.
+_ANY_TEXT = st.text(st.sampled_from('"\\\n\x00é→😀') | st.characters(), max_size=12)
+_ANY_FLOAT = st.floats()  # NaN and the infinities included
+
+
+@given(_ANY_FLOAT, _ANY_TEXT, st.integers(), _ANY_TEXT, st.integers(), _ANY_TEXT, st.integers())
+def test_record_to_json_is_compact_json_dumps(ts, src_ip, src_port, dst_ip, dst_port, proto, size):
+    rec = PacketRecord(ts, src_ip, src_port, dst_ip, dst_port, proto, size)
+    fields = {"ts": ts, "src_ip": src_ip, "src_port": src_port, "dst_ip": dst_ip,
+              "dst_port": dst_port, "proto": proto, "size": size}
+    assert rec.to_json() == json.dumps(fields, separators=(",", ":"))
+
+
+@given(_ANY_FLOAT, _ANY_FLOAT, st.integers(), st.integers(), st.tuples(_ANY_TEXT, st.integers()),
+       st.tuples(_ANY_TEXT, st.integers()))
+def test_segment_to_json_is_compact_json_dumps(start, end, size, packets, initiator, responder):
+    seg = CommunicationSegment(start, end, size, packets, initiator, responder)
+    (a_ip, a_port), (b_ip, b_port) = seg.key
+    fields = {"key": f"{a_ip}:{a_port}|{b_ip}:{b_port}", "start": start, "end": end, "size": size,
+              "initiator": f"{initiator[0]}:{initiator[1]}", "packets": packets}
+    assert seg.to_json() == json.dumps(fields, separators=(",", ":"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from scadascope.inference import analyze_records
 from scadascope.segmentation import aggregate_ft, segment_stream
 from scadascope.synth import (
     MIN_FRAME_BYTES,
+    PCAP_SNAPLEN,
     MasterConfig,
     NoiseConfig,
     PeripheralSpec,
@@ -202,6 +204,24 @@ def test_truth_roles_and_protocol_tags():
     assert len(truth.devices_with_role("field_device")) == 26
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="report_tick and noise_tick reschedule the last workstation's closure and read r late",
+)
+def test_each_reporting_workstation_keeps_its_own_schedule():
+    config = dataset1_like(duration=600.0, seed=101, fds=3)
+    reports: dict[str, int] = {}
+    noise_ports: dict[str, set[int]] = {}
+    for rec in generate(config)[0]:
+        if rec.src_ip.startswith("10.0.240.") and rec.src_port == 20000:
+            reports[rec.src_ip] = reports.get(rec.src_ip, 0) + 1
+        elif rec.src_ip.startswith("10.0.240."):
+            noise_ports.setdefault(rec.src_ip, set()).add(rec.src_port)
+    # 600 s at scada_period 20 s and 15 s; the first report lands anywhere in one period.
+    assert reports == {"10.0.240.1": pytest.approx(30, abs=1.5), "10.0.240.2": pytest.approx(40, abs=1.5)}
+    assert noise_ports == {"10.0.240.1": {52000}}
+
+
 def test_reporting_workstations_labeled_peripheral():
     config = dataset1_like(duration=60.0, seed=12, fds=3)
     truth = generate(config)[1]
@@ -264,6 +284,58 @@ def test_pcap_rejects_tiny_record(tmp_path):
     with pytest.raises(ValueError):
         write_pcap([rec], str(tmp_path / "bad.pcap"))
     assert MIN_FRAME_BYTES == 54
+
+
+def _bad_record(**changes):
+    return dataclasses.replace(PacketRecord(1.5, "10.0.0.1", 20000, "10.0.0.2", 50000, "tcp", 74), **changes)
+
+
+@pytest.mark.parametrize(
+    "rec,message",
+    [
+        (_bad_record(src_ip="1.2.3"), "address '1.2.3' is not an IPv4 dotted quad"),
+        (_bad_record(dst_ip="1.2.3.4.5"), "address '1.2.3.4.5' is not an IPv4 dotted quad"),
+        (_bad_record(src_ip="10.0.0.1 "), "address '10.0.0.1 ' is not an IPv4 dotted quad"),
+        (_bad_record(dst_ip="01.2.3.4"), "address '01.2.3.4' is not an IPv4 dotted quad"),
+        (_bad_record(dst_ip="10.0.0.256"), "address '10.0.0.256' is not an IPv4 dotted quad"),
+        (_bad_record(size=65540), "65540 bytes cannot be framed (floor 54, snaplen 65535)"),
+        (_bad_record(size=53), "53 bytes cannot be framed"),
+        (_bad_record(ts=2.0**32), "ts 4294967296.0 outside the 0 .. 2**32 s a pcap holds"),
+        (_bad_record(ts=-0.5), "ts -0.5 outside"),
+        (_bad_record(ts=math.nan), "ts nan outside"),
+        (_bad_record(ts=math.inf), "ts inf outside"),
+        (_bad_record(src_port=65536), "cannot be framed"),
+        (_bad_record(proto="udp", dst_port=-1), "cannot be framed"),
+    ],
+    ids=["three-octets", "five-octets", "trailing-space", "leading-zero", "octet-256", "above-snaplen",
+         "below-floor", "ts-2**32", "ts-negative", "ts-nan", "ts-inf", "port-65536", "port-negative"],
+)
+def test_pcap_refuses_what_a_classic_pcap_cannot_hold(tmp_path, rec, message):
+    good = _bad_record()
+    with pytest.raises(ValueError) as exc:
+        write_pcap([good, rec], str(tmp_path / "bad.pcap"))
+    assert repr(rec) in str(exc.value) and message in str(exc.value)
+
+
+def test_pcap_holds_the_largest_frame_and_last_microsecond(tmp_path):
+    records = [
+        PacketRecord(0.0, "0.0.0.0", 0, "255.255.255.255", 65535, "tcp", PCAP_SNAPLEN),
+        PacketRecord(4294967295.999999, "10.0.0.1", 123, "10.0.0.2", 123, "udp", MIN_FRAME_BYTES),
+    ]
+    path = tmp_path / "edges.pcap"
+    write_pcap(records, str(path))
+    assert list(read_pcap(str(path))) == records
+
+
+def test_scenario_sizes_at_the_snaplen_frame(tmp_path):
+    config = tiny_config(
+        duration=30.0,
+        scada_groups=[ScadaGroup(20000, 2, 5.0, 0.5, [PCAP_SNAPLEN])],
+        peripherals=[PeripheralSpec("heartbeat", 5.0, PCAP_SNAPLEN)],
+        reporting=[ReportingSpec(5.0, noise_period=5.0, report_size=PCAP_SNAPLEN, noise_size=PCAP_SNAPLEN)],
+    )
+    path = tmp_path / "big.pcap"
+    assert write_pcap(generate(config)[0], str(path)) == len(list(read_pcap(str(path))))
 
 
 def test_pcap_udp_and_icmp_frames(tmp_path):
@@ -344,10 +416,16 @@ _DROP = object()
         (("peripherals", 0, "hosts"), ["host-a", "10.0.0.9"], "peripherals[0]: host 'host-a' is not an IPv4 address"),
         (("peripherals", 0, "hosts"), ["10.0.0.9", "10.0.0.256"], "peripherals[0]: host '10.0.0.256' is not an IPv4"),
         (("peripherals", 0, "hosts"), ["10.0.0.9", "::1"], "peripherals[0]: host '::1' is not an IPv4 address"),
+        (("scada_groups", 0, "object_sizes"), [340, 70000],
+         "scada_groups[0]: object size 70000 above the 65535-byte snaplen"),
+        (("peripherals", 0, "size"), 65536, "peripherals[0]: size 65536 above the 65535-byte snaplen"),
+        (("reporting", 0, "report_size"), 65536, "reporting[0]: sizes above the 65535-byte snaplen"),
+        (("reporting", 0, "noise_size"), 70000, "reporting[0]: sizes above the 65535-byte snaplen"),
     ],
     ids=["port-float", "response-str", "misspelled-key", "missing-key", "size-str", "bool-for-float",
          "hosts-empty", "seed-float", "seed-bool", "duration-nan", "master-int", "noise-period-0",
-         "report-port-0", "report-port-big", "host-name", "host-octet-256", "host-ipv6"],
+         "report-port-0", "report-port-big", "host-name", "host-octet-256", "host-ipv6",
+         "object-size-big", "peripheral-size-big", "report-size-big", "noise-size-big"],
 )
 def test_scenario_file_errors_name_the_path(path, value, message):
     obj = scenario_file_object()
