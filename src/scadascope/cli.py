@@ -9,10 +9,13 @@ list ran out before the requested number of protocols).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import logging
+import os
+import stat
 import sys
 import time
 from dataclasses import asdict, fields
@@ -140,15 +143,33 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     records, truth = generate(config)
-    if args.pcap:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            count = write_pcap(tee_json_lines(records, fp), args.pcap)
-    else:
-        count = write_records(records, args.out)
-    if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fp:
-            json.dump(truth.to_dict(), fp, indent=2, sort_keys=True)
-            fp.write("\n")
+    opened: list[str] = []  # each output path, once its file is open
+
+    def after_open(path: str, records):
+        # Both writers open their file before they pull the first record.
+        opened.append(path)
+        yield from records
+
+    try:
+        if args.pcap:
+            with open(args.out, "w", encoding="utf-8") as fp:
+                opened.append(args.out)
+                count = write_pcap(tee_json_lines(after_open(args.pcap, records), fp), args.pcap)
+        else:
+            count = write_records(after_open(args.out, records), args.out)
+        if args.truth:
+            with open(args.truth, "w", encoding="utf-8") as fp:
+                opened.append(args.truth)
+                json.dump(truth.to_dict(), fp, indent=2, sort_keys=True)
+                fp.write("\n")
+    except BaseException:
+        # A failed run leaves no partial file.  A path that is not itself a
+        # regular file (a symlink, /dev/stdout, a pipe) is left alone.
+        for path in opened:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+        raise
     print(f"wrote {count} records to {args.out}")
     return EXIT_OK
 

@@ -72,6 +72,8 @@ _IP_PROTO_NAMES = {6: TCP, 17: UDP, 1: ICMP}
 # What ``json.dumps(obj, separators=(",", ":"))`` builds on every call: the
 # compact layout of every JSON-lines record and segment dump line.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# The string quoting that ``compact_json``'s C encoder calls.
+_quote = json.encoder.encode_basestring_ascii
 
 # How many record tails ``read_records`` remembers, and how long one may be.
 # Polling repeats a few hundred tails per trace.  4,096 tails of the
@@ -112,16 +114,28 @@ class PacketRecord:
     size: int
 
     def to_json(self) -> str:
+        """The record as ``json.dumps(fields, separators=(",", ":"))`` writes it.
+
+        A canonical record (a finite float ts, exact int ports and size, exact
+        str addresses and proto), which is every record ``synth`` makes, is
+        formatted directly: ``compact_json`` builds a new C encoder per call,
+        most of the cost of writing a line.  Any other takes ``compact_json``.
+        """
+        ts, src_ip, src_port, dst_ip, dst_port, proto, size = (
+            self.ts, self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.proto, self.size
+        )
+        if (
+            type(ts) is float and math.isfinite(ts)
+            and type(src_port) is int and type(dst_port) is int and type(size) is int
+            and type(src_ip) is str and type(dst_ip) is str and type(proto) is str
+        ):
+            return (
+                f'{{"ts":{ts!r},"src_ip":{_quote(src_ip)},"src_port":{src_port},'
+                f'"dst_ip":{_quote(dst_ip)},"dst_port":{dst_port},"proto":{_quote(proto)},"size":{size}}}'
+            )
         return compact_json(
-            {
-                "ts": self.ts,
-                "src_ip": self.src_ip,
-                "src_port": self.src_port,
-                "dst_ip": self.dst_ip,
-                "dst_port": self.dst_port,
-                "proto": self.proto,
-                "size": self.size,
-            }
+            {"ts": ts, "src_ip": src_ip, "src_port": src_port, "dst_ip": dst_ip,
+             "dst_port": dst_port, "proto": proto, "size": size}
         )
 
 

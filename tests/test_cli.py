@@ -134,6 +134,38 @@ def test_synth_refuses_a_size_above_the_snaplen_before_writing(tmp_path, caplog)
     assert list(tmp_path.iterdir()) == [scenario]
 
 
+def _port_exhaustion_scenario(tmp_path) -> Path:
+    """The month scenario, 1 h long, whose master runs out of ephemeral ports while generating."""
+    month = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "month.json"
+    obj = json.loads(month.read_text())
+    obj["duration"] = 3600
+    obj["master"] = {"ephemeral_port_range": [60000, 60100], "reconnect_rate": 2000.0}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(obj))
+    return scenario
+
+
+@pytest.mark.parametrize("with_pcap", [True, False])
+def test_synth_failing_while_generating_leaves_no_file(tmp_path, caplog, with_pcap):
+    scenario = _port_exhaustion_scenario(tmp_path)
+    args = ["--quiet", "synth", "--scenario", str(scenario), "--out", str(tmp_path / "o.jsonl"),
+            "--truth", str(tmp_path / "truth.json")]
+    if with_pcap:
+        args += ["--pcap", str(tmp_path / "o.pcap")]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "master ephemeral port range exhausted" in caplog.text
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
+def test_synth_failing_leaves_a_target_that_is_not_a_regular_file(tmp_path):
+    scenario = _port_exhaustion_scenario(tmp_path)
+    target = tmp_path / "target.jsonl"
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert main(["--quiet", "synth", "--scenario", str(scenario), "--out", str(link)]) == EXIT_INPUT_ERROR
+    assert link.is_symlink() and target.stat().st_size > 0
+
+
 def test_analyze_writes_report_and_dot(tmp_path, d1, capsys):
     report_path = tmp_path / "report.json"
     dot_path = tmp_path / "graph.dot"

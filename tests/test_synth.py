@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from scadascope import ingest
 from scadascope.ingest import PacketRecord, read_pcap, read_records
 from scadascope.features import inter_arrival_times
 from scadascope.inference import analyze_records
@@ -237,6 +238,17 @@ def test_records_roundtrip(tmp_path):
     path = tmp_path / "t.jsonl"
     write_records(records, str(path))
     assert list(read_records(str(path))) == records
+
+
+def test_generated_records_take_the_format_string(tmp_path, monkeypatch):
+    def refuse(obj):
+        raise AssertionError(f"compact_json called on {obj!r}")
+
+    monkeypatch.setattr(ingest, "compact_json", refuse)
+    path = tmp_path / "t.jsonl"
+    assert write_records(generate(dataset1_like(duration=60.0))[0], str(path)) > 0
+    with pytest.raises(AssertionError, match="compact_json called"):
+        PacketRecord(math.nan, "10.0.0.1", 20000, "10.0.0.2", 502, "tcp", 60).to_json()
 
 
 def test_pcap_roundtrip(tmp_path):
