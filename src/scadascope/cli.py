@@ -170,7 +170,7 @@ def cmd_synth(args) -> int:
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
         raise
-    print(f"wrote {count} records to {args.out}")
+    log.info("wrote %d records to %s", count, args.out)
     return EXIT_OK
 
 

@@ -192,7 +192,7 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: sizes below the {MIN_FRAME_BYTES}-byte floor")
             if max(spec.report_size, spec.noise_size) > PCAP_SNAPLEN:
                 raise ScenarioError(f"{where}: sizes above the {PCAP_SNAPLEN}-byte snaplen")
-        # Each auto-numbered block is one /24 (see ``_plan_layout``).
+        # Each auto-numbered block is one /24 (see ``generate``).
         if len(self.scada_groups) > _MAX_GROUPS:
             raise ScenarioError(f"scada_groups: at most {_MAX_GROUPS} groups, got {len(self.scada_groups)}")
         auto = sum(1 if _backs_up_master(self, spec) else 2 for spec in self.peripherals if spec.hosts is None)
@@ -253,94 +253,11 @@ class GroundTruth:
     def add(self, ip: str, role: str, protocol: int | None = None) -> None:
         self.labels[ip] = {"role": role, "protocol": protocol}
 
-    def role_map(self) -> dict[str, str]:
-        return {ip: entry["role"] for ip, entry in self.labels.items()}
-
     def devices_with_role(self, *roles: str) -> set[str]:
         return {ip for ip, entry in self.labels.items() if entry["role"] in roles}
 
     def to_dict(self) -> dict:
         return {ip: dict(self.labels[ip]) for ip in sorted(self.labels)}
-
-
-@dataclass
-class _Layout:
-    """Deterministic address plan for one scenario, with its labels."""
-
-    master_ip: str | None
-    hmi_ip: str | None
-    fd_ips: list[list[str]]
-    peripheral_hosts: list[tuple[str, str]]
-    reporting_ips: list[str]
-    consumer_ips: list[list[str]]
-    noise_peer_ips: list[str | None]
-    retrier_ip: str | None
-    dead_ip: str | None
-    truth: GroundTruth
-
-
-def _plan_layout(config: ScenarioConfig) -> _Layout:
-    """Assign every address and label it; an address keeps its first label."""
-    truth = GroundTruth()
-
-    def label(ip: str, role: str, protocol: int | None = None) -> str:
-        if ip not in truth.labels:
-            truth.add(ip, role, protocol)
-        return sys.intern(ip)
-
-    master_ip = label("10.0.0.1", "master") if config.scada_groups else None
-    hmi_ip = label("10.0.0.2", "hmi") if config.layers == 3 else None
-    fd_ips = [
-        [label(f"10.0.{10 + g}.{1 + i}", "field_device", group.port) for i in range(group.num_field_devices)]
-        for g, group in enumerate(config.scada_groups)
-    ]
-    peripheral_hosts: list[tuple[str, str]] = []
-    auto = 1
-    for spec in config.peripherals:
-        if spec.hosts is not None:
-            src, dst = spec.hosts
-        elif _backs_up_master(config, spec):
-            src, dst = master_ip, f"10.0.200.{auto}"
-            auto += 1
-        else:
-            src, dst = f"10.0.200.{auto}", f"10.0.200.{auto + 1}"
-            auto += 2
-        peripheral_hosts.append((label(src, "peripheral"), label(dst, "peripheral")))
-    reporting_ips: list[str] = []
-    consumer_ips: list[list[str]] = []
-    noise_peer_ips: list[str | None] = []
-    consumer_auto = 1
-    for r, spec in enumerate(config.reporting):
-        reporting_ips.append(label(f"10.0.240.{1 + r}", "peripheral"))
-        consumer_ips.append(
-            [label(f"10.0.241.{consumer_auto + j}", "peripheral") for j in range(spec.consumers)]
-        )
-        consumer_auto += spec.consumers
-        noise_peer_ips.append(
-            None if spec.noise_period is None else label(f"10.0.242.{1 + r}", "peripheral")
-        )
-    retrier_ip = dead_ip = None
-    if config.noise.nonresponder_retry:
-        retrier_ip, dead_ip = label("10.0.250.1", "peripheral"), label("10.0.250.2", "peripheral")
-    return _Layout(
-        master_ip=master_ip,
-        hmi_ip=hmi_ip,
-        fd_ips=fd_ips,
-        peripheral_hosts=peripheral_hosts,
-        reporting_ips=reporting_ips,
-        consumer_ips=consumer_ips,
-        noise_peer_ips=noise_peer_ips,
-        retrier_ip=retrier_ip,
-        dead_ip=dead_ip,
-        truth=truth,
-    )
-
-
-def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTruth]:
-    """Build the packet stream and its labels; fully determined by the seed."""
-    config.validate()
-    layout = _plan_layout(config)
-    return _packet_stream(config, layout), layout.truth
 
 
 def _ts(t_us: int) -> float:
@@ -349,21 +266,34 @@ def _ts(t_us: int) -> float:
     return (t_us // 1_000_000) + (t_us % 1_000_000) / 1e6
 
 
-def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRecord]:
+def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTruth]:
+    """Build the packet stream and its labels; fully determined by the seed.
+
+    One set-up pass labels each address where it is first needed (an address
+    keeps its first label; the master and the HMI are labelled first), draws
+    every source's first tick and pushes it onto the event heap, so a
+    scenario the set-up cannot build raises here, before any record is asked
+    for.  The returned iterator only pops the heap.
+    """
+    config.validate()
     rng = random.Random(config.seed)
     duration_us = round(config.duration * 1e6)
+    truth = GroundTruth()
+
+    def label(ip: str, role: str, protocol: int | None = None) -> str:
+        if ip not in truth.labels:
+            truth.add(ip, role, protocol)
+        return sys.intern(ip)
 
     heap: list[tuple[int, int, object]] = []
     seq = 0
 
     def push(t_us: int, item: object) -> None:
+        """Schedule a source's next tick, or a record's ``PacketRecord`` fields after ``ts``."""
         nonlocal seq
         if t_us <= duration_us:
             heapq.heappush(heap, (t_us, seq, item))
             seq += 1
-
-    def push_pkt(t_us: int, src_ip: str, sport: int, dst_ip: str, dport: int, proto: str, size: int) -> None:
-        push(t_us, (src_ip, sport, dst_ip, dport, proto, size))
 
     def interval_us(mean: float, sigma: float) -> int:
         return round(max(MIN_INTERVAL, rng.gauss(mean, sigma)) * 1e6)
@@ -379,7 +309,8 @@ def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRe
         next_eph += 1
         return port
 
-    master_ip = layout.master_ip
+    master_ip = label("10.0.0.1", "master") if config.scada_groups else None
+    hmi_ip = label("10.0.0.2", "hmi") if config.layers == 3 else None
     conv_eph: dict[tuple[int, int], int] = {}
 
     def fd_source(group: ScadaGroup, conv: tuple[int, int], fd_ip: str) -> Callable[[int], None]:
@@ -391,11 +322,11 @@ def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRe
             state["tick"] += 1
             eph = conv_eph[conv]
             if group.response:
-                push_pkt(t_us, fd_ip, group.port, master_ip, eph, TCP, size - ACK_BYTES)
+                push(t_us, (fd_ip, group.port, master_ip, eph, TCP, size - ACK_BYTES))
                 delay = rng.randint(2000, 20000)
-                push_pkt(t_us + delay, master_ip, eph, fd_ip, group.port, TCP, ACK_BYTES)
+                push(t_us + delay, (master_ip, eph, fd_ip, group.port, TCP, ACK_BYTES))
             else:
-                push_pkt(t_us, fd_ip, group.port, master_ip, eph, TCP, size)
+                push(t_us, (fd_ip, group.port, master_ip, eph, TCP, size))
             push(t_us + interval_us(group.poll_mean, group.poll_jitter_stddev), tick)
 
         return tick
@@ -408,7 +339,8 @@ def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRe
         return tick
 
     for g, group in enumerate(config.scada_groups):
-        for i, fd_ip in enumerate(layout.fd_ips[g]):
+        for i in range(group.num_field_devices):
+            fd_ip = label(f"10.0.{10 + g}.{1 + i}", "field_device", group.port)
             conv = (g, i)
             conv_eph[conv] = alloc_eph()
             first = round(rng.uniform(0.0, group.poll_mean) * 1e6)
@@ -435,30 +367,38 @@ def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRe
 
         def tick(t_us: int) -> None:
             size = rng.choice(sizes) if is_drip else sizes[0]
-            push_pkt(t_us, src, client_port, dst, server_port, proto, size)
+            push(t_us, (src, client_port, dst, server_port, proto, size))
             if two_way:
-                push_pkt(t_us + rng.randint(2000, 20000), dst, server_port, src, client_port, proto, sizes[1])
+                push(t_us + rng.randint(2000, 20000), (dst, server_port, src, client_port, proto, sizes[1]))
             push(t_us + interval_us(spec.period, sigma), tick)
 
         return tick
 
+    auto = 1
     for idx, spec in enumerate(config.peripherals):
-        src, dst = layout.peripheral_hosts[idx]
+        if spec.hosts is not None:
+            src, dst = spec.hosts
+        elif _backs_up_master(config, spec):
+            src, dst = master_ip, f"10.0.200.{auto}"
+            auto += 1
+        else:
+            src, dst = f"10.0.200.{auto}", f"10.0.200.{auto + 1}"
+            auto += 2
+        src, dst = label(src, "peripheral"), label(dst, "peripheral")
         first = round(rng.uniform(0.05, max(0.1, spec.period)) * 1e6)
         push(first, peripheral_source(spec, idx, src, dst))
 
     if config.layers == 3 and master_ip is not None:
         feed_port = alloc_eph()
-        hmi_ip = layout.hmi_ip
 
         def hmi_feed(t_us: int) -> None:
-            push_pkt(t_us, master_ip, feed_port, hmi_ip, HMI_FEED_PORT, TCP, rng.choice(HMI_FEED_FRAMES))
+            push(t_us, (master_ip, feed_port, hmi_ip, HMI_FEED_PORT, TCP, rng.choice(HMI_FEED_FRAMES)))
             push(t_us + interval_us(HMI_FEED_INTERVAL, 0.05), hmi_feed)
 
         push(round(rng.uniform(0.1, 1.0) * 1e6), hmi_feed)
 
     if config.noise.nonresponder_retry:
-        retrier, dead = layout.retrier_ip, layout.dead_ip
+        retrier, dead = label("10.0.250.1", "peripheral"), label("10.0.250.2", "peripheral")
         noise_state = {"cycle": 0}
 
         def retry_cycle(t_us: int) -> None:
@@ -466,39 +406,44 @@ def _packet_stream(config: ScenarioConfig, layout: _Layout) -> Iterator[PacketRe
             noise_state["cycle"] += 1
             for i, offset in enumerate(_NOISE_OFFSETS):
                 jitter = rng.uniform(-0.05, 0.05) if i else 0.0
-                push_pkt(t_us + round((offset + jitter) * 1e6), retrier, sport, dead, 9999, TCP, 66)
+                push(t_us + round((offset + jitter) * 1e6), (retrier, sport, dead, 9999, TCP, 66))
             push(t_us + round((63.0 + rng.uniform(-1.0, 1.0)) * 1e6), retry_cycle)
 
         push(round(rng.uniform(0.1, 5.0) * 1e6), retry_cycle)
 
+    consumer_auto = 1
     for r, spec in enumerate(config.reporting):
-        r_ip = layout.reporting_ips[r]
-        consumers = layout.consumer_ips[r]
+        r_ip = label(f"10.0.240.{1 + r}", "peripheral")
+        consumers = [label(f"10.0.241.{consumer_auto + j}", "peripheral") for j in range(spec.consumers)]
+        consumer_auto += spec.consumers
         port = spec.port if spec.port is not None else config.scada_groups[0].port
         state = {"tick": 0}
 
         def report_tick(t_us: int, r_ip=r_ip, consumers=consumers, port=port, spec=spec, state=state) -> None:
             j = state["tick"] % len(consumers)
             state["tick"] += 1
-            push_pkt(t_us, r_ip, port, consumers[j], 36000 + j, TCP, spec.report_size)
+            push(t_us, (r_ip, port, consumers[j], 36000 + j, TCP, spec.report_size))
             push(t_us + interval_us(spec.scada_period, max(0.1, 0.02 * spec.scada_period)), report_tick)
 
         push(round(rng.uniform(0.1, spec.scada_period) * 1e6), report_tick)
         if spec.noise_period is not None:
-            peer = layout.noise_peer_ips[r]
+            peer = label(f"10.0.242.{1 + r}", "peripheral")
 
             def noise_tick(t_us: int, r_ip=r_ip, peer=peer, spec=spec) -> None:
-                push_pkt(t_us, r_ip, 52000 + r, peer, 7070, TCP, spec.noise_size)
+                push(t_us, (r_ip, 52000 + r, peer, 7070, TCP, spec.noise_size))
                 push(t_us + interval_us(spec.noise_period, max(0.1, 0.02 * spec.noise_period)), noise_tick)
 
             push(round(rng.uniform(0.1, spec.noise_period) * 1e6), noise_tick)
 
-    while heap:
-        t_us, _, item = heapq.heappop(heap)
-        if callable(item):
-            item(t_us)
-        else:
-            yield PacketRecord(_ts(t_us), *item)
+    def packets() -> Iterator[PacketRecord]:
+        while heap:
+            t_us, _, item = heapq.heappop(heap)
+            if callable(item):
+                item(t_us)
+            else:
+                yield PacketRecord(_ts(t_us), *item)
+
+    return packets(), truth
 
 
 def tee_json_lines(records: Iterable[PacketRecord], fp: TextIO) -> Iterator[PacketRecord]:

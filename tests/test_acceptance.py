@@ -21,6 +21,7 @@ from scadascope.inference import (
     analyze_records,
     evaluate,
     hmi_candidates,
+    load_ground_truth,
     prefix_stability,
 )
 from scadascope.features import inter_arrival_times
@@ -141,7 +142,8 @@ def test_criterion_4_dataset1_analog(d1_full, tmp_path):
     assert set(entry["field_devices"]) == fd_truth
     assert entry["master_servers"] == ["10.0.0.1"]
 
-    truth_sans_hmi = {ip: role for ip, role in truth.role_map().items() if role != "hmi"}
+    roles = load_ground_truth(truth.to_dict())
+    truth_sans_hmi = {ip: role for ip, role in roles.items() if role != "hmi"}
     from scadascope.inference import ProtocolEntry, TopologyReport
 
     report = TopologyReport(
@@ -213,7 +215,7 @@ def test_criterion_5_dataset2_analog(tmp_path):
             for p in payload["protocols"]
         ]
     )
-    metrics = evaluate(report, truth.role_map())
+    metrics = evaluate(report, load_ground_truth(truth.to_dict()))
     assert metrics["f_score"] == 1.0
     ok(5, "both ports recovered in order (22 + 4 field devices, shared master), F=1.0")
 

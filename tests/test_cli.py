@@ -134,15 +134,19 @@ def test_synth_refuses_a_size_above_the_snaplen_before_writing(tmp_path, caplog)
     assert list(tmp_path.iterdir()) == [scenario]
 
 
+def _month_scenario(tmp_path, **changes) -> Path:
+    """The benchmark's month scenario with ``changes`` to its top-level keys, as a file."""
+    month = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "month.json"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**json.loads(month.read_text()), **changes}))
+    return scenario
+
+
 def _port_exhaustion_scenario(tmp_path) -> Path:
     """The month scenario, 1 h long, whose master runs out of ephemeral ports while generating."""
-    month = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "month.json"
-    obj = json.loads(month.read_text())
-    obj["duration"] = 3600
-    obj["master"] = {"ephemeral_port_range": [60000, 60100], "reconnect_rate": 2000.0}
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(obj))
-    return scenario
+    return _month_scenario(
+        tmp_path, duration=3600, master={"ephemeral_port_range": [60000, 60100], "reconnect_rate": 2000.0}
+    )
 
 
 @pytest.mark.parametrize("with_pcap", [True, False])
@@ -164,6 +168,40 @@ def test_synth_failing_leaves_a_target_that_is_not_a_regular_file(tmp_path):
     link.symlink_to(target)
     assert main(["--quiet", "synth", "--scenario", str(scenario), "--out", str(link)]) == EXIT_INPUT_ERROR
     assert link.is_symlink() and target.stat().st_size > 0
+
+
+def test_synth_failing_at_set_up_keeps_existing_files(tmp_path, caplog):
+    # Six field devices need six ephemeral ports at set-up; the range holds two.
+    scenario = _month_scenario(
+        tmp_path, duration=60, master={"ephemeral_port_range": [60000, 60001], "reconnect_rate": 0.0}
+    )
+    outputs = {name: tmp_path / name for name in ("o.jsonl", "o.pcap", "truth.json")}
+    for name, path in outputs.items():
+        path.write_text(f"keep {name}\n")
+    args = ["--quiet", "synth", "--scenario", str(scenario), "--out", str(outputs["o.jsonl"]),
+            "--pcap", str(outputs["o.pcap"]), "--truth", str(outputs["truth.json"])]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "master ephemeral port range exhausted" in caplog.text
+    assert {name: path.read_text() for name, path in outputs.items()} == {
+        name: f"keep {name}\n" for name in outputs
+    }
+
+
+def test_synth_to_dev_stdout_writes_only_the_trace(tmp_path):
+    scenario = _month_scenario(tmp_path, duration=600)
+    src = str(Path(scadascope.__file__).resolve().parents[1])
+    piped = tmp_path / "piped.jsonl"
+    with open(piped, "wb") as fp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "scadascope.cli", "synth", "--scenario", str(scenario), "--out", "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=fp, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    out = tmp_path / "o.jsonl"
+    assert main(["--quiet", "synth", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert piped.read_bytes() == out.read_bytes()
+    # The summary goes to the log on stderr.
+    assert proc.stderr == f"INFO scadascope: wrote {len(out.read_bytes().splitlines())} records to /dev/stdout\n"
 
 
 def test_analyze_writes_report_and_dot(tmp_path, d1, capsys):

@@ -257,7 +257,7 @@ def test_algorithm_two_protocols_and_shared_master():
     assert report.protocols[1].field_devices == group_b
     assert report.protocols[0].master_servers == {"10.0.0.1"}
     assert report.protocols[1].master_servers == {"10.0.0.1"}
-    metrics = evaluate(report, truth.role_map())
+    metrics = evaluate(report, load_ground_truth(truth.to_dict()))
     assert metrics["f_score"] == 1.0
 
 

@@ -223,6 +223,13 @@ def test_each_reporting_workstation_keeps_its_own_schedule():
     assert noise_ports == {"10.0.240.1": {52000}}
 
 
+def test_a_peripheral_host_keeps_the_label_of_its_first_role():
+    config = tiny_config(peripherals=[PeripheralSpec("heartbeat", 5.0, 66, hosts=("10.0.0.1", "10.0.10.1"))])
+    truth = generate(config)[1]
+    assert truth.labels["10.0.0.1"] == {"role": "master", "protocol": None}
+    assert truth.labels["10.0.10.1"] == {"role": "field_device", "protocol": 20000}
+
+
 def test_reporting_workstations_labeled_peripheral():
     config = dataset1_like(duration=60.0, seed=12, fds=3)
     truth = generate(config)[1]
@@ -514,6 +521,13 @@ def test_validation_rejects_backup_rivaling_feed():
 def test_generate_validates_first():
     with pytest.raises(ScenarioError):
         generate(tiny_config(duration=0.0))
+
+
+def test_generate_raises_a_set_up_error_itself():
+    # Three field devices take one ephemeral port each at set-up; the range holds two.
+    config = tiny_config(master=MasterConfig(ephemeral_port_range=(60000, 60001)))
+    with pytest.raises(ScenarioError, match="master ephemeral port range exhausted"):
+        generate(config)
 
 
 def _auto_heartbeats(n):
