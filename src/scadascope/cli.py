@@ -3,7 +3,9 @@
 Subcommands: synth, rank, analyze, eval, stability, inspect.  Exit codes:
 0 success, 2 input or configuration error, 3 low-confidence or partial
 analysis (a protocol iteration produced no field devices, or the ranked
-list ran out before the requested number of protocols).
+list ran out before the requested number of protocols).  A command's
+result goes to stdout or to its output file; everything else goes to the
+log, which ``--quiet`` silences.
 """
 
 from __future__ import annotations
@@ -50,15 +52,6 @@ def _sha256_of(path: str) -> str:
     return digest.hexdigest()
 
 
-def _filter_config(args) -> ingest.FilterConfig | None:
-    """Service-port filtering is off unless one of the filter flags appears."""
-    if args.filter_ports is None and not args.no_default_filter:
-        return None
-    ports: set[int] = set() if args.no_default_filter else set(ingest.DEFAULT_SERVICE_PORTS)
-    ports.update(args.filter_ports or ())
-    return ingest.FilterConfig(service_ports=frozenset(ports))
-
-
 def _csv_items(text: str, convert, accept, what: str) -> list:
     """A flag's comma-separated items, each converted and checked; blank items are skipped."""
     values = []
@@ -85,19 +78,38 @@ def _fraction_list(text: str) -> list[float]:
     return _csv_items(text, float, lambda frac: 0 < frac <= 1, "a fraction in (0, 1]")
 
 
-def _load_stream(args):
+class _Trace:
     """The time-ordered, optionally filtered record stream of ``args.input``.
 
-    Returns (records, ingest stats, filter stats, filter config or None).
+    Each iteration opens, orders and filters the file afresh.  Service-port
+    filtering is off (``filter_config`` is None) unless one of the filter
+    flags appears; ``stats`` and ``fstats`` count the latest read.
     """
-    stats = ingest.IngestStats()
-    records = ingest.open_trace(args.input, stats)
-    records = ingest.ensure_time_order(records, force_sort=args.force_sort)
-    fstats = ingest.FilterStats()
-    config = _filter_config(args)
-    if config is not None:
-        records = ingest.filter_packets(records, config, fstats)
-    return records, stats, fstats, config
+
+    def __init__(self, args) -> None:
+        self.args = args
+        self.filter_config = None
+        if args.filter_ports is not None or args.no_default_filter:
+            base = () if args.no_default_filter else ingest.DEFAULT_SERVICE_PORTS
+            self.filter_config = ingest.FilterConfig({*base, *(args.filter_ports or ())})
+
+    def __iter__(self):
+        self.stats = ingest.IngestStats()
+        self.fstats = ingest.FilterStats()
+        records = ingest.open_trace(self.args.input, self.stats)
+        records = ingest.ensure_time_order(records, force_sort=self.args.force_sort)
+        if self.filter_config is not None:
+            records = ingest.filter_packets(records, self.filter_config, self.fstats)
+        return records
+
+
+def _write_result(text: str, path: str | None) -> None:
+    """Write a command's result to ``path``, or to stdout without one; nothing else goes there."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _config(args) -> InferenceConfig:
@@ -179,48 +191,40 @@ def cmd_rank(args) -> int:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     started = time.monotonic()
     config = _config(args)  # a bad setting exits before the trace is read
-    result = analyze_records(_load_stream(args)[0], inference_config=config)
+    result = analyze_records(_Trace(args), inference_config=config)
     ranked = result.ranked
-    if not ranked:
-        log.warning("empty trace, nothing to rank")
-        print("no communications to rank")
-        return EXIT_OK
-
     if args.format == "json":
         rows = [
             {"rank": i, **e.key._asdict(), "n": e.n, "features": list(e.normalized), "f": e.f}
             for i, e in enumerate(ranked[: args.top], start=1)
         ]
-        out = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         write_ranking_csv(ranked, buf, top=args.top)
-        out = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(out)
-    else:
-        print(out, end="")
+        text = buf.getvalue()
+    _write_result(text, args.out)
 
     log.info("ranked %d 5-tuples in %.2fs", len(ranked), time.monotonic() - started)
-    port = result.report.protocols[0].scada_port
-    window = ranked[:1000]
-    touching = sum(1 for e in window if port in (e.key.src_port, e.key.dst_port))
-    print(
-        f"summary: {touching} of top-{len(window)} communications touch port {port}; "
-        f"{len(ranked)} ranked"
-    )
+    if ranked:
+        port = result.report.protocols[0].scada_port
+        window = ranked[:1000]
+        touching = sum(1 for e in window if port in (e.key.src_port, e.key.dst_port))
+        log.info("summary: %d of top-%d communications touch port %d; %d ranked",
+                 touching, len(window), port, len(ranked))
+    else:
+        log.warning("no communications to rank")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     config = _config(args)  # a bad setting exits before the trace is read
-    records, stats, fstats, filter_config = _load_stream(args)
-    result = analyze_records(records, inference_config=config)
-    report = result.report
-    report.metrics["ingest"] = asdict(stats)
-    report.metrics["filter"] = asdict(fstats) if filter_config else None
+    trace = _Trace(args)
+    result = analyze_records(trace, inference_config=config)
+    report, filter_config = result.report, trace.filter_config
+    report.metrics["ingest"] = asdict(trace.stats)
+    report.metrics["filter"] = asdict(trace.fstats) if filter_config else None
     payload = report.to_dict()
     # The reproducibility envelope; its counts are those in ``metrics``.
     payload["manifest"] = {
@@ -234,22 +238,14 @@ def cmd_analyze(args) -> int:
         **{name: report.metrics[name] for name in ("records", "segments", "ft_count")},
         "duration_s": round(time.monotonic() - started, 3),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        print(text, end="")
+    _write_result(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fp:
-            fp.write(report_to_dot(report, result.ft_map))
+        _write_result(report_to_dot(report, result.ft_map), args.dot)
     for entry in report.protocols:
-        print(
-            f"protocol port {entry.scada_port}: {len(entry.field_devices)} field devices, "
-            f"{len(entry.master_servers)} master servers"
-        )
+        log.info("protocol port %d: %d field devices, %d master servers",
+                 entry.scada_port, len(entry.field_devices), len(entry.master_servers))
     if report.hmi is not None:
-        print(f"hmi: {report.hmi}")
+        log.info("hmi: %s", report.hmi)
     for warning in report.warnings:
         log.warning("%s", warning)
     return EXIT_LOW_CONFIDENCE if report.low_confidence else EXIT_OK
@@ -297,21 +293,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-class _Rereadable:
-    """The record stream of ``args``, read afresh on each iteration."""
-
-    def __init__(self, args) -> None:
-        self.args = args
-
-    def __iter__(self):
-        return _load_stream(self.args)[0]
-
-
 def cmd_stability(args) -> int:
     config = _config(args)  # a bad setting exits before the trace is read
+    trace = _Trace(args)
     # The sort holds the whole trace, so prefix_stability takes its end from it.
-    end = None if args.force_sort else ingest.last_timestamp_hint(args.input, _filter_config(args))
-    result = prefix_stability(_Rereadable(args), args.fractions, inference_config=config, end=end)
+    end = None if args.force_sort else ingest.last_timestamp_hint(args.input, trace.filter_config)
+    result = prefix_stability(trace, args.fractions, inference_config=config, end=end)
     stable = set(result.stable_fractions())
     for frac in sorted(result.by_fraction):
         print(f"fraction {frac:g}: {'matches full trace' if frac in stable else 'differs'}")
@@ -324,7 +311,7 @@ def cmd_stability(args) -> int:
 
 def cmd_inspect(args) -> int:
     t_comm = _config(args).t_comm  # a bad setting exits before a file is opened
-    records, stats, fstats, config = _load_stream(args)
+    trace = _Trace(args)
     protos: dict[str, int] = {}
     ips: set[str] = set()
     ports: set[int] = set()
@@ -348,7 +335,7 @@ def cmd_inspect(args) -> int:
 
     seg_count = 0
     try:
-        for seg in segment_stream(watch(records), t_comm=t_comm):
+        for seg in segment_stream(watch(trace), t_comm=t_comm):
             seg_count += 1
             if dump:
                 dump.write(seg.to_json())
@@ -357,8 +344,9 @@ def cmd_inspect(args) -> int:
         if dump:
             dump.close()
 
+    stats, fstats = trace.stats, trace.fstats
     print(f"records: {count}")
-    if config is not None:
+    if trace.filter_config is not None:
         print(f"filter: kept {fstats.kept}, dropped {fstats.dropped}")
     if stats.skipped:
         print(f"skipped frames: {stats.skipped}")

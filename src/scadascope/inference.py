@@ -60,6 +60,12 @@ class InferenceConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # Every device has a peer and at most all of its segments on one port,
+        # so outside these ranges no device could be a field device.
+        if self.fd_degree_threshold <= 1:
+            raise ValueError(f"fd_degree_threshold must be above 1, got {self.fd_degree_threshold}")
+        if self.scada_fraction_threshold >= 1:
+            raise ValueError(f"scada_fraction_threshold must be below 1, got {self.scada_fraction_threshold}")
 
 
 @dataclass

@@ -302,14 +302,156 @@ def ref_all_features(table, cap=PR_CAP):
     return out
 
 
-def ref_hmi(master, table):
-    """Exhaustive per-peer quantity sums; returns the best (qty, ip)."""
+def ref_quantities(master, table):
+    """Peer -> communication quantity (segments x segment size), summed over
+    the 5-tuples ``master`` initiates."""
     totals = {}
     for (src_ip, _sp, dst_ip, _dp, size), starts in table.items():
         if src_ip == master:
             totals[dst_ip] = totals.get(dst_ip, 0) + len(starts) * size
+    return totals
+
+
+def ref_hmi(master, table):
+    """Exhaustive per-peer quantity sums; returns the best (qty, ip)."""
+    totals = ref_quantities(master, table)
     best = None
     for ip in sorted(totals):
         if best is None or totals[ip] > best[0]:
             best = (totals[ip], ip)
     return best
+
+
+# --- Algorithm 1 --------------------------------------------------------------
+
+
+def ref_rank(table, cap=PR_CAP):
+    """The 5-tuples best first: each ``ref_all_features`` row divided by its
+    column maxima (a column of zeros stays 0), scored by the product of the
+    five, sorted by (-f, -pR_n, key)."""
+    raw = ref_all_features(table, cap)
+    maxima = [max(column) for column in zip(*raw.values())]
+    rows = []
+    for ft, features in raw.items():
+        normalized = [x / m if m > 0 else 0.0 for x, m in zip(features, maxima)]
+        rows.append((-math.prod(normalized), -normalized[0], ft))
+    return [ft for _f, _p, ft in sorted(rows)]
+
+
+def ref_devices(table):
+    """ip -> {"peers": distinct peer addresses, "fts": 5-tuples it is an end of,
+    "ports": own-side port -> segments}."""
+    devices = {}
+    for (src_ip, src_port, dst_ip, dst_port, _size), starts in table.items():
+        for ip, port, peer in ((src_ip, src_port, dst_ip), (dst_ip, dst_port, src_ip)):
+            dev = devices.setdefault(ip, {"peers": set(), "fts": 0, "ports": {}})
+            dev["peers"].add(peer)
+            dev["fts"] += 1
+            dev["ports"][port] = dev["ports"].get(port, 0) + len(starts)
+    return devices
+
+
+def ref_algorithm1(table, config):
+    """The report (as ``TopologyReport.to_dict()`` gives it, without
+    ``metrics``) of Algorithm 1 on a ``ref_ft_table`` table, step by step
+    from the rules:
+
+    - the SCADA port is the port of the lower-degree end (degree: distinct
+      peers) of the best-ranked 5-tuple left; a degree tie takes the lower
+      port;
+    - a field device has more than ``scada_fraction_threshold`` of its
+      segments with that port on its own side, and a degree under
+      ``fd_degree_threshold``; a master is a device that is not a field
+      device and meets one in a 5-tuple with the port on either side;
+    - every 5-tuple with the port on either side is then struck from the
+      ranking, once per protocol, until the ranking runs out;
+    - with ``three_layer``, the primary master initiates the most quantity
+      (the lowest address on a tie) and the HMI is the peer it sends the
+      most (the lowest address on a tie);
+    - the first protocol to classify a device gives its role and the port
+      its share is measured on; the HMI keeps that port, or else takes the
+      first protocol's; every other device is unclassified on the first
+      protocol's port.
+    """
+    if not table:
+        return {"protocols": [], "hmi": None, "unclassified": [], "evidence": {},
+                "status": "partial", "warnings": ["no communication to rank"]}
+    devices = ref_devices(table)
+
+    def degree(ip):
+        return len(devices[ip]["peers"])
+
+    def share(ip, port):
+        ports = devices[ip]["ports"]
+        return ports.get(port, 0) / sum(ports.values())
+
+    ranked = ref_rank(table, config.pr_cap)
+    protocols, warnings, status = [], [], "ok"
+    roles = {}  # ip -> (role, port)
+    for i in range(config.num_scada_protocols):
+        if not ranked:
+            status = "partial"
+            warnings.append(
+                f"ranked list exhausted after {i} of {config.num_scada_protocols} protocol iterations"
+            )
+            break
+        src_ip, src_port, dst_ip, dst_port, _size = ranked[0]
+        tie = degree(src_ip) == degree(dst_ip)
+        if degree(src_ip) < degree(dst_ip) or (tie and src_port <= dst_port):
+            port, owner = src_port, src_ip
+        else:
+            port, owner = dst_port, dst_ip
+        fds = {
+            ip for ip in devices
+            if share(ip, port) > config.scada_fraction_threshold and degree(ip) < config.fd_degree_threshold
+        }
+        masters = set()
+        for a, a_port, b, b_port, _size in table:
+            if port in (a_port, b_port):
+                for ip, peer in ((a, b), (b, a)):
+                    if ip in fds and peer not in fds:
+                        masters.add(peer)
+        protocols.append({"scada_port": port, "scada_ip": owner, "field_devices": sorted(fds),
+                          "master_servers": sorted(masters), "degree_tie": tie})
+        if tie:
+            warnings.append(f"protocol {i}: degree tie on top entry, chose port {port}")
+        if not fds:
+            warnings.append(f"protocol {i}: no device met the field-device conditions for port {port}")
+        for ip in fds:
+            roles.setdefault(ip, ("field_device", port))
+        for ip in masters:
+            roles.setdefault(ip, ("master", port))
+        ranked = [ft for ft in ranked if port not in (ft[1], ft[3])]
+
+    first_port = protocols[0]["scada_port"]
+    hmi = None
+    if config.three_layer:
+        masters = {ip for entry in protocols for ip in entry["master_servers"]}
+        if not masters:
+            warnings.append("three-layer requested but no master server was inferred")
+        else:
+            quantities = {m: ref_quantities(m, table) for m in masters}
+            primary = min(masters, key=lambda m: (-sum(quantities[m].values()), m))
+            peers = sorted(quantities[primary].items(), key=lambda item: (-item[1], item[0]))
+            if not peers:
+                warnings.append(f"master {primary} initiates no communication, HMI unknown")
+            else:
+                hmi = peers[0][0]
+                if len(peers) > 1 and peers[1][1] == peers[0][1]:
+                    warnings.append("HMI quantity tie, chose lowest address")
+                roles[hmi] = ("hmi", roles.get(hmi, (None, first_port))[1])
+
+    evidence = {}
+    for ip, dev in devices.items():
+        role, port = roles.get(ip, ("unclassified", first_port))
+        evidence[ip] = {"degree": degree(ip), "ft_count": dev["fts"], "ports_used": len(dev["ports"]),
+                        "segments": sum(dev["ports"].values()), "scada_fraction": round(share(ip, port), 6),
+                        "role": role}
+    return {
+        "protocols": protocols,
+        "hmi": hmi,
+        "unclassified": sorted(ip for ip, ev in evidence.items() if ev["role"] == "unclassified"),
+        "evidence": evidence,
+        "status": status,
+        "warnings": warnings,
+    }

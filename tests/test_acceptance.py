@@ -1,8 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The large end-to-end
-criteria generate their traces on the fly; the whole module takes a couple
-of minutes.
+criteria generate their traces on the fly; the whole module takes about
+25 s on a 2-core machine.
 """
 
 from __future__ import annotations

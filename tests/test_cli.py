@@ -22,6 +22,7 @@ import scadascope
 
 from scadascope import cli
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
+from scadascope.features import RANKING_CSV_COLUMNS
 from scadascope.inference import InferenceConfig
 from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
 from scadascope.synth import generate, load_scenario, write_pcap, write_records
@@ -204,7 +205,8 @@ def test_synth_to_dev_stdout_writes_only_the_trace(tmp_path):
     assert proc.stderr == f"INFO scadascope: wrote {len(out.read_bytes().splitlines())} records to /dev/stdout\n"
 
 
-def test_analyze_writes_report_and_dot(tmp_path, d1, capsys):
+def test_analyze_writes_report_and_dot(tmp_path, d1, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="scadascope")
     report_path = tmp_path / "report.json"
     dot_path = tmp_path / "graph.dot"
     code = main(
@@ -230,8 +232,22 @@ def test_analyze_writes_report_and_dot(tmp_path, d1, capsys):
     assert payload["manifest"]["config"]["three_layer"] is True
     dot = dot_path.read_text()
     assert "doublecircle" in dot and "diamond" in dot
-    out = capsys.readouterr().out
-    assert "protocol port 20000" in out
+    # With --out, the report is the only result: the summary goes to the log.
+    assert capsys.readouterr().out == ""
+    assert "protocol port 20000: 8 field devices, 1 master servers" in caplog.messages
+    assert "hmi: 10.0.0.2" in caplog.messages
+
+
+def test_analyze_stdout_is_the_report(tmp_path, d1, capsys):
+    args = ["--quiet", "analyze", str(d1["trace"]), "--three-layer"]
+    assert main(args) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    report_path = tmp_path / "report.json"
+    assert main([*args, "--out", str(report_path)]) == EXIT_OK
+    written = json.loads(report_path.read_text())
+    for payload in (printed, written):
+        del payload["manifest"]["duration_s"]
+    assert printed == written
 
 
 def test_eval_reports_perfect_score(tmp_path, d1, capsys):
@@ -243,15 +259,15 @@ def test_eval_reports_perfect_score(tmp_path, d1, capsys):
     assert "f_score=1.0000" in out
 
 
-def test_rank_top_five_rows(tmp_path, d1, capsys):
+def test_rank_top_five_rows(tmp_path, d1, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="scadascope")
     code = main(["--quiet", "rank", str(d1["trace"]), "--top", "5"])
     assert code == EXIT_OK
-    out = capsys.readouterr().out
-    lines = [l for l in out.strip().splitlines() if l and not l.startswith("summary")]
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("rank,")
     assert len(lines) == 6
     assert ",20000," in lines[1]
-    assert "touch port 20000" in out
+    assert "touch port 20000" in caplog.text
 
 
 def test_rank_json_format(tmp_path, d1, capsys):
@@ -264,25 +280,26 @@ def test_rank_json_format(tmp_path, d1, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_rank_out_file_equals_printed_table(tmp_path, d1, capsys, fmt):
+def test_rank_out_file_equals_printed_table(tmp_path, d1, capsys, caplog, fmt):
+    caplog.set_level(logging.INFO, logger="scadascope")
     args = ["--quiet", "rank", str(d1["trace"]), "--top", "4", "--format", fmt]
     assert main(args) == EXIT_OK
-    printed = capsys.readouterr().out
-    table, summary = printed[: printed.rindex("summary: ")], printed[printed.rindex("summary: ") :]
+    table = capsys.readouterr().out
+    [summary] = [m for m in caplog.messages if m.startswith("summary: ")]
+    caplog.clear()
     out = tmp_path / f"rank.{fmt}"
     assert main([*args, "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().out == summary
+    assert capsys.readouterr().out == ""
     assert out.read_bytes().decode("utf-8") == table
+    assert [m for m in caplog.messages if m.startswith("summary: ")] == [summary]
 
 
 def test_rank_json_rows_match_csv_rows(d1, capsys):
     args = ["--quiet", "rank", str(d1["trace"]), "--top", "50"]
     assert main(args) == EXIT_OK
-    printed = capsys.readouterr().out
-    header, *cells = csv.reader(io.StringIO(printed[: printed.rindex("summary: ")]))
+    header, *cells = csv.reader(io.StringIO(capsys.readouterr().out))
     assert main([*args, "--format", "json"]) == EXIT_OK
-    printed = capsys.readouterr().out
-    rows = json.loads(printed[: printed.rindex("summary: ")])
+    rows = json.loads(capsys.readouterr().out)
     assert len(rows) == len(cells) == 50
     key_fields = ["rank", "src_ip", "src_port", "dst_ip", "dst_port", "seg_size"]
     assert header == [*key_fields, "pR_n", "dR_n", "cR_n", "uR_n", "sR_n", "f"]
@@ -299,12 +316,16 @@ def test_rank_top_below_one_is_exit_2(d1, caplog, capsys, top):
     assert capsys.readouterr().out == ""
 
 
-def test_rank_empty_trace(tmp_path, capsys):
+def test_rank_empty_trace(tmp_path, capsys, caplog):
+    # An empty ranking is an empty table; the log says why.
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     code = main(["--quiet", "rank", str(empty)])
     assert code == EXIT_OK
-    assert "no communications" in capsys.readouterr().out
+    assert capsys.readouterr().out == ",".join(RANKING_CSV_COLUMNS) + "\r\n"
+    assert "no communications to rank" in caplog.messages
+    assert main(["--quiet", "rank", str(empty), "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == "[]\n"
 
 
 def test_analyze_low_confidence_on_office_traffic(tmp_path, caplog):
@@ -382,6 +403,24 @@ def test_non_finite_flag_is_exit_2(d1, caplog, capsys, command, flags, message):
 @pytest.mark.parametrize(
     "command,flags,message",
     [
+        ("analyze", ["--scada-fraction", "1.5"], "scada_fraction_threshold must be below 1, got 1.5"),
+        ("stability", ["--scada-fraction", "1"], "scada_fraction_threshold must be below 1, got 1.0"),
+        ("analyze", ["--fd-degree-threshold", "1"], "fd_degree_threshold must be above 1, got 1"),
+        ("stability", ["--fd-degree-threshold", "1"], "fd_degree_threshold must be above 1, got 1"),
+    ],
+    ids=["scada-fraction-above-1", "scada-fraction-1", "fd-degree-1", "stability-fd-degree-1"],
+)
+def test_threshold_no_device_can_meet_is_exit_2(d1, caplog, capsys, command, flags, message):
+    # Every device has a peer and at most all its segments on one port, so
+    # these settings would leave every protocol without field devices.
+    assert main(["--quiet", command, str(d1["trace"]), *flags]) == EXIT_INPUT_ERROR
+    assert message in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
         ("analyze", ["--filter-ports", "80,abc"], "argument --filter-ports: 'abc' is not a port number"),
         ("inspect", ["--filter-ports", "70000"], "argument --filter-ports: '70000' is not a port number"),
         ("stability", ["--filter-ports", "-1"], "argument --filter-ports: '-1' is not a port number"),
@@ -398,7 +437,7 @@ def test_bad_list_flag_item_names_flag_and_item(d1, capsys, command, flags, mess
     assert message in capsys.readouterr().err
 
 
-def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys):
+def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys, caplog):
     # Five clients poll port 7 of one server.  Port 7 touches every ranked
     # 5-tuple, but Algorithm 1 reads the port off the top 5-tuple's
     # lower-degree endpoint, a client.
@@ -418,13 +457,15 @@ def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys):
     port = json.loads(report.read_text())["protocols"][0]["scada_port"]
     assert port != 7
     capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="scadascope")
     args = ["--quiet", "rank", str(trace), "--top", "3"]
-    assert main(args) == EXIT_OK
-    first = capsys.readouterr().out
-    assert main(args) == EXIT_OK
-    assert capsys.readouterr().out == first
-    summary = first.strip().splitlines()[-1]
-    assert summary == f"summary: 1 of top-5 communications touch port {port}; 5 ranked"
+    runs = []
+    for _ in range(2):
+        caplog.clear()
+        assert main(args) == EXIT_OK
+        runs.append((capsys.readouterr().out, [m for m in caplog.messages if m.startswith("summary: ")]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == [f"summary: 1 of top-5 communications touch port {port}; 5 ranked"]
 
 
 @pytest.mark.parametrize(

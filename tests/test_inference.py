@@ -10,7 +10,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scadascope import inference
 from scadascope.features import DEFAULT_PR_CAP, RankedFt, rank
@@ -35,7 +35,7 @@ from scadascope.ingest import PacketRecord
 from scadascope.segmentation import FtKey
 from scadascope.synth import ScadaGroup, ScenarioConfig, generate
 
-from reference import ref_hmi
+from reference import ref_algorithm1, ref_ft_table, ref_hmi, ref_segments
 from scenarios import dataset1_like, dataset2_like, month_like, office_like, small_random_scenario
 
 
@@ -130,6 +130,22 @@ def test_fraction_counts_own_side_only():
     profiles = build_device_profiles(table)
     # the master's side carries ephemeral ports, never the scada port
     assert profiles["10.9.9.9"].scada_fraction(20000) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        ({"fd_degree_threshold": 1}, "fd_degree_threshold must be above 1, got 1"),
+        ({"scada_fraction_threshold": 1.0}, "scada_fraction_threshold must be below 1, got 1.0"),
+        ({"scada_fraction_threshold": 1.5}, "scada_fraction_threshold must be below 1, got 1.5"),
+    ],
+)
+def test_config_refuses_thresholds_no_device_can_meet(kw, message):
+    # A degree is at least 1 and a share at most 1, so no device could qualify.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        InferenceConfig(**kw)
+    # The nearest settings that some device can meet are accepted.
+    InferenceConfig(fd_degree_threshold=2, scada_fraction_threshold=0.999)
 
 
 # --- master inference ---------------------------------------------------------------
@@ -403,6 +419,95 @@ def test_evidence_role_and_classifying_port(config, kw, ip, role, port):
     dot = report_to_dot(report, result.ft_map)
     for dev, evidence in report.evidence.items():
         assert f'  "{dev}" [shape={shapes[evidence["role"]]}];' in dot
+
+
+# --- Algorithm 1 against the brute-force reference ------------------------------------
+
+_ALG1_IPS = [f"10.0.0.{i}" for i in range(1, 6)]
+_ALG1_PORTS = [502, 20000, 40000, 40001]
+
+# A flow: (initiator, responder, initiator port, responder port, size, ticks,
+# reply).  Each tick t sends one packet at 2t seconds, and with ``reply`` an
+# answer 0.25 s later in the same segment.
+_flows = st.lists(
+    st.tuples(
+        st.integers(0, 4), st.integers(0, 4), st.sampled_from(_ALG1_PORTS), st.sampled_from(_ALG1_PORTS),
+        st.sampled_from([60, 100, 240]), st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+        st.booleans(),
+    ).filter(lambda flow: flow[0] != flow[1]),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _flow_records(flows):
+    records = []
+    for a, b, a_port, b_port, size, ticks, reply in flows:
+        for t in ticks:
+            records.append(PacketRecord(2.0 * t, _ALG1_IPS[a], a_port, _ALG1_IPS[b], b_port, "tcp", size))
+            if reply:
+                records.append(PacketRecord(2.0 * t + 0.25, _ALG1_IPS[b], b_port, _ALG1_IPS[a], a_port, "tcp", 60))
+    return sorted(records, key=lambda r: r.ts)
+
+
+def _assert_matches_reference(records, config):
+    got = analyze_records(records, inference_config=config).report.to_dict()
+    del got["metrics"]
+    assert got == ref_algorithm1(ref_ft_table(ref_segments(records, config.t_comm)), config)
+
+
+_POLL = [0, 1, 2, 3, 5, 8]
+
+
+@settings(max_examples=150)
+@given(
+    flows=_flows,
+    num_protocols=st.integers(1, 3),
+    three_layer=st.booleans(),
+    fd_degree_threshold=st.sampled_from([2, 3, 5]),
+    scada_fraction=st.sampled_from([0.25, 0.5, 0.75]),
+)
+# A degree tie between unequal ports; the HMI the master sends most to is a
+# field device.
+@example([(0, 1, 40000, 502, 100, _POLL, True)], 1, True, 5, 0.5)
+# A port on both sides of a 5-tuple.
+@example([(0, 1, 502, 502, 100, _POLL, True), (2, 1, 40000, 502, 60, [0, 3, 4], False)], 1, False, 5, 0.5)
+# Shares of exactly the threshold: no device passes either port, so there is
+# no master for three_layer.
+@example([(0, 1, 502, 40000, 100, [0, 1], False), (0, 1, 20000, 40001, 100, [3, 4], False)], 2, True, 5, 0.5)
+# One port and three protocols asked for: the ranking runs out.
+@example([(0, 1, 40000, 502, 100, _POLL, True)], 3, False, 5, 0.5)
+# The master only answers, so it initiates nothing.
+@example([(1, 0, 502, 40000, 100, _POLL, False)], 1, True, 5, 0.5)
+# A star whose master has a higher degree than each field device, and a
+# second port.
+@example(
+    [(0, 1, 40000, 502, 100, _POLL, True), (0, 2, 40001, 502, 100, [1, 3, 6, 9], True),
+     (0, 3, 40000, 502, 240, _POLL, True), (0, 4, 40001, 20000, 60, [0, 2, 4, 6], True),
+     (3, 4, 40001, 20000, 60, [1, 2], False)],
+    2, True, 3, 0.5,
+)
+def test_algorithm1_matches_reference(flows, num_protocols, three_layer, fd_degree_threshold, scada_fraction):
+    config = InferenceConfig(
+        num_scada_protocols=num_protocols,
+        three_layer=three_layer,
+        fd_degree_threshold=fd_degree_threshold,
+        scada_fraction_threshold=scada_fraction,
+    )
+    _assert_matches_reference(_flow_records(flows), config)
+
+
+def test_algorithm1_matches_reference_on_random_scenarios():
+    # Acceptance criterion 6's 100 draws, each analysed for its own protocol
+    # count and layering.
+    meta = random.Random(60606)
+    for _ in range(100):
+        scenario = small_random_scenario(meta)
+        records = list(generate(scenario)[0])
+        config = InferenceConfig(
+            num_scada_protocols=len(scenario.scada_groups), three_layer=scenario.layers == 3
+        )
+        _assert_matches_reference(records, config)
 
 
 # --- evaluation ---------------------------------------------------------------------
