@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import logging
@@ -45,6 +44,9 @@ EXIT_LOW_CONFIDENCE = 3
 
 
 def _sha256_of(path: str) -> str:
+    # Imported here: hashlib maps OpenSSL's libcrypto, which only analyze needs.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fp:
         for chunk in iter(lambda: fp.read(1 << 20), b""):

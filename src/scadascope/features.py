@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import sub, truediv
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from operator import attrgetter, sub, truediv
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from scadascope.segmentation import FtKey
 
@@ -37,20 +37,29 @@ def score_product(pR_n: float, dR_n: float, cR_n: float, uR_n: float, sR_n: floa
     return pR_n * dR_n * cR_n * uR_n * sR_n
 
 
+# The divisors of an entry built without a dataset: ``normalized`` is ``raw``.
+_UNIT_DIVISORS = (1.0,) * len(FEATURES)
+
+
 @dataclass(slots=True)
 class RankedFt:
     """One ranked 5-tuple: its segment count, its features and its score.
 
-    ``raw`` and ``normalized`` hold the five features in ``FEATURES`` order;
-    each normalized value is the raw one over its maximum in the dataset, and
-    ``f`` is their product (``score_product``).
+    ``raw`` holds the five features in ``FEATURES`` order.  ``divisors`` is
+    the one tuple of column maxima that every entry of a ranking shares, and
+    ``normalized``, computed on access, is ``raw`` over it.  ``f`` is the
+    product of the normalized features (``score_product``).
     """
 
     key: FtKey
     n: int
     raw: tuple[float, ...]
-    normalized: tuple[float, ...] = ()
     f: float = 0.0
+    divisors: tuple[float, ...] = _UNIT_DIVISORS
+
+    @property
+    def normalized(self) -> tuple[float, ...]:
+        return tuple(map(truediv, self.raw, self.divisors))
 
 
 @dataclass
@@ -111,11 +120,11 @@ def port_pair_counts(ft_keys: Iterable[FtKey]) -> dict[tuple[int, str], int]:
 
     A port is counted among the 5-tuples where it occupies that role.
     """
-    pairs: dict[tuple[int, str], set[tuple[str, str]]] = {}
+    pairs: defaultdict[tuple[int, str], set[tuple[str, str]]] = defaultdict(set)
     for key in ft_keys:
         pair = (key.src_ip, key.dst_ip)
-        pairs.setdefault((key.src_port, SRC), set()).add(pair)
-        pairs.setdefault((key.dst_port, DST), set()).add(pair)
+        pairs[key.src_port, SRC].add(pair)
+        pairs[key.dst_port, DST].add(pair)
     return {role: len(seen) for role, seen in pairs.items()}
 
 
@@ -149,14 +158,36 @@ def periodicity_durability(times: Sequence[float], cap: float = DEFAULT_PR_CAP) 
     return mean / var, dR
 
 
-def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
-    """Complexity gap: larger-over-smaller ratio of the endpoints' port counts."""
+def _gap(counts: tuple[int, int]) -> float:
+    """The larger of two positive counts over the smaller, >= 1."""
+    a, b = counts
+    return max(a / b, b / a)
+
+
+def _device_port_counts(key: FtKey, profiles: dict[str, DeviceProfile]) -> tuple[int, int]:
     try:
-        a = len(profiles[key.src_ip].own_port_segments)
-        b = len(profiles[key.dst_ip].own_port_segments)
+        return len(profiles[key.src_ip].own_port_segments), len(profiles[key.dst_ip].own_port_segments)
     except KeyError as exc:
         raise ValueError(f"device {exc.args[0]} not present in the device table") from None
-    return max(a / b, b / a)
+
+
+def _port_pair_use(key: FtKey, pair_counts: dict[tuple[int, str], int]) -> tuple[int, int]:
+    a = pair_counts.get((key.src_port, SRC), 0)
+    b = pair_counts.get((key.dst_port, DST), 0)
+    if a == 0 or b == 0:
+        raise ValueError(f"port usage missing for {key}")
+    return a, b
+
+
+def _size_ratio(seg_size: int, max_seg_size: int) -> float:
+    if max_seg_size < seg_size or seg_size < 1:
+        raise ValueError(f"bad segment size {seg_size} against max {max_seg_size}")
+    return seg_size / max_seg_size
+
+
+def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
+    """Complexity gap: larger-over-smaller ratio of the endpoints' port counts."""
+    return _gap(_device_port_counts(key, profiles))
 
 
 def compute_uR(key: FtKey, pair_counts: dict[tuple[int, str], int]) -> float:
@@ -165,18 +196,30 @@ def compute_uR(key: FtKey, pair_counts: dict[tuple[int, str], int]) -> float:
     Pairs are counted per role: the source port among 5-tuples where it is
     the source, the destination port where it is the destination.
     """
-    a = pair_counts.get((key.src_port, SRC), 0)
-    b = pair_counts.get((key.dst_port, DST), 0)
-    if a == 0 or b == 0:
-        raise ValueError(f"port usage missing for {key}")
-    return max(a / b, b / a)
+    return _gap(_port_pair_use(key, pair_counts))
 
 
 def compute_sR(key: FtKey, max_seg_size: int) -> float:
     """Segment size relative to the dataset maximum, in (0, 1]."""
-    if max_seg_size < key.seg_size or key.seg_size < 1:
-        raise ValueError(f"bad segment size {key.seg_size} against max {max_seg_size}")
-    return key.seg_size / max_seg_size
+    return _size_ratio(key.seg_size, max_seg_size)
+
+
+class _Shared(dict):
+    """A feature's values by its formula's argument, each computed on first use.
+
+    Equal arguments share one float, so a column of few distinct values
+    holds few floats however many 5-tuples it covers.
+    """
+
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Callable[[Any], float]) -> None:
+        super().__init__()
+        self.formula = formula
+
+    def __missing__(self, arg) -> float:
+        value = self[arg] = self.formula(arg)
+        return value
 
 
 def rank(
@@ -188,12 +231,13 @@ def rank(
 
     ``profiles`` is the device table of ``ft_map``, built here when not
     given.  ``pr_cap`` is the periodicity of a zero variance, as in
-    ``periodicity_durability``; ``InferenceConfig`` checks it.  Each entry's ``raw``
-    features (``FEATURES`` order) are divided by their column's maximum over
-    this dataset to give ``normalized``; a column of zeros stays 0.0.  ``f``
-    is the product of the normalized features.  Ties are broken by
-    normalized periodicity, then by the 5-tuple itself, so the order is
-    deterministic.
+    ``periodicity_durability``; ``InferenceConfig`` checks it.  Each entry
+    keeps its ``raw`` features (``FEATURES`` order) and shares one
+    ``divisors`` tuple, each column's maximum over this dataset (infinity for
+    a column of zeros, so it normalizes to 0.0); ``normalized`` is computed
+    from them on access.  ``f`` is the product of the normalized features.
+    The order is descending ``f``, then descending normalized periodicity,
+    then the 5-tuple itself, so it is deterministic.
     """
     if not ft_map:
         return []
@@ -201,28 +245,41 @@ def rank(
         profiles = build_device_profiles(ft_map)
     pair_counts = port_pair_counts(ft_map)
     max_seg = max(key.seg_size for key in ft_map)
+    cR_of = _Shared(_gap)
+    uR_of = _Shared(_gap)
+    sR_of = _Shared(lambda size: _size_ratio(size, max_seg))
 
-    entries = [
-        RankedFt(
-            key,
-            len(times),
-            (
-                *periodicity_durability(times, pr_cap),
-                compute_cR(key, profiles),
-                compute_uR(key, pair_counts),
-                compute_sR(key, max_seg),
-            ),
+    entries = []
+    top_pR = top_dR = 0.0
+    for key, times in ft_map.items():
+        pR, dR = periodicity_durability(times, pr_cap)
+        if pR > top_pR:
+            top_pR = pR
+        if dR > top_dR:
+            top_dR = dR
+        raw = (
+            pR,
+            dR,
+            cR_of[_device_port_counts(key, profiles)],
+            uR_of[_port_pair_use(key, pair_counts)],
+            sR_of[key.seg_size],
         )
-        for key, times in ft_map.items()
-    ]
+        entries.append(RankedFt(key, len(times), raw))
     # Every feature is finite and >= 0, so a column whose maximum is not
     # positive holds only zeros; dividing them by infinity gives 0.0.
-    divisors = [m if m > 0 else math.inf for m in map(max, zip(*(e.raw for e in entries)))]
+    maxima = (top_pR, top_dR, max(cR_of.values()), max(uR_of.values()), max(sR_of.values()))
+    divisors = tuple(m if m > 0 else math.inf for m in maxima)
     for entry in entries:
-        entry.normalized = normalized = tuple(map(truediv, entry.raw, divisors))
-        entry.f = score_product(*normalized)
+        entry.divisors = divisors
+        entry.f = score_product(*map(truediv, entry.raw, divisors))
 
-    entries.sort(key=lambda e: (-e.f, -e.normalized[0], e.key))
+    # Stable sorts, the last one the primary: the order of the key
+    # (-f, -pR_n, 5-tuple) without a key tuple per entry.  pR_n is the
+    # quotient, not raw pR: two raw values can round to one quotient.
+    pR_divisor = divisors[0]
+    entries.sort(key=attrgetter("key"))
+    entries.sort(key=lambda e: e.raw[0] / pR_divisor, reverse=True)
+    entries.sort(key=attrgetter("f"), reverse=True)
     return entries
 
 

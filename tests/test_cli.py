@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -772,6 +773,22 @@ def test_cli_import_leaves_the_generator_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_hashlib_unloaded_and_analyze_hashes_its_input(tmp_path, d1):
+    # hashlib maps OpenSSL's libcrypto, and only analyze hashes a file.  -S
+    # keeps site hooks, which might import it themselves, out of the check.
+    script = "import sys, scadascope.cli; print('hashlib' in sys.modules)"
+    src = str(Path(scadascope.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    report = tmp_path / "report.json"
+    assert main(["--quiet", "analyze", str(d1["trace"]), "--out", str(report)]) == EXIT_OK
+    want = hashlib.sha256(d1["trace"].read_bytes()).hexdigest()
+    assert json.loads(report.read_text())["manifest"]["input_sha256"] == want
 
 
 @pytest.mark.parametrize("command", ["rank", "analyze", "stability"])

@@ -3,9 +3,10 @@
 The three ``perfbench/scenarios`` traces, cut to the benchmark self-test's
 durations, are written as JSON lines and pcap by ``synth``.  Each trace goes
 through ``analyze`` (report, ``--dot`` and stdout), ``rank`` (CSV and
-``--format json``), ``stability`` and ``inspect --dump-segments``, run from a
-temporary directory with relative paths so that ``manifest.inputs`` is the
-same everywhere.  Only ``manifest.duration_s`` is taken out of the report.
+``--format json``, the top 20 rows and the full table), ``stability`` and
+``inspect --dump-segments``, run from a temporary directory with relative
+paths so that ``manifest.inputs`` is the same everywhere.  Only
+``manifest.duration_s`` is taken out of the report.
 
 ``tests/golden.json`` holds the SHA-256 and byte length of each output and
 the exit code of each command.  A change to it is a deliberate change of
@@ -85,6 +86,11 @@ def compute_golden() -> dict:
             for fmt in ("csv", "json"):
                 name = f"{trace} rank {fmt}"
                 outputs[name] = _entry(_run(["rank", trace, *stream_flags, "--format", fmt], exits, name))
+                # Every row, down the tail of zero-score ties.
+                name = f"{trace} rank {fmt} full"
+                outputs[name] = _entry(
+                    _run(["rank", trace, *stream_flags, "--format", fmt, "--top", "1000000"], exits, name)
+                )
             name = f"{trace} stability"
             outputs[name] = _entry(_run(["stability", trace, *flags], exits, name))
             name = f"{trace} inspect"
