@@ -17,6 +17,7 @@ from scadascope.ingest import (
 )
 from scadascope.segmentation import (
     CommunicationSegment,
+    FtCell,
     FtKey,
     aggregate_ft,
     segment_stream,
@@ -40,6 +41,7 @@ __all__ = [
     "DEFAULT_SERVICE_PORTS",
     "CommunicationSegment",
     "FilterConfig",
+    "FtCell",
     "FtKey",
     "InferenceConfig",
     "PacketRecord",

@@ -43,14 +43,24 @@ EXIT_INPUT_ERROR = 2
 EXIT_LOW_CONFIDENCE = 3
 
 
+_HASH_BUFFER_BYTES = 1 << 16
+
+
 def _sha256_of(path: str) -> str:
+    """The SHA-256 of a file, read through one reused buffer.
+
+    The hash runs while the analysis result is still alive, at the process's
+    peak, so it holds no more than the one buffer.
+    """
     # Imported here: hashlib maps OpenSSL's libcrypto, which only analyze needs.
     import hashlib
 
     digest = hashlib.sha256()
-    with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(_HASH_BUFFER_BYTES)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fp:
+        while size := fp.readinto(buf):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -24,7 +23,7 @@ from scadascope.features import (
     rank,
 )
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import DEFAULT_T_COMM, FtKey, aggregate_records
+from scadascope.segmentation import DEFAULT_T_COMM, FtCell, FtKey, aggregate_records
 
 log = logging.getLogger(__name__)
 
@@ -176,7 +175,7 @@ def infer_field_devices(
 def infer_master_servers(
     scada_port: int,
     field_devices: set[str],
-    ft_map: Mapping[FtKey, Sequence[float]],
+    ft_map: Mapping[FtKey, FtCell],
 ) -> set[str]:
     """Non-field-devices with SCADA-port communication to an inferred field device."""
     masters: set[str] = set()
@@ -191,7 +190,7 @@ def infer_master_servers(
 
 
 def hmi_candidates(
-    master: str, ft_map: Mapping[FtKey, Sequence[float]]
+    master: str, ft_map: Mapping[FtKey, FtCell]
 ) -> list[tuple[float, str]]:
     """Peers of ``master`` ordered by total communication quantity, best first.
 
@@ -199,15 +198,15 @@ def hmi_candidates(
     totals sum over every 5-tuple the master initiates toward that peer.
     """
     qty: dict[str, float] = {}
-    for key, times in ft_map.items():
+    for key, cell in ft_map.items():
         if key.src_ip != master:
             continue
-        qty[key.dst_ip] = qty.get(key.dst_ip, 0.0) + len(times) * key.seg_size
+        qty[key.dst_ip] = qty.get(key.dst_ip, 0.0) + cell.n * key.seg_size
     return sorted(((q, ip) for ip, q in qty.items()), key=lambda t: (-t[0], t[1]))
 
 
 def run_algorithm1(
-    ft_map: Mapping[FtKey, Sequence[float]],
+    ft_map: Mapping[FtKey, FtCell],
     ranked: Sequence[RankedFt],
     config: InferenceConfig,
     profiles: dict[str, DeviceProfile] | None = None,
@@ -283,7 +282,7 @@ def run_algorithm1(
 class AnalysisResult:
     report: TopologyReport
     ranked: list[RankedFt]
-    ft_map: dict[FtKey, array]
+    ft_map: dict[FtKey, FtCell]
     record_count: int
     last_ts: float | None = None
     prefix_reports: list[TopologyReport] = field(default_factory=list)
@@ -324,7 +323,7 @@ def analyze_records(
 
     prefix_reports: list[TopologyReport] = []
 
-    def on_prefix(passed: int, ft_map: dict[FtKey, array]) -> None:
+    def on_prefix(passed: int, ft_map: dict[FtKey, FtCell]) -> None:
         # The record that passed the cutoffs is counted but not segmented.
         report, _ = _analyze_table(ft_map, count - 1, inference_config)
         prefix_reports.extend([report] * passed)
@@ -343,7 +342,7 @@ def analyze_records(
 
 
 def _analyze_table(
-    ft_map: Mapping[FtKey, Sequence[float]],
+    ft_map: Mapping[FtKey, FtCell],
     record_count: int,
     config: InferenceConfig,
 ) -> tuple[TopologyReport, list[RankedFt]]:
@@ -356,7 +355,7 @@ def _analyze_table(
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
     report.metrics = {
         "records": record_count,
-        "segments": sum(map(len, ft_map.values())),
+        "segments": sum(cell.n for cell in ft_map.values()),
         "ft_count": len(ft_map),
     }
     return report, ranked
@@ -496,7 +495,7 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]]) -> str:
+def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, FtCell]) -> str:
     """Render the inferred topology as an undirected DOT graph."""
     lines = ["graph scada_topology {", "  node [shape=ellipse];"]
     for ip in sorted(report.evidence):
@@ -505,11 +504,11 @@ def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, Sequence[float]
     for entry in report.protocols:
         port = entry.scada_port
         seg_counts: dict[tuple[str, str], int] = {}
-        for key, times in ft_map.items():
+        for key, cell in ft_map.items():
             if port != key.src_port and port != key.dst_port:
                 continue
             pair = tuple(sorted((key.src_ip, key.dst_ip)))
-            seg_counts[pair] = seg_counts.get(pair, 0) + len(times)
+            seg_counts[pair] = seg_counts.get(pair, 0) + cell.n
         for (a, b), n in sorted(seg_counts.items()):
             if a in entry.field_devices or b in entry.field_devices:
                 lines.append(f'  {_dot_id(a)} -- {_dot_id(b)} [label="port {port} n={n}"];')

@@ -493,16 +493,24 @@ def filter_packets(
     config: FilterConfig,
     stats: FilterStats | None = None,
 ) -> Iterator[PacketRecord]:
-    """Drop non-TCP and service-port packets; order preserved."""
+    """Drop non-TCP and service-port packets; order preserved.
+
+    The counts reach ``stats`` when the stream ends or is closed.
+    """
     if stats is None:
         stats = FilterStats()
     ports = config.service_ports
-    for rec in records:
-        if rec.proto != TCP or rec.src_port in ports or rec.dst_port in ports:
-            stats.dropped += 1
-        else:
-            stats.kept += 1
-            yield rec
+    kept = dropped = 0
+    try:
+        for rec in records:
+            if rec.proto != TCP or rec.src_port in ports or rec.dst_port in ports:
+                dropped += 1
+            else:
+                kept += 1
+                yield rec
+    finally:
+        stats.kept += kept
+        stats.dropped += dropped
 
 
 _by_ts = attrgetter("ts")

@@ -3,15 +3,16 @@
 A conversation (unordered endpoint pair) is cut into segments wherever the
 gap to the previous packet reaches the ``t_comm`` threshold.  Segments are
 then bucketed by the 5-tuple (initiator ip/port, responder ip/port, segment
-size), which is the unit everything downstream ranks and classifies.
+size), which is the unit everything downstream ranks and classifies.  Each
+bucket keeps a fixed-size ``FtCell``, not its start times, so the table
+grows with 5-tuples, not with segments.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from scadascope.ingest import PacketRecord, compact_json
 
@@ -135,63 +136,159 @@ def segment_stream(
         yield cell[0]
 
 
-def aggregate_ft(
-    segments: Iterable[CommunicationSegment], starts: dict[FtKey, array] | None = None
-) -> dict[FtKey, array]:
-    """The 5-tuple table: each 5-tuple's segment start times in arrival order.
+@dataclass(slots=True)
+class FtCell:
+    """One 5-tuple's segment start times, summarized in constant size.
 
-    The times are kept as C doubles (``array('d')``); every time feature is
-    derived from them.  ``starts``, when given, is the dict the table is
-    gathered in, so a caller can read it while the segments still arrive.
+    ``n`` counts the segments and ``last`` is the latest start.  Over the
+    gaps ``g`` between consecutive starts, ``t1 + s1`` is the sum of
+    ``g - K`` and ``t2 + s2`` the sum of ``(g - K) ** 2``, so
+    ``periodicity_durability`` gets the total and the population variance
+    of the gaps in constant time.  ``s1`` and ``s2`` sum the gaps since the
+    last closed block of ``LONG_CELL`` gaps, and ``t1`` and ``t2`` the
+    closed blocks: 0 but in a ``LongFtCell``.  A running sum so takes at
+    most ``LONG_CELL`` terms, or one per block, where one sum over all the
+    gaps would round off more than 1e-12 of the variance by 200,000 gaps.
+
+    The shift ``K`` starts as the first gap (0 while ``n`` < 2).  The
+    variance, the mean of the squares less the square of the mean, loses
+    precision as the mean gap moves away from ``K``, so ``aggregate_ft``
+    moves ``K`` to the mean when the mean lies further than one standard
+    deviation from it: at any gap of a short cell, and as a block closes in
+    a long one.  The first start is not kept: no feature reads it, and its
+    float would add about an eighth to a table of short-lived 5-tuples.
     """
-    if starts is None:
-        starts = {}
-    _insert(segments, starts)
-    return starts
+
+    last: float
+    n: int = 1
+    K: float = 0.0
+    s1: float = 0.0
+    s2: float = 0.0
+    t1: ClassVar[float] = 0.0
+    t2: ClassVar[float] = 0.0
 
 
-def _insert(segments: Iterable[CommunicationSegment], starts: dict[FtKey, array]) -> None:
-    """Append each segment's start time to its 5-tuple's entry in ``starts``."""
-    get = starts.get
+@dataclass(slots=True)
+class LongFtCell(FtCell):
+    """The cell of a 5-tuple with more than ``LONG_CELL`` segments.
+
+    It keeps the sums of its closed blocks apart; the two floats are paid
+    only by the long-lived 5-tuples.
+    """
+
+    t1: float = 0.0
+    t2: float = 0.0
+
+
+# The gaps of one block of a LongFtCell.
+LONG_CELL = 256
+
+
+def aggregate_ft(
+    segments: Iterable[CommunicationSegment], table: dict[FtKey, FtCell] | None = None
+) -> dict[FtKey, FtCell]:
+    """The 5-tuple table: each 5-tuple's ``FtCell``, in first-segment order.
+
+    A segment updates its 5-tuple's cell as it arrives; every time feature
+    is derived from the cell.  ``table``, when given, is the dict the table
+    is gathered in, so a caller can read it while the segments still arrive.
+    """
+    if table is None:
+        table = {}
+    _insert(segments, table)
+    return table
+
+
+def _insert(segments: Iterable[CommunicationSegment], table: dict[FtKey, FtCell]) -> None:
+    """Count each segment in its 5-tuple's cell in ``table``.
+
+    A 5-tuple's segments arrive in start order: its conversation closes
+    them one after another.
+    """
+    get = table.get
     for seg in segments:
         # A plain tuple finds its FtKey; the key is built once per 5-tuple.
         ft = (*seg.initiator, *seg.responder, seg.seg_size)
-        times = get(ft)
-        if times is None:
-            times = starts[FtKey._make(ft)] = array("d")
-        times.append(seg.start_ts)
+        start = seg.start_ts
+        cell = get(ft)
+        if cell is None:
+            table[FtKey._make(ft)] = FtCell(start)
+            continue
+        gap = start - cell.last
+        cell.last = start
+        k = cell.n  # the gaps, this one included
+        cell.n = k + 1
+        if k == 1:
+            cell.K = gap
+            continue
+        d = gap - cell.K
+        s1 = cell.s1 = cell.s1 + d
+        s2 = cell.s2 = cell.s2 + d * d
+        if k < LONG_CELL:
+            if s1 * s1 > 0.5 * k * s2:
+                _recenter(cell, k)
+        elif not k % LONG_CELL:
+            if k == LONG_CELL:
+                cell = table[ft] = LongFtCell(start, k + 1, cell.K)
+            # The block closes: its sums join those of the closed blocks.
+            cell.t1 += s1
+            cell.t2 += s2
+            cell.s1 = cell.s2 = 0.0
+            if cell.t1 * cell.t1 > 0.5 * k * cell.t2:
+                _recenter(cell, k)
+
+
+def _recenter(cell: FtCell, k: int) -> None:
+    """Move the shift ``K`` of a cell with ``k`` gaps to their mean.
+
+    The sums keep their meaning: the sum of squares becomes that of the
+    deviations from the mean, plus the square of what rounding ``K`` left
+    over ``k``.  A long cell is recentred as a block closes, with the
+    block's sums at 0.
+    """
+    s1 = cell.t1 + cell.s1
+    offset = s1 / k
+    K = cell.K + offset
+    rest = s1 - k * (K - cell.K)
+    s2 = (cell.t2 + cell.s2 - s1 * offset) + rest * rest / k
+    cell.K = K
+    if k < LONG_CELL:
+        cell.s1, cell.s2 = rest, s2
+    else:
+        cell.t1, cell.t2 = rest, s2
 
 
 def aggregate_records(
     records: Iterable[PacketRecord],
     t_comm: float = DEFAULT_T_COMM,
     cutoffs: Sequence[float] = (),
-    on_prefix: Callable[[int, dict[FtKey, array]], None] | None = None,
-) -> dict[FtKey, array]:
+    on_prefix: Callable[[int, dict[FtKey, FtCell]], None] | None = None,
+) -> dict[FtKey, FtCell]:
     """Segment and aggregate a time-ordered record stream in one pass.
 
     ``cutoffs`` are ascending times.  Where the stream first passes one or
     more of them, ``on_prefix(passed, table)`` gets the table of the records
     before that point, equal to this function's result on that prefix, and
-    ``passed`` counts the cutoffs passed there.  The prefix table is the
-    growing table itself with the open segments added for the call: read it
-    before returning, and keep no reference.
+    ``passed`` counts the cutoffs passed there.  The prefix table is a new
+    dict that shares the growing table's cells, apart from copies of those
+    its open segments change: read it, change nothing in it, and keep no
+    reference.
     """
-    starts: dict[FtKey, array] = {}
+    table: dict[FtKey, FtCell] = {}
 
     def on_cutoff(passed: int, open_segments: Iterator[CommunicationSegment]) -> None:
-        # Add every open segment as the end of the prefix would flush it, hand
-        # the table over, then take those segments out again.  A 5-tuple has
-        # at most one open segment, the one of its conversation, so its last
-        # time is that segment's, and an emptied entry was added here.
+        # Add every open segment as the end of the prefix would flush it.  A
+        # 5-tuple has at most one open segment, the one of its conversation,
+        # so each cell it changes is copied once and the growing table keeps
+        # its own.
+        prefix = dict(table)
         flushed = list(open_segments)
-        _insert(flushed, starts)
-        on_prefix(passed, starts)
         for seg in flushed:
             ft = (*seg.initiator, *seg.responder, seg.seg_size)
-            times = starts[ft]
-            times.pop()
-            if not times:
-                del starts[ft]
+            cell = prefix.get(ft)
+            if cell is not None:
+                prefix[ft] = replace(cell)
+        _insert(flushed, prefix)
+        on_prefix(passed, prefix)
 
-    return aggregate_ft(segment_stream(records, t_comm, cutoffs, on_cutoff), starts)
+    return aggregate_ft(segment_stream(records, t_comm, cutoffs, on_cutoff), table)

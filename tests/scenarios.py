@@ -1,9 +1,13 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario and 5-tuple table builders for the test suite."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
+from scadascope.features import DEFAULT_PR_CAP, periodicity_durability
+from scadascope.segmentation import CommunicationSegment, FtCell, aggregate_ft
 from scadascope.synth import (
     MasterConfig,
     NoiseConfig,
@@ -13,7 +17,27 @@ from scadascope.synth import (
     ScenarioConfig,
 )
 
+from reference import ref_durability, ref_periodicity
+
 DATASET1_SIZES = [340, 337, 332, 296, 225]
+
+
+def cell_of(starts) -> FtCell:
+    """The table's cell of one 5-tuple with these segment start times, in order."""
+    segments = (CommunicationSegment(t, t, 1, 1, ("a", 1), ("b", 2)) for t in starts)
+    (cell,) = aggregate_ft(segments).values()
+    return cell
+
+
+def assert_cells_match(table, ref_table, cap=DEFAULT_PR_CAP) -> None:
+    """Each cell of ``table`` gives the count, the last start, pR and dR that
+    the reference computes in two passes from its start times in ``ref_table``."""
+    assert set(table) == set(ref_table)
+    for key, cell in table.items():
+        starts = ref_table[key]
+        assert (cell.n, cell.last) == (len(starts), starts[-1]), key
+        want = (ref_periodicity(starts, cap), ref_durability(starts))
+        assert periodicity_durability(cell, cap) == pytest.approx(want, rel=1e-12, abs=1e-300), key
 
 
 def dataset1_like(duration: float = 86400.0, seed: int = 101, fds: int = 49) -> ScenarioConfig:

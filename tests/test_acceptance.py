@@ -24,12 +24,11 @@ from scadascope.inference import (
     load_ground_truth,
     prefix_stability,
 )
-from scadascope.features import inter_arrival_times
 from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate, write_records
 
-from reference import ref_all_features, ref_iat, ref_segments
-from scenarios import dataset1_like, dataset2_like, month_like, small_random_scenario
+from reference import ref_all_features, ref_ft_table, ref_segments
+from scenarios import assert_cells_match, cell_of, dataset1_like, dataset2_like, month_like, small_random_scenario
 
 
 def ok(n: int, text: str) -> None:
@@ -99,7 +98,7 @@ def test_criterion_3_periodicity_anchor():
     from scadascope.features import periodicity_durability
 
     d = math.sqrt(1.48)
-    got = periodicity_durability([0.0, 8.75 - d, 17.5])[0]
+    got = periodicity_durability(cell_of([0.0, 8.75 - d, 17.5]))[0]
     assert abs(got - 5.912) <= 1e-3, got
     ok(3, f"mean 8.75 s / variance 1.48 s^2 gives pR={got:.4f}")
 
@@ -244,18 +243,8 @@ def test_criterion_6_oracle_equivalence():
         assert got_segments == want_segments, f"scenario {i}: segmentation mismatch"
 
         table = aggregate_ft(segment_stream(iter(records), 1.0))
-        ref_table = {}
-        for seg in ref_segments(records, 1.0):
-            a, b = seg["key"]
-            init = seg["initiator"]
-            resp = b if init == a else a
-            ref_table.setdefault((init[0], init[1], resp[0], resp[1], seg["size"]), []).append(seg["start"])
-        for starts in ref_table.values():
-            starts.sort()
-        assert set(table) == set(ref_table)
-        for key, times in table.items():
-            assert list(times) == ref_table[key]
-            assert list(inter_arrival_times(times)) == ref_iat(ref_table[key])
+        ref_table = ref_ft_table(ref_segments(records, 1.0))
+        assert_cells_match(table, ref_table)
 
         got_features = {tuple(e.key): e.raw for e in rank(table)}
         want_features = ref_all_features(ref_table)
@@ -325,7 +314,7 @@ def test_criterion_7_invariances():
             scaled = {}
             for k, s in table.items():
                 nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 5)
-                scaled[nk] = list(s)
+                scaled[nk] = s
             hmi = hmi_candidates(master, table)[0][1]
             assert hmi == hmi_candidates(master, scaled)[0][1], f"scenario {i}: hmi scale"
             hmi_checked += 1

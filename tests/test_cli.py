@@ -791,6 +791,22 @@ def test_cli_import_leaves_hashlib_unloaded_and_analyze_hashes_its_input(tmp_pat
     assert json.loads(report.read_text())["manifest"]["input_sha256"] == want
 
 
+def test_input_hash_holds_one_buffer(tmp_path):
+    # analyze hashes its input while the table and the ranking are alive,
+    # so the hash adds one buffer to the peak, not a read per chunk.
+    path = tmp_path / "blob"
+    data = bytes(range(256)) * (4 << 12)  # 4 MiB
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        got = cli._sha256_of(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == hashlib.sha256(data).hexdigest()
+    assert peak <= 2 * cli._HASH_BUFFER_BYTES, peak
+
+
 @pytest.mark.parametrize("command", ["rank", "analyze", "stability"])
 def test_flags_build_the_one_config(tmp_path, d1, monkeypatch, command):
     target = "prefix_stability" if command == "stability" else "analyze_records"

@@ -6,10 +6,9 @@ import itertools
 import math
 import random
 import tracemalloc
-from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scadascope.features import (
     build_device_profiles,
@@ -23,22 +22,20 @@ from scadascope.features import (
     write_ranking_csv,
 )
 from scadascope.inference import InferenceConfig
+from scadascope.ingest import PacketRecord
 from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate
 
-from reference import ref_all_features
-from scenarios import dataset1_like, small_random_scenario
+from reference import ref_all_features, ref_durability, ref_ft_table, ref_periodicity, ref_segments
+from scenarios import cell_of, dataset1_like, small_random_scenario
 
 
-def starts_from_iat(iat, t0=0.0):
-    starts = [t0]
-    for gap in iat:
-        starts.append(starts[-1] + gap)
-    return starts
+def cell_from_iat(iat, t0=0.0):
+    return cell_of(itertools.accumulate(iat, initial=t0))
 
 
-def starts_with_n(n):
-    return [10.0 * i for i in range(n)]
+def cell_with_n(n):
+    return cell_of(10.0 * i for i in range(n))
 
 
 # --- periodicity ---------------------------------------------------------------
@@ -47,44 +44,45 @@ def starts_with_n(n):
 def test_periodicity_reference_anchor():
     # two gaps engineered to hit mean 8.75 and population variance 1.48
     d = math.sqrt(1.48)
-    starts = starts_from_iat([8.75 - d, 8.75 + d])
-    assert abs(periodicity_durability(starts)[0] - 5.912) <= 1e-3
+    cell = cell_from_iat([8.75 - d, 8.75 + d])
+    assert abs(periodicity_durability(cell)[0] - 5.912) <= 1e-3
 
 
 def test_periodicity_empty_iat_is_zero():
-    assert periodicity_durability(starts_with_n(1))[0] == 0.0
-    assert periodicity_durability(starts_with_n(0))[0] == 0.0
-    assert periodicity_durability(starts_from_iat([4.0]))[0] == 0.0  # single gap
+    assert periodicity_durability(cell_with_n(1))[0] == 0.0
+    assert periodicity_durability(cell_from_iat([4.0]))[0] == 0.0  # single gap
 
 
 def test_periodicity_simple_arithmetic():
-    pR, _ = periodicity_durability(starts_from_iat([2.0, 4.0, 2.0, 4.0]))
+    pR, _ = periodicity_durability(cell_from_iat([2.0, 4.0, 2.0, 4.0]))
     assert pR == pytest.approx(3.0, abs=1e-12)
 
 
 def test_periodicity_zero_variance_capped():
-    starts = starts_from_iat([5.0, 5.0, 5.0])
-    assert periodicity_durability(starts)[0] == 1e6
-    assert periodicity_durability(starts, cap=123.0)[0] == 123.0
+    cell = cell_from_iat([5.0, 5.0, 5.0])
+    assert periodicity_durability(cell)[0] == 1e6
+    assert periodicity_durability(cell, cap=123.0)[0] == 123.0
+    # past LONG_CELL too, where the cell sums its gaps in blocks
+    assert periodicity_durability(cell_from_iat([0.25] * 1000))[0] == 1e6
 
 
 # --- durability ----------------------------------------------------------------
 
 
 def test_durability_single_occurrence_is_zero():
-    assert periodicity_durability(starts_with_n(1))[1] == 0.0
+    assert periodicity_durability(cell_with_n(1))[1] == 0.0
 
 
 def test_durability_two_hours_hundred_occurrences():
-    starts = starts_from_iat([7200.0 / 99] * 99)  # sums to exactly 2h over n=100
-    assert periodicity_durability(starts)[1] == pytest.approx(2.0 * math.log(100), rel=1e-9)
-    assert periodicity_durability(starts)[1] == pytest.approx(9.2103, abs=1e-3)
+    cell = cell_from_iat([7200.0 / 99] * 99)  # sums to exactly 2h over n=100
+    assert periodicity_durability(cell)[1] == pytest.approx(2.0 * math.log(100), rel=1e-9)
+    assert periodicity_durability(cell)[1] == pytest.approx(9.2103, abs=1e-3)
 
 
 def test_durability_hour_of_ten_second_polling():
-    starts = starts_from_iat([10.0] * 360)  # n = 361, observed length 1 hour
-    assert periodicity_durability(starts)[1] == pytest.approx(math.log(361), rel=1e-9)
-    assert periodicity_durability(starts)[1] == pytest.approx(5.889, abs=1e-3)
+    cell = cell_from_iat([10.0] * 360)  # n = 361, observed length 1 hour
+    assert periodicity_durability(cell)[1] == pytest.approx(math.log(361), rel=1e-9)
+    assert periodicity_durability(cell)[1] == pytest.approx(5.889, abs=1e-3)
 
 
 # --- complexity gap ------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_durability_hour_of_ten_second_polling():
 def index_of(*fts):
     """What cR and uR read for these 5-tuples, in one mapping: the device
     table by address and the distinct-pair counts by (port, role)."""
-    table = {FtKey(*ft): [0.0] for ft in fts}
+    table = {FtKey(*ft): cell_of([0.0]) for ft in fts}
     return {**build_device_profiles(table), **port_pair_counts(table)}
 
 
@@ -198,9 +196,12 @@ def build_table(records):
     return aggregate_ft(segment_stream(records, 1.0))
 
 
+def synth_records(duration=900.0, seed=31, fds=6):
+    return list(generate(dataset1_like(duration=duration, seed=seed, fds=fds))[0])
+
+
 def synth_table(duration=900.0, seed=31, fds=6):
-    records = list(generate(dataset1_like(duration=duration, seed=seed, fds=fds))[0])
-    return build_table(records)
+    return build_table(synth_records(duration, seed, fds))
 
 
 def test_rank_normalization_invariants():
@@ -226,9 +227,9 @@ def test_rank_single_occurrence_scores_zero_and_sorts_last():
 
 
 def test_rank_matches_reference_features():
-    table = synth_table(duration=600.0, seed=32, fds=5)
-    ranked = {tuple(e.key): e for e in rank(table)}
-    reference = ref_all_features({tuple(k): list(s) for k, s in table.items()})
+    records = synth_records(duration=600.0, seed=32, fds=5)
+    ranked = {tuple(e.key): e for e in rank(build_table(records))}
+    reference = ref_all_features(ref_ft_table(ref_segments(records, 1.0)))
     assert set(ranked) == set(reference)
     for ft, want in reference.items():
         got = ranked[ft].raw
@@ -237,13 +238,13 @@ def test_rank_matches_reference_features():
 
 
 def test_rank_order_invariant_under_exact_time_rescale():
-    table = synth_table(duration=600.0, seed=33, fds=5)
-    ranked = rank(table)
-    scaled = {
-        FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size): [t * 2.0 for t in s]
-        for k, s in table.items()
-    }
-    ranked2 = rank(scaled)
+    records = synth_records(duration=600.0, seed=33, fds=5)
+    ranked = rank(build_table(records))
+    scaled = [
+        PacketRecord(r.ts * 2.0, r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.proto, r.size)
+        for r in records
+    ]
+    ranked2 = rank(aggregate_ft(segment_stream(scaled, 2.0)))
     assert [e.key for e in ranked] == [e.key for e in ranked2]
     for a, b in zip(ranked, ranked2):
         assert a.normalized == b.normalized
@@ -257,7 +258,7 @@ def test_rank_order_invariant_under_relabeling():
     relabeled = {}
     for k, s in table.items():
         nk = FtKey(mapping[k.src_ip], k.src_port, mapping[k.dst_ip], k.dst_port, k.seg_size)
-        relabeled[nk] = list(s)
+        relabeled[nk] = s
     ranked = rank(table)
     ranked2 = {e.key: e for e in rank(relabeled)}
     for entry in ranked:
@@ -276,8 +277,8 @@ def test_rank_deterministic_tiebreak():
     k1 = FtKey("a", 1, "b", 2, 100)
     k2 = FtKey("a", 1, "b", 3, 100)
     table = {
-        k1: [0.0, 10.0, 20.0, 30.0],
-        k2: [0.0, 10.0, 20.0, 30.0],
+        k1: cell_of([0.0, 10.0, 20.0, 30.0]),
+        k2: cell_of([0.0, 10.0, 20.0, 30.0]),
     }
     first = rank(table)
     second = rank(dict(reversed(list(table.items()))))
@@ -290,7 +291,7 @@ def test_rank_breaks_an_exact_f_tie_by_normalized_periodicity():
     # higher pR_n comes first although its key sorts last.
     first = FtKey("10.0.0.1", 40001, "10.0.0.3", 502, 100)
     second = FtKey("10.0.0.1", 40000, "10.0.0.2", 502, 100)
-    ranked = rank({second: [0.0, 2.0, 8.0], first: [0.0, 1.0, 4.0]})
+    ranked = rank({second: cell_of([0.0, 2.0, 8.0]), first: cell_of([0.0, 1.0, 4.0])})
     assert [e.key for e in ranked] == [first, second]
     assert ranked[0].f == ranked[1].f == 0.5
     assert [e.normalized[0] for e in ranked] == [1.0, 0.5]
@@ -306,7 +307,7 @@ _tables = st.dictionaries(
         st.sampled_from([502, 40000]), st.sampled_from([60, 100]),
     ).filter(lambda key: key.src_ip != key.dst_ip),
     st.lists(st.sampled_from([0.0, 1.0, 2.0, 4.0]), max_size=5).map(
-        lambda gaps: list(itertools.accumulate(gaps, initial=0.0))
+        lambda gaps: cell_of(itertools.accumulate(gaps, initial=0.0))
     ),
     min_size=1,
     max_size=12,
@@ -331,10 +332,10 @@ def churn_like_table(connections=4000, seed=41):
     for port in range(1024, 1024 + connections):
         fd = f"10.0.1.{rng.randrange(1, 201)}"
         start = rng.uniform(0.0, 1800.0)
-        starts = array("d", (start + 6.0 * i + rng.random() for i in range(rng.randint(1, 6))))
-        table[FtKey("10.0.0.1", port, fd, 502, 66)] = starts
+        starts = [start + 6.0 * i + rng.random() for i in range(rng.randint(1, 6))]
+        table[FtKey("10.0.0.1", port, fd, 502, 66)] = cell_of(starts)
         for size in rng.sample((480, 450, 420, 390, 360, 330), 4):
-            table[FtKey(fd, 502, "10.0.0.1", port, size)] = array("d", starts)
+            table[FtKey(fd, 502, "10.0.0.1", port, size)] = cell_of(starts)
     return table
 
 
@@ -370,7 +371,7 @@ def test_rank_column_of_zeros_normalizes_to_positive_zero():
         FtKey("10.0.0.3", 502, "10.0.0.1", 40001, 60),
         FtKey("10.0.0.1", 40001, "10.0.0.3", 502, 12),
     ]
-    ranked = rank({k: [float(i)] for i, k in enumerate(keys)})
+    ranked = rank({k: cell_of([float(i)]) for i, k in enumerate(keys)})
     for e in ranked:
         assert e.raw[:2] == (0.0, 0.0)
         for value in e.normalized[:2]:
@@ -408,9 +409,58 @@ def test_random_scenarios_feature_parity_with_reference():
         records = list(generate(config)[0])
         if not records:
             continue
-        table = build_table(records)
-        got = {tuple(e.key): e.raw for e in rank(table)}
-        want = ref_all_features({tuple(k): list(s) for k, s in table.items()})
+        got = {tuple(e.key): e.raw for e in rank(build_table(records))}
+        want = ref_all_features(ref_ft_table(ref_segments(records, 1.0)))
         for ft in want:
             for g, w in zip(got[ft], want[ft]):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
+
+
+_gaps = st.floats(min_value=0.0, max_value=1e4, allow_nan=False) | st.sampled_from([0.0, 1.0, 8.75, 300.0])
+
+
+@given(st.floats(min_value=0.0, max_value=1e7), st.lists(_gaps, max_size=400))
+def test_cell_features_match_the_two_pass_reference(t0, gaps):
+    # The cell's one-pass shifted sums against the reference's two passes
+    # over the start times, within criterion 6's bound; pR is never negative.
+    # The lists cross LONG_CELL, where a cell starts to sum its gaps in blocks.
+    starts = list(itertools.accumulate(gaps, initial=t0))
+    pR, dR = periodicity_durability(cell_of(starts))
+    assert pR >= 0.0
+    assert (pR, dR) == pytest.approx((ref_periodicity(starts), ref_durability(starts)), rel=1e-12, abs=1e-300)
+
+
+def long_gaps(shape, k, period, jitter, seed):
+    """``k`` gaps of a long-lived 5-tuple: polls every ``period`` seconds,
+    each off by up to ``jitter`` of it, in a shape that strains one-pass sums."""
+    rng = random.Random(seed)
+    gaps = [period * (1.0 + rng.uniform(-jitter, jitter)) for _ in range(k)]
+    if shape == "first-apart":  # the first gap, the shift's start, far from the polls
+        gaps[0] = rng.uniform(0.0, 1e4)
+    elif shape == "two-regimes":  # a slow first half, then the polls
+        gaps[: k // 2] = [1e4 + g for g in gaps[: k // 2]]
+    elif shape == "drift":  # the period grows by half over the trace
+        gaps = [g * (1.0 + 0.5 * i / k) for i, g in enumerate(gaps)]
+    elif shape == "pauses":  # one gap in a hundred is a reconnect pause
+        gaps = [g + 1e3 if rng.random() < 0.01 else g for g in gaps]
+    return gaps
+
+
+@settings(max_examples=10)
+@example("first-apart", 200_000, 8.75, 1e-6, 0, 1e6)
+@example("two-regimes", 200_000, 8.75, 1e-3, 0, 1e6)
+@given(
+    st.sampled_from(["first-apart", "two-regimes", "drift", "pauses", "polls"]),
+    st.sampled_from([1_000, 10_000, 100_000, 200_000]),
+    st.sampled_from([1.0, 8.75, 60.0, 300.0]),
+    st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]),
+    st.integers(min_value=0, max_value=2**32),
+    st.floats(min_value=0.0, max_value=1e7),
+)
+def test_long_cell_features_match_the_two_pass_reference(shape, k, period, jitter, seed, t0):
+    # A month polled every 8.75 s gives about 300,000 gaps per 5-tuple; the
+    # draws stop at 200,000 to keep the test near 3 s.
+    starts = list(itertools.accumulate(long_gaps(shape, k, period, jitter, seed), initial=t0))
+    pR, dR = periodicity_durability(cell_of(starts))
+    assert pR >= 0.0
+    assert (pR, dR) == pytest.approx((ref_periodicity(starts), ref_durability(starts)), rel=1e-12, abs=1e-300)

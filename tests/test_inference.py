@@ -7,7 +7,6 @@ import logging
 import random
 import re
 import tracemalloc
-from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,12 +35,12 @@ from scadascope.segmentation import FtKey
 from scadascope.synth import ScadaGroup, ScenarioConfig, generate
 
 from reference import ref_algorithm1, ref_ft_table, ref_hmi, ref_segments
-from scenarios import dataset1_like, dataset2_like, month_like, office_like, small_random_scenario
+from scenarios import cell_of, dataset1_like, dataset2_like, month_like, office_like, small_random_scenario
 
 
 def ft(src, sport, dst, dport, size, n=2, period=10.0):
     key = FtKey(src, sport, dst, dport, size)
-    return key, [period * i for i in range(n)]
+    return key, cell_of(period * i for i in range(n))
 
 
 def table_of(*entries):
@@ -222,7 +221,7 @@ def test_hmi_matches_bruteforce_oracle():
         from scadascope.segmentation import aggregate_ft, segment_stream
 
         table = aggregate_ft(segment_stream(records, 1.0))
-        want = ref_hmi("10.0.0.1", {tuple(k): list(s) for k, s in table.items()})
+        want = ref_hmi("10.0.0.1", ref_ft_table(ref_segments(records, 1.0)))
         assert want is not None
         assert hmi_candidates("10.0.0.1", table)[0][1] == want[1]
 
@@ -236,7 +235,7 @@ def test_hmi_argmax_invariant_under_size_scaling():
     scaled = {}
     for k, s in table.items():
         nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 7)
-        scaled[nk] = list(s)
+        scaled[nk] = s
     assert hmi_candidates("m", table)[0][1] == hmi_candidates("m", scaled)[0][1]
 
 
@@ -628,7 +627,7 @@ def test_prefix_stability_reads_once_and_ranks_each_prefix_once(monkeypatch):
     ranked_sizes = []
 
     def counting(ft_map, *args, **kwargs):
-        ranked_sizes.append(sum(map(len, ft_map.values())))
+        ranked_sizes.append(sum(cell.n for cell in ft_map.values()))
         return rank(ft_map, *args, **kwargs)
 
     monkeypatch.setattr(inference, "rank", counting)
@@ -713,11 +712,14 @@ def test_prefix_stability_wrong_end_hint_on_a_one_shot_stream_is_an_error():
 
 def test_prefix_stability_peak_memory_tracks_analyze():
     # The pass holds the 5-tuple table and the open conversations, not the
-    # trace: on a long trace its peak stays near analyze's on the same
-    # streamed generator.  A snapshot's ranking coexists with the stream's
-    # state, a fixed cost per 5-tuple that a short trace would magnify.
+    # trace.  Beyond analyze's peak on the same streamed generator it keeps
+    # one report per prefix, and a prefix's ranking coexists with the
+    # stream's state: costs of devices and 5-tuples, not of records.
+    # Holding the 33,982 records would cost a pointer and a record each.
     config = month_like(seed=315, days=4)
-    end = deque(generate(config)[0], maxlen=1)[0].ts
+    records = 0
+    for records, rec in enumerate(generate(config)[0], 1):
+        end = rec.ts
     fractions = [0.02, 0.06, 0.1, 0.25, 0.999, 1.0]
 
     def analyze():
@@ -736,7 +738,7 @@ def test_prefix_stability_peak_memory_tracks_analyze():
             tracemalloc.stop()
 
     held = peak(analyze), peak(stability)
-    assert held[1] <= 1.1 * held[0], held
+    assert held[1] - held[0] <= 2 * records, (held, records)
 
 
 def test_prefix_rejects_bad_fractions():

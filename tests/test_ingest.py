@@ -278,7 +278,11 @@ def reader_output(path):
     return records, dataclasses.asdict(stats)
 
 
+_STACKED_TAGS = pcap_bytes([vlan_tagged(eth_ipv4_tcp("10.0.0.1", 40000, "10.0.0.2", 502, 60), 0x88A8, 0x8100)])
+
+
 @given(random_captures(), st.sampled_from([1, 3, 16, 17, 50, ingest._CHUNK_BYTES]))
+@example(_STACKED_TAGS, ingest._CHUNK_BYTES)  # the second tag is stripped too
 def test_read_pcap_matches_reference(tmp_path_factory, blob, chunk):
     path = tmp_path_factory.mktemp("cap") / "random.pcap"
     path.write_bytes(blob)
@@ -649,6 +653,16 @@ def test_filter_counts_add_up():
     kept = list(filter_packets(packets, FilterConfig(), stats))
     assert stats.kept == len(kept) == 2
     assert stats.kept + stats.dropped == len(packets)
+
+
+def test_filter_counts_reach_stats_when_a_partly_read_stream_closes():
+    packets = [rec(dport=53), rec(), rec(sport=123), rec(dport=9999), rec(dport=53)]
+    stats = FilterStats()
+    stream = filter_packets(packets, FilterConfig(), stats)
+    assert next(stream) is packets[1]
+    assert (stats.kept, stats.dropped) == (0, 0)  # counted in locals until the end
+    stream.close()
+    assert (stats.kept, stats.dropped) == (1, 1)
 
 
 def test_filter_service_mix_fraction():

@@ -17,7 +17,6 @@ from hypothesis import given, strategies as st
 
 from scadascope import ingest
 from scadascope.ingest import PacketRecord, read_pcap, read_records
-from scadascope.features import inter_arrival_times
 from scadascope.inference import analyze_records
 from scadascope.segmentation import aggregate_ft, segment_stream
 from scadascope.synth import (
@@ -37,6 +36,7 @@ from scadascope.synth import (
     write_records,
 )
 
+from reference import ref_ft_table, ref_iat, ref_segments
 from scenarios import dataset1_like, dataset2_like, office_like, small_random_scenario
 
 
@@ -98,11 +98,11 @@ def test_zero_field_devices_means_no_scada():
 def test_poll_gaps_never_fall_below_segmentation_threshold():
     config = tiny_config(duration=1200.0)
     records = list(generate(config)[0])
-    table = aggregate_ft(segment_stream(records, 1.0))
-    reports = [s for k, s in table.items() if k.src_port == 20000]
+    table = ref_ft_table(ref_segments(records, 1.0))
+    reports = [s for k, s in table.items() if k[1] == 20000]
     assert reports
     for times in reports:
-        assert min(inter_arrival_times(times)) >= 1.1 - 1e-9
+        assert min(ref_iat(times)) >= 1.1 - 1e-9
 
 
 def test_iat_statistics_converge_to_configuration():
@@ -114,10 +114,10 @@ def test_iat_statistics_converge_to_configuration():
         ],
     )
     records = list(generate(config)[0])
-    table = aggregate_ft(segment_stream(records, 1.0))
-    times = next(s for k, s in table.items() if k.src_port == 20000)
+    table = ref_ft_table(ref_segments(records, 1.0))
+    times = next(s for k, s in table.items() if k[1] == 20000)
     assert len(times) >= 1000
-    iat = list(inter_arrival_times(times))
+    iat = ref_iat(times)
     mean = statistics.mean(iat)
     var = statistics.pvariance(iat)
     assert abs(mean - 5.0) / 5.0 < 0.05
@@ -166,9 +166,9 @@ def test_hmi_feed_dominates_master_peers():
     records = list(generate(config)[0])
     table = aggregate_ft(segment_stream(records, 1.0))
     qty: dict[str, int] = {}
-    for key, times in table.items():
+    for key, cell in table.items():
         if key.src_ip == "10.0.0.1":
-            qty[key.dst_ip] = qty.get(key.dst_ip, 0) + len(times) * key.seg_size
+            qty[key.dst_ip] = qty.get(key.dst_ip, 0) + cell.n * key.seg_size
     top = max(qty, key=lambda ip: qty[ip])
     assert top == "10.0.0.2"
     others = [v for ip, v in qty.items() if ip != top]

@@ -1,0 +1,239 @@
+#!/usr/bin/env python3
+"""Mutation checks: break one rule of the analysis on purpose, and see a test fail.
+
+Each mutant names a file under ``src/``, an exact snippet of it, the
+replacement and the tests that must kill it.  For each mutant the tool copies
+``src/`` to a temporary directory, applies the mutant there and runs the named
+tests with ``PYTHONPATH`` pointing at the copy.  A mutant is killed when pytest
+reports a failing test (exit status 1); it has survived when the tests pass.
+
+The killers are reference and invariance tests, not ``tests/test_golden.py``:
+a changed digest catches every mutant but does not say which rule broke.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python3 tools/mutants.py
+
+Exit status: 0 when every mutant is killed; 1 when one survives; 2 when a
+snippet is missing from its file or appears in it more than once, or when
+the tests could not run (a collection error, no test collected, the copy not
+imported).  Code that moves must take its mutants along in the same change.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]
+
+
+_CELL_REFERENCE = (
+    "tests/test_features.py::test_cell_features_match_the_two_pass_reference",
+    "tests/test_features.py::test_rank_matches_reference_features",
+)
+_LONG_CELL_REFERENCE = ("tests/test_features.py::test_long_cell_features_match_the_two_pass_reference",)
+_TABLE_REFERENCE = (
+    "tests/test_segmentation.py::test_random_scenarios_match_reference",
+    "tests/test_segmentation.py::test_aggregate_records_prefix_tables_match_reruns",
+)
+_ALGORITHM1_REFERENCE = (
+    "tests/test_inference.py::test_algorithm1_matches_reference",
+    "tests/test_inference.py::test_algorithm1_matches_reference_on_random_scenarios",
+)
+
+MUTANTS = (
+    Mutant(
+        "pR-sample-variance",
+        "scadascope/features.py",
+        "var = (cell.t2 + cell.s2 - s1 * s1 / k) / k",
+        "var = (cell.t2 + cell.s2 - s1 * s1 / k) / (k - 1)",
+        _CELL_REFERENCE,
+    ),
+    Mutant(
+        "dR-log-of-gaps",
+        "scadascope/features.py",
+        "dR = (total / SECONDS_PER_HOUR) * math.log(n)",
+        "dR = (total / SECONDS_PER_HOUR) * math.log(n - 1)",
+        _CELL_REFERENCE,
+    ),
+    Mutant(
+        "cell-no-first-gap-shift",
+        "scadascope/segmentation.py",
+        "d = gap - cell.K",
+        "d = gap",
+        _TABLE_REFERENCE,
+    ),
+    Mutant(
+        "cell-never-recentred",
+        "scadascope/segmentation.py",
+        "    s1 = cell.t1 + cell.s1\n    offset = s1 / k\n",
+        "    return\n",
+        _LONG_CELL_REFERENCE,
+    ),
+    Mutant(
+        "long-cell-never-closes-a-block",
+        "scadascope/segmentation.py",
+        "        elif not k % LONG_CELL:\n",
+        "        elif False:\n",
+        _LONG_CELL_REFERENCE,
+    ),
+    Mutant(
+        "prefix-shares-an-open-cell",
+        "scadascope/segmentation.py",
+        "prefix[ft] = replace(cell)",
+        "prefix[ft] = cell",
+        ("tests/test_segmentation.py::test_aggregate_records_prefix_tables_match_reruns",),
+    ),
+    Mutant(
+        "gap-rule-closes-above-t_comm",
+        "scadascope/segmentation.py",
+        "if ts - seg.end_ts < t_comm:",
+        "if ts - seg.end_ts <= t_comm:",
+        (
+            "tests/test_segmentation.py::test_aggregate_records_prefix_tables_match_reruns",
+            "tests/test_segmentation.py::test_property_matches_reference",
+        ),
+    ),
+    Mutant(
+        "uR-roles-swapped",
+        "scadascope/features.py",
+        "    a = pair_counts.get((key.src_port, SRC), 0)\n    b = pair_counts.get((key.dst_port, DST), 0)\n",
+        "    a = pair_counts.get((key.src_port, DST), 0)\n    b = pair_counts.get((key.dst_port, SRC), 0)\n",
+        (
+            "tests/test_features.py::test_rank_matches_reference_features",
+            "tests/test_features.py::test_random_scenarios_feature_parity_with_reference",
+        ),
+    ),
+    Mutant(
+        "prefix-cutoff-takes-equal-time",
+        "scadascope/segmentation.py",
+        "        if ts > cut:\n            passed = 0\n            while ts > cut:\n",
+        "        if ts >= cut:\n            passed = 0\n            while ts >= cut:\n",
+        (
+            "tests/test_segmentation.py::test_aggregate_records_prefix_tables_match_reruns",
+            "tests/test_inference.py::test_prefix_stability_matches_prefix_reruns",
+        ),
+    ),
+    Mutant(
+        "one-vlan-tag",
+        "scadascope/ingest.py",
+        "for _ in range(2):",
+        "for _ in range(1):",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
+        "reorder-window-holds-its-edge",
+        "scadascope/ingest.py",
+        "while held and high - held[0].ts >= window:",
+        "while held and high - held[0].ts > window:",
+        ("tests/test_ingest.py::test_ensure_time_order_matches_reference",),
+    ),
+    Mutant(
+        "port-side-degree-flipped",
+        "scadascope/inference.py",
+        "    if deg_src < deg_dst:\n        return key.src_port, key.src_ip, False\n"
+        "    if deg_dst < deg_src:\n        return key.dst_port, key.dst_ip, False\n",
+        "    if deg_src > deg_dst:\n        return key.src_port, key.src_ip, False\n"
+        "    if deg_dst > deg_src:\n        return key.dst_port, key.dst_ip, False\n",
+        _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "share-threshold-admits-equal",
+        "scadascope/inference.py",
+        "if prof.scada_fraction(scada_port) <= config.scada_fraction_threshold:",
+        "if prof.scada_fraction(scada_port) < config.scada_fraction_threshold:",
+        _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "no-port-strip",
+        "scadascope/inference.py",
+        "r for r in working if port != r.key.src_port and port != r.key.dst_port",
+        "r for r in working",
+        _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "degree-tie-to-higher-port",
+        "scadascope/inference.py",
+        "if key.src_port <= key.dst_port:",
+        "if key.src_port >= key.dst_port:",
+        _ALGORITHM1_REFERENCE,
+    ),
+)
+
+
+class MutantError(Exception):
+    """A mutant that cannot be applied or whose tests cannot run."""
+
+
+def mutated(mutant: Mutant, src: Path) -> str:
+    """The mutant's file under ``src`` with its snippet replaced; it must occur once."""
+    text = (src / mutant.path).read_text(encoding="utf-8")
+    found = text.count(mutant.snippet)
+    if found != 1:
+        raise MutantError(f"{mutant.name}: snippet found {found} times in src/{mutant.path}, not once")
+    return text.replace(mutant.snippet, mutant.replacement)
+
+
+def run(mutant: Mutant) -> bool:
+    """Whether the mutant's tests kill it, run against a mutated copy of src/."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / mutant.path).write_text(mutated(mutant, src), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run(
+            [sys.executable, "-c", "import scadascope; print(scadascope.__file__)"],
+            env=env, capture_output=True, text=True,
+        )
+        if where.returncode != 0 or not where.stdout.startswith(str(src)):
+            raise MutantError(
+                f"{mutant.name}: the mutated copy is not the package imported: {where.stdout}{where.stderr}"
+            )
+        tests = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+             *mutant.killers],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    if tests.returncode == 0:
+        return False
+    if tests.returncode == 1:
+        return True
+    raise MutantError(f"{mutant.name}: pytest exited {tests.returncode}:\n{tests.stdout}{tests.stderr}")
+
+
+def main() -> int:
+    survived = []
+    started = time.monotonic()
+    try:
+        for mutant in MUTANTS:  # every snippet checked before any test runs
+            mutated(mutant, ROOT / "src")
+        for mutant in MUTANTS:
+            t0 = time.monotonic()
+            killed = run(mutant)
+            print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name} ({time.monotonic() - t0:.1f}s)", flush=True)
+            if not killed:
+                survived.append(mutant.name)
+    except MutantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed in {time.monotonic() - started:.0f}s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
