@@ -5,6 +5,13 @@ device complexity gap (cR), service popularity (uR), and segment size (sR).
 Each is normalized by its maximum over the dataset and the final score is
 the product of the five normalized values.  cR reads the device table
 (``build_device_profiles``), the same table Algorithm 1 classifies devices by.
+
+pR and dR come from each 5-tuple's own cell.  cR, uR and sR come from five
+counts: the port counts of the two devices, the distinct device pairs of the
+two ports and the segment size.  A ranking entry holds six fields: the key,
+the segment count, pR, dR, the ``SharedFeatures`` of every 5-tuple with the
+same five counts, and the score.  ``rank`` sorts the entries by score once,
+then sorts only the runs of equal scores.
 """
 
 from __future__ import annotations
@@ -14,12 +21,9 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter, truediv
-from typing import Any, Callable, Iterable, Mapping, TextIO
+from typing import Mapping, TextIO
 
 from scadascope.segmentation import FtCell, FtKey
-
-SRC = "src"
-DST = "dst"
 
 # pR is mean/variance of the inter-arrival times; a perfectly regular
 # schedule has zero variance, which gets this finite stand-in instead.
@@ -36,29 +40,51 @@ def score_product(pR_n: float, dR_n: float, cR_n: float, uR_n: float, sR_n: floa
     return pR_n * dR_n * cR_n * uR_n * sR_n
 
 
-# The divisors of an entry built without a dataset: ``normalized`` is ``raw``.
+# The divisors of features built without a dataset: ``normalized`` is ``raw``.
 _UNIT_DIVISORS = (1.0,) * len(FEATURES)
+
+
+@dataclass(slots=True)
+class SharedFeatures:
+    """cR, uR and sR of the 5-tuples with the same five counts, and the
+    ranking's ``divisors``: each column's maximum over the dataset."""
+
+    cR: float
+    uR: float
+    sR: float
+    divisors: tuple[float, ...] = _UNIT_DIVISORS
 
 
 @dataclass(slots=True)
 class RankedFt:
     """One ranked 5-tuple: its segment count, its features and its score.
 
-    ``raw`` holds the five features in ``FEATURES`` order.  ``divisors`` is
-    the one tuple of column maxima that every entry of a ranking shares, and
-    ``normalized``, computed on access, is ``raw`` over it.  ``f`` is the
-    product of the normalized features (``score_product``).
+    Six fields: the key, the segment count ``n``, the 5-tuple's own pR and
+    dR, the ``SharedFeatures`` of its group and ``f``, the product of the
+    normalized features (``score_product``).  ``raw`` (the five features in
+    ``FEATURES`` order), ``divisors`` and ``normalized`` (``raw`` over
+    ``divisors``) are computed when read.
     """
 
     key: FtKey
     n: int
-    raw: tuple[float, ...]
+    pR: float
+    dR: float
+    shared: SharedFeatures
     f: float = 0.0
-    divisors: tuple[float, ...] = _UNIT_DIVISORS
+
+    @property
+    def raw(self) -> tuple[float, ...]:
+        shared = self.shared
+        return self.pR, self.dR, shared.cR, shared.uR, shared.sR
+
+    @property
+    def divisors(self) -> tuple[float, ...]:
+        return self.shared.divisors
 
     @property
     def normalized(self) -> tuple[float, ...]:
-        return tuple(map(truediv, self.raw, self.divisors))
+        return tuple(map(truediv, self.raw, self.shared.divisors))
 
 
 @dataclass
@@ -94,37 +120,21 @@ class DeviceProfile:
 def build_device_profiles(ft_map: Mapping[FtKey, FtCell]) -> dict[str, DeviceProfile]:
     """The device table: one profile per address, read by cR and Algorithm 1."""
     profiles: dict[str, DeviceProfile] = {}
-
-    def get(ip: str) -> DeviceProfile:
-        prof = profiles.get(ip)
-        if prof is None:
-            prof = profiles[ip] = DeviceProfile()
-        return prof
-
-    for key, cell in ft_map.items():
+    for (src_ip, src_port, dst_ip, dst_port, _size), cell in ft_map.items():
         n = cell.n
-        src = get(key.src_ip)
-        dst = get(key.dst_ip)
-        src.peers.add(key.dst_ip)
-        dst.peers.add(key.src_ip)
+        src = profiles.get(src_ip)
+        if src is None:
+            src = profiles[src_ip] = DeviceProfile()
+        dst = profiles.get(dst_ip)
+        if dst is None:
+            dst = profiles[dst_ip] = DeviceProfile()
+        src.peers.add(dst_ip)
+        dst.peers.add(src_ip)
         src.ft_count += 1
         dst.ft_count += 1
-        src.own_port_segments[key.src_port] += n
-        dst.own_port_segments[key.dst_port] += n
+        src.own_port_segments[src_port] += n
+        dst.own_port_segments[dst_port] += n
     return profiles
-
-
-def port_pair_counts(ft_keys: Iterable[FtKey]) -> dict[tuple[int, str], int]:
-    """Distinct (src_ip, dst_ip) pairs per (port, src|dst), for uR.
-
-    A port is counted among the 5-tuples where it occupies that role.
-    """
-    pairs: defaultdict[tuple[int, str], set[tuple[str, str]]] = defaultdict(set)
-    for key in ft_keys:
-        pair = (key.src_ip, key.dst_ip)
-        pairs[key.src_port, SRC].add(pair)
-        pairs[key.dst_port, DST].add(pair)
-    return {role: len(seen) for role, seen in pairs.items()}
 
 
 def periodicity_durability(cell: FtCell, cap: float = DEFAULT_PR_CAP) -> tuple[float, float]:
@@ -156,68 +166,10 @@ def periodicity_durability(cell: FtCell, cap: float = DEFAULT_PR_CAP) -> tuple[f
     return (total / k) / var, dR
 
 
-def _gap(counts: tuple[int, int]) -> float:
-    """The larger of two positive counts over the smaller, >= 1."""
-    a, b = counts
+def _gap(a: int, b: int) -> float:
+    """The larger of two positive counts over the smaller, >= 1: cR of two
+    devices' port counts, uR of two ports' distinct device pairs."""
     return max(a / b, b / a)
-
-
-def _device_port_counts(key: FtKey, profiles: dict[str, DeviceProfile]) -> tuple[int, int]:
-    try:
-        return len(profiles[key.src_ip].own_port_segments), len(profiles[key.dst_ip].own_port_segments)
-    except KeyError as exc:
-        raise ValueError(f"device {exc.args[0]} not present in the device table") from None
-
-
-def _port_pair_use(key: FtKey, pair_counts: dict[tuple[int, str], int]) -> tuple[int, int]:
-    a = pair_counts.get((key.src_port, SRC), 0)
-    b = pair_counts.get((key.dst_port, DST), 0)
-    if a == 0 or b == 0:
-        raise ValueError(f"port usage missing for {key}")
-    return a, b
-
-
-def _size_ratio(seg_size: int, max_seg_size: int) -> float:
-    if max_seg_size < seg_size or seg_size < 1:
-        raise ValueError(f"bad segment size {seg_size} against max {max_seg_size}")
-    return seg_size / max_seg_size
-
-
-def compute_cR(key: FtKey, profiles: dict[str, DeviceProfile]) -> float:
-    """Complexity gap: larger-over-smaller ratio of the endpoints' port counts."""
-    return _gap(_device_port_counts(key, profiles))
-
-
-def compute_uR(key: FtKey, pair_counts: dict[tuple[int, str], int]) -> float:
-    """Service popularity: ratio of distinct device pairs using each port, >= 1.
-
-    Pairs are counted per role: the source port among 5-tuples where it is
-    the source, the destination port where it is the destination.
-    """
-    return _gap(_port_pair_use(key, pair_counts))
-
-
-def compute_sR(key: FtKey, max_seg_size: int) -> float:
-    """Segment size relative to the dataset maximum, in (0, 1]."""
-    return _size_ratio(key.seg_size, max_seg_size)
-
-
-class _Shared(dict):
-    """A feature's values by its formula's argument, each computed on first use.
-
-    Equal arguments share one float, so a column of few distinct values
-    holds few floats however many 5-tuples it covers.
-    """
-
-    __slots__ = ("formula",)
-
-    def __init__(self, formula: Callable[[Any], float]) -> None:
-        super().__init__()
-        self.formula = formula
-
-    def __missing__(self, arg) -> float:
-        value = self[arg] = self.formula(arg)
-        return value
 
 
 def rank(
@@ -228,56 +180,96 @@ def rank(
     """Score every 5-tuple and sort by descending product score.
 
     ``profiles`` is the device table of ``ft_map``, built here when not
-    given.  ``pr_cap`` is the periodicity of a zero variance, as in
-    ``periodicity_durability``; ``InferenceConfig`` checks it.  Each entry
-    keeps its ``raw`` features (``FEATURES`` order) and shares one
-    ``divisors`` tuple, each column's maximum over this dataset (infinity for
-    a column of zeros, so it normalizes to 0.0); ``normalized`` is computed
-    from them on access.  ``f`` is the product of the normalized features.
+    given; an address missing from it is a ``ValueError``.  ``pr_cap`` is
+    the periodicity of a zero variance, as in ``periodicity_durability``;
+    ``InferenceConfig`` checks it.
+
+    cR is the gap between the endpoints' port counts, uR the gap between
+    the distinct (src_ip, dst_ip) pairs of the source port among 5-tuples
+    where it is the source and of the destination port where it is the
+    destination, and sR the segment size over the largest.  One pass over
+    the keys counts the pairs; the 5-tuples with the same five counts share
+    one ``SharedFeatures``, which also holds the divisors: each column's
+    maximum (infinity for a column of zeros, so it normalizes to 0.0).
+
     The order is descending ``f``, then descending normalized periodicity,
-    then the 5-tuple itself, so it is deterministic.
+    then the 5-tuple itself, so it is deterministic: one sort by ``f``,
+    then sorts inside each run of equal ``f`` only.
     """
     if not ft_map:
         return []
     if profiles is None:
         profiles = build_device_profiles(ft_map)
-    pair_counts = port_pair_counts(ft_map)
+    port_count = {ip: len(prof.own_port_segments) for ip, prof in profiles.items()}
+    pairs_as_src: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
+    pairs_as_dst: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
+    for src_ip, src_port, dst_ip, dst_port, _size in ft_map:
+        pair = src_ip, dst_ip
+        pairs_as_src[src_port].add(pair)
+        pairs_as_dst[dst_port].add(pair)
+    src_use = {port: len(pairs) for port, pairs in pairs_as_src.items()}
+    dst_use = {port: len(pairs) for port, pairs in pairs_as_dst.items()}
+    del pairs_as_src, pairs_as_dst  # freed before the entries are built
     max_seg = max(key.seg_size for key in ft_map)
-    cR_of = _Shared(_gap)
-    uR_of = _Shared(_gap)
-    sR_of = _Shared(lambda size: _size_ratio(size, max_seg))
 
+    groups: dict[tuple[int, ...], SharedFeatures] = {}
+    same: dict[float, float] = {}  # one float per value across the groups
     entries = []
     top_pR = top_dR = 0.0
     for key, cell in ft_map.items():
+        src_ip, src_port, dst_ip, dst_port, size = key
+        try:
+            a, b = port_count[src_ip], port_count[dst_ip]
+        except KeyError as exc:
+            raise ValueError(f"device {exc.args[0]} not present in the device table") from None
+        c, d = src_use[src_port], dst_use[dst_port]
+        counts = a, b, c, d, size
+        shared = groups.get(counts)
+        if shared is None:
+            features = _gap(a, b), _gap(c, d), size / max_seg
+            shared = groups[counts] = SharedFeatures(*(same.setdefault(x, x) for x in features))
         pR, dR = periodicity_durability(cell, pr_cap)
         if pR > top_pR:
             top_pR = pR
         if dR > top_dR:
             top_dR = dR
-        raw = (
-            pR,
-            dR,
-            cR_of[_device_port_counts(key, profiles)],
-            uR_of[_port_pair_use(key, pair_counts)],
-            sR_of[key.seg_size],
-        )
-        entries.append(RankedFt(key, cell.n, raw))
+        entries.append(RankedFt(key, cell.n, pR, dR, shared))
+
     # Every feature is finite and >= 0, so a column whose maximum is not
     # positive holds only zeros; dividing them by infinity gives 0.0.
-    maxima = (top_pR, top_dR, max(cR_of.values()), max(uR_of.values()), max(sR_of.values()))
+    shared_all = groups.values()
+    maxima = (
+        top_pR, top_dR,
+        max(s.cR for s in shared_all), max(s.uR for s in shared_all), max(s.sR for s in shared_all),
+    )
     divisors = tuple(m if m > 0 else math.inf for m in maxima)
-    for entry in entries:
-        entry.divisors = divisors
-        entry.f = score_product(*map(truediv, entry.raw, divisors))
+    for shared in shared_all:
+        shared.divisors = divisors
+    d_pR, d_dR, d_cR, d_uR, d_sR = divisors
+    for e in entries:
+        s = e.shared
+        # score_product's order, so f is the same float as score_product(*e.normalized)
+        e.f = e.pR / d_pR * (e.dR / d_dR) * (s.cR / d_cR) * (s.uR / d_uR) * (s.sR / d_sR)
 
-    # Stable sorts, the last one the primary: the order of the key
-    # (-f, -pR_n, 5-tuple) without a key tuple per entry.  pR_n is the
-    # quotient, not raw pR: two raw values can round to one quotient.
-    pR_divisor = divisors[0]
-    entries.sort(key=attrgetter("key"))
-    entries.sort(key=lambda e: e.raw[0] / pR_divisor, reverse=True)
+    # Stable sorts, the last one the primary, so no entry needs a key tuple:
+    # f first over the whole table, then (-pR_n, 5-tuple) inside each run of
+    # equal f.  pR_n is the quotient, not raw pR: two raw values can round
+    # to one quotient.
     entries.sort(key=attrgetter("f"), reverse=True)
+    by_key = attrgetter("key")
+    total = len(entries)
+    i = 0
+    while i < total:
+        f = entries[i].f
+        j = i + 1
+        while j < total and entries[j].f == f:
+            j += 1
+        if j - i > 1:
+            run = entries[i:j]
+            run.sort(key=by_key)
+            run.sort(key=lambda e: e.pR / d_pR, reverse=True)
+            entries[i:j] = run
+        i = j
     return entries
 
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from scadascope.cli import EXIT_OK, main
-from scadascope.features import compute_sR, rank, score_product
+from scadascope.features import rank, score_product
 from scadascope.inference import (
     InferenceConfig,
     analyze_records,
@@ -85,8 +85,11 @@ SIZE_RATIO_CASES = [
 
 
 def test_criterion_2_size_feature():
-    for size, expected in SIZE_RATIO_CASES:
-        got = compute_sR(FtKey("a", 1, "b", 2, size), 1514)
+    # One 5-tuple per case, the largest of 1514 B: rank's sR is size / 1514.
+    keys = [FtKey("a", 1, "b", 2 + i, size) for i, (size, _) in enumerate(SIZE_RATIO_CASES)]
+    sR = {e.key: e.raw[4] for e in rank({key: cell_of([0.0]) for key in keys})}
+    for key, (size, expected) in zip(keys, SIZE_RATIO_CASES):
+        got = sR[key]
         assert abs(got - expected) <= 5e-4, (size, got, expected)
     ok(2, f"{len(SIZE_RATIO_CASES)} size ratios within 5e-4 absolute")
 

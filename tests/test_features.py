@@ -12,11 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scadascope.features import (
     build_device_profiles,
-    compute_cR,
-    compute_sR,
-    compute_uR,
     periodicity_durability,
-    port_pair_counts,
     rank,
     score_product,
     write_ranking_csv,
@@ -88,44 +84,44 @@ def test_durability_hour_of_ten_second_polling():
 # --- complexity gap ------------------------------------------------------------
 
 
-def index_of(*fts):
-    """What cR and uR read for these 5-tuples, in one mapping: the device
-    table by address and the distinct-pair counts by (port, role)."""
-    table = {FtKey(*ft): cell_of([0.0]) for ft in fts}
-    return {**build_device_profiles(table), **port_pair_counts(table)}
+def table_of(*fts):
+    return {FtKey(*ft): cell_of([0.0]) for ft in fts}
+
+
+def raw_of(key, *fts):
+    """The raw features ``rank`` gives ``key`` in the table of these 5-tuples."""
+    return next(e.raw for e in rank(table_of(*fts)) if e.key == key)
 
 
 def test_complexity_equal_port_counts():
-    index = index_of(("a", 1, "b", 2, 100))
-    assert compute_cR(FtKey("a", 1, "b", 2, 100), index) == 1.0
+    assert raw_of(FtKey("a", 1, "b", 2, 100), ("a", 1, "b", 2, 100))[2] == 1.0
 
 
 def test_complexity_one_versus_four():
-    index = index_of(
+    fts = [
         ("fd", 20000, "m", 50001, 100),
         ("fd", 20000, "m", 50002, 100),
         ("fd", 20000, "m", 50003, 100),
         ("fd", 20000, "m", 50004, 100),
-    )
-    key = FtKey("fd", 20000, "m", 50001, 100)
-    assert compute_cR(key, index) == 4.0
+    ]
+    assert raw_of(FtKey("fd", 20000, "m", 50001, 100), *fts)[2] == 4.0
 
 
 def test_complexity_symmetric_under_direction_swap():
-    index = index_of(
+    fts = [
         ("fd", 20000, "m", 50001, 100),
         ("m", 50002, "fd", 20000, 80),
         ("m", 50003, "fd", 20000, 80),
-    )
-    fwd = compute_cR(FtKey("fd", 20000, "m", 50001, 100), index)
-    rev = compute_cR(FtKey("m", 50002, "fd", 20000, 80), index)
+    ]
+    fwd = raw_of(FtKey("fd", 20000, "m", 50001, 100), *fts)[2]
+    rev = raw_of(FtKey("m", 50002, "fd", 20000, 80), *fts)[2]
     assert fwd == rev == 3.0
 
 
 def test_complexity_missing_ip_errors():
-    index = index_of(("a", 1, "b", 2, 100))
-    with pytest.raises(ValueError):
-        compute_cR(FtKey("nope", 1, "b", 2, 100), index)
+    profiles = build_device_profiles(table_of(("a", 1, "b", 2, 100)))
+    with pytest.raises(ValueError, match="device nope not present"):
+        rank(table_of(("nope", 1, "b", 2, 100)), profiles)
 
 
 # --- service popularity ---------------------------------------------------------
@@ -133,20 +129,17 @@ def test_complexity_missing_ip_errors():
 
 def test_popularity_forty_nine_pairs():
     fts = [(f"fd{i}", 20000, "m", 50000 + i, 300) for i in range(49)]
-    index = index_of(*fts)
-    assert compute_uR(FtKey("fd0", 20000, "m", 50000, 300), index) == 49.0
+    assert raw_of(FtKey("fd0", 20000, "m", 50000, 300), *fts)[3] == 49.0
 
 
 def test_popularity_unique_ports_give_one():
-    index = index_of(("a", 1, "b", 2, 100))
-    assert compute_uR(FtKey("a", 1, "b", 2, 100), index) == 1.0
+    assert raw_of(FtKey("a", 1, "b", 2, 100), ("a", 1, "b", 2, 100))[3] == 1.0
 
 
 def test_popularity_inverse_rule():
     # seven pairs use port 7 on the destination side, one pair the source port
     fts = [(f"h{i}", 1000 + i, "srv", 7, 100) for i in range(7)]
-    index = index_of(*fts)
-    assert compute_uR(FtKey("h0", 1000, "srv", 7, 100), index) == 7.0
+    assert raw_of(FtKey("h0", 1000, "srv", 7, 100), *fts)[3] == 7.0
 
 
 def test_popularity_role_agnostic_flag():
@@ -154,10 +147,8 @@ def test_popularity_role_agnostic_flag():
         ("a", 7, "b", 9, 100),
         ("c", 9, "a", 7, 100),
     ]
-    index = index_of(*fts)
-    key = FtKey("a", 7, "b", 9, 100)
     # port 7 is a source in one pair and port 9 a destination in one pair
-    assert compute_uR(key, index) == 1.0
+    assert raw_of(FtKey("a", 7, "b", 9, 100), *fts)[3] == 1.0
 
 
 # --- size feature ----------------------------------------------------------------
@@ -168,12 +159,8 @@ def test_popularity_role_agnostic_flag():
     [(686, 0.4531), (288, 0.1902), (1086, 0.7173), (1514, 1.0000), (340, 0.2246), (225, 0.1486)],
 )
 def test_size_feature_reference_values(size, expected):
-    assert compute_sR(FtKey("a", 1, "b", 2, size), 1514) == pytest.approx(expected, abs=5e-4)
-
-
-def test_size_feature_rejects_inconsistent_max():
-    with pytest.raises(ValueError):
-        compute_sR(FtKey("a", 1, "b", 2, 2000), 1514)
+    sR = raw_of(FtKey("a", 1, "b", 2, size), ("a", 1, "b", 2, size), ("a", 1, "b", 3, 1514))[4]
+    assert sR == pytest.approx(expected, abs=5e-4)
 
 
 # --- product and ranking ----------------------------------------------------------
@@ -340,11 +327,11 @@ def churn_like_table(connections=4000, seed=41):
 
 
 def test_rank_memory_per_5_tuple():
-    # Each entry keeps its raw features and score and shares one divisors
-    # tuple, and the sort builds no key tuple.  Traced bytes per 5-tuple on this table,
-    # Python 3.11: peak 647 and retained 494 when every entry stored its
-    # normalized tuple and the sort keyed on (-f, -pR_n, key); now 295 and
-    # 224.  The retained bound is half the former.
+    # Each entry holds six fields: its key, n, pR, dR, score and one
+    # SharedFeatures per group of equal counts; the sorts build no key tuple.
+    # Traced bytes per 5-tuple on this table, Python 3.11: peak 295 and
+    # retained 224 when every entry held a raw tuple and the sorts ran over
+    # the whole table; now 181 and 152.  A seventh field would add 16.
     table = churn_like_table()
     profiles = build_device_profiles(table)
     rank(table, profiles)  # first-call allocations out of the count
@@ -355,10 +342,10 @@ def test_rank_memory_per_5_tuple():
     finally:
         tracemalloc.stop()
     assert len(ranked) == len(table) == 20000
-    assert peak / len(table) <= 450
-    assert retained / len(table) <= 247
-    # cR, uR and sR are computed once per count pair or segment size, not
-    # per 5-tuple; here a pair (a, b) and its mirror (b, a) give each value.
+    assert peak / len(table) <= 200
+    assert retained / len(table) <= 160
+    # cR, uR and sR are computed once per group of equal counts, not per
+    # 5-tuple, and equal values share one float.
     for column in (2, 3, 4):
         assert len({id(e.raw[column]) for e in ranked}) <= 2 * len({e.raw[column] for e in ranked})
 

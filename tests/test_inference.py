@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scadascope import inference
-from scadascope.features import DEFAULT_PR_CAP, RankedFt, rank
+from scadascope.features import DEFAULT_PR_CAP, RankedFt, SharedFeatures, rank
 from scadascope.inference import (
     InferenceConfig,
     NoScadaFoundError,
@@ -48,7 +48,7 @@ def table_of(*entries):
 
 
 def ranked_stub(key, n=5):
-    return RankedFt(key=key, n=n, raw=(1, 1, 1, 1, 1))
+    return RankedFt(key, n, 1.0, 1.0, SharedFeatures(1.0, 1.0, 1.0))
 
 
 # --- port inference -------------------------------------------------------------

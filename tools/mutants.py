@@ -112,11 +112,22 @@ MUTANTS = (
     Mutant(
         "uR-roles-swapped",
         "scadascope/features.py",
-        "    a = pair_counts.get((key.src_port, SRC), 0)\n    b = pair_counts.get((key.dst_port, DST), 0)\n",
-        "    a = pair_counts.get((key.src_port, DST), 0)\n    b = pair_counts.get((key.dst_port, SRC), 0)\n",
+        "        pairs_as_src[src_port].add(pair)\n        pairs_as_dst[dst_port].add(pair)\n",
+        "        pairs_as_src[dst_port].add(pair)\n        pairs_as_dst[src_port].add(pair)\n",
         (
             "tests/test_features.py::test_rank_matches_reference_features",
             "tests/test_features.py::test_random_scenarios_feature_parity_with_reference",
+        ),
+    ),
+    Mutant(
+        "rank-tie-run-unsorted",
+        "scadascope/features.py",
+        "            run.sort(key=by_key)\n",
+        "",
+        (
+            "tests/test_features.py::test_rank_order_is_descending_f_then_pR_n_then_key",
+            "tests/test_features.py::test_rank_column_of_zeros_normalizes_to_positive_zero",
+            "tests/test_inference.py::test_algorithm1_matches_reference",
         ),
     ),
     Mutant(
