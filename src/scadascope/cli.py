@@ -328,13 +328,11 @@ def cmd_inspect(args) -> int:
     ips: set[str] = set()
     ports: set[int] = set()
     first = last = None
-    count = 0
     dump = open(args.dump_segments, "w", encoding="utf-8") if args.dump_segments else None
 
     def watch(stream):
-        nonlocal first, last, count
+        nonlocal first, last
         for rec in stream:
-            count += 1
             protos[rec.proto] = protos.get(rec.proto, 0) + 1
             ips.add(rec.src_ip)
             ips.add(rec.dst_ip)
@@ -357,8 +355,9 @@ def cmd_inspect(args) -> int:
             dump.close()
 
     stats, fstats = trace.stats, trace.fstats
-    print(f"records: {count}")
-    if trace.filter_config is not None:
+    filtered = trace.filter_config is not None
+    print(f"records: {fstats.kept if filtered else stats.yielded}")
+    if filtered:
         print(f"filter: kept {fstats.kept}, dropped {fstats.dropped}")
     if stats.skipped:
         print(f"skipped frames: {stats.skipped}")

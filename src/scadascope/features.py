@@ -62,7 +62,7 @@ class RankedFt:
     Six fields: the key, the segment count ``n``, the 5-tuple's own pR and
     dR, the ``SharedFeatures`` of its group and ``f``, the product of the
     normalized features (``score_product``).  ``raw`` (the five features in
-    ``FEATURES`` order), ``divisors`` and ``normalized`` (``raw`` over
+    ``FEATURES`` order) and ``normalized`` (``raw`` over the group's
     ``divisors``) are computed when read.
     """
 
@@ -77,10 +77,6 @@ class RankedFt:
     def raw(self) -> tuple[float, ...]:
         shared = self.shared
         return self.pR, self.dR, shared.cR, shared.uR, shared.sR
-
-    @property
-    def divisors(self) -> tuple[float, ...]:
-        return self.shared.divisors
 
     @property
     def normalized(self) -> tuple[float, ...]:
@@ -101,11 +97,11 @@ class DeviceProfile:
         return len(self.peers)
 
     def scada_fraction(self, port: int) -> float:
-        """Share of this device's segments carrying ``port`` on its own side."""
-        total = self.own_port_segments.total()
-        if total == 0:
-            return 0.0
-        return self.own_port_segments.get(port, 0) / total
+        """Share of this device's segments carrying ``port`` on its own side.
+
+        ``build_device_profiles`` gives every profile at least one segment.
+        """
+        return self.own_port_segments.get(port, 0) / self.own_port_segments.total()
 
     def snapshot(self, port: int | None) -> dict:
         return {
@@ -248,8 +244,9 @@ def rank(
     d_pR, d_dR, d_cR, d_uR, d_sR = divisors
     for e in entries:
         s = e.shared
-        # score_product's order, so f is the same float as score_product(*e.normalized)
-        e.f = e.pR / d_pR * (e.dR / d_dR) * (s.cR / d_cR) * (s.uR / d_uR) * (s.sR / d_sR)
+        # score_product's order, so f is the same float as score_product(*e.normalized);
+        # every zero score is the one constant 0.0
+        e.f = e.pR / d_pR * (e.dR / d_dR) * (s.cR / d_cR) * (s.uR / d_uR) * (s.sR / d_sR) or 0.0
 
     # Stable sorts, the last one the primary, so no entry needs a key tuple:
     # f first over the whole table, then (-pR_n, 5-tuple) inside each run of

@@ -213,11 +213,10 @@ def read_pcap(
         unpack_ports = _PORTS.unpack_from
         proto_names = _IP_PROTO_NAMES
         names: dict[int, str] = {}  # IPv4 address -> interned dotted quad
-        frames = yielded = short = non_ipv4 = fragment = transport = 0
+        frames = short = non_ipv4 = fragment = transport = 0
         chunk = _CHUNK_BYTES
         buf = bytearray(max(chunk, 16 + MAX_RECORD_BYTES))
         pos = end = 0  # next unread byte, end of the bytes read
-        need = 16  # bytes from pos that complete the next record
         try:
             while True:
                 if pos:
@@ -229,7 +228,6 @@ def read_pcap(
                 end += got
                 while True:
                     if end - pos < 16:
-                        need = 16
                         break
                     ts_sec, ts_frac, caplen, _orig_len = unpack_record(buf, pos)
                     if caplen > MAX_RECORD_BYTES:
@@ -240,7 +238,6 @@ def read_pcap(
                     frame = pos + 16
                     stop = frame + caplen
                     if stop > end:
-                        need = 16 + caplen
                         break
                     pos = stop
                     frames += 1
@@ -286,7 +283,6 @@ def read_pcap(
                     dst_ip = names.get(dst)
                     if dst_ip is None:
                         dst_ip = names[dst] = _dotted_quad(dst)
-                    yielded += 1
                     yield PacketRecord(
                         ts_sec + ts_frac / frac_scale, src_ip, src_port, dst_ip, dst_port, proto, caplen
                     )
@@ -296,16 +292,19 @@ def read_pcap(
                     log.warning("%s: truncated record header at end of file", path)
                 else:
                     log.warning(
-                        "%s: truncated final record (%d of %d bytes)", path, end - pos - 16, need - 16
+                        "%s: truncated final record (%d of %d bytes)",
+                        path, end - pos - 16, unpack_record(buf, pos)[2],
                     )
         finally:
+            # Every complete frame is yielded or skipped for exactly one reason.
+            skipped = short + non_ipv4 + fragment + transport
             stats.frames += frames
-            stats.yielded += yielded
+            stats.yielded += frames - skipped
             stats.short += short
             stats.non_ipv4 += non_ipv4
             stats.fragment += fragment
             stats.transport += transport
-            stats.skipped += short + non_ipv4 + fragment + transport
+            stats.skipped += skipped
 
 
 def _pcap_layout(path: str, header: bytes) -> tuple[Callable, float]:
@@ -372,8 +371,7 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
     scan = json.JSONDecoder().scan_once
     match_head = _MEMO_HEAD.match
     tails: dict[str, tuple[str, int, str, int, str, int]] = {}
-    room = _TAIL_MEMO_ENTRIES
-    frames = yielded = 0
+    count = 0  # records yielded
     try:
         with open(path, "r", encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
@@ -384,14 +382,12 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
                     if fields is not None:
                         ts = float(head[1])
                         if ts < _INF:
-                            frames += 1
-                            yielded += 1
+                            count += 1
                             yield PacketRecord(ts, *fields)
                             continue
                 line = line.strip()
                 if not line:
                     continue
-                frames += 1
                 try:
                     obj, end = scan(line, 0)
                 except (StopIteration, ValueError):
@@ -411,18 +407,20 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
                     raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc.__cause__
                 if (
                     head is not None
-                    and room
+                    and len(tails) < _TAIL_MEMO_ENTRIES
                     and len(tail) <= _TAIL_MAX_CHARS
                     and "\\" not in tail
                     and '"ts"' not in tail
                 ):
                     tails[tail] = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port, rec.proto, rec.size)
-                    room -= 1
-                yielded += 1
+                count += 1
                 yield rec
+    except RecordFormatError:
+        stats.frames += 1  # the line that failed was read, not yielded
+        raise
     finally:
-        stats.frames += frames
-        stats.yielded += yielded
+        stats.frames += count
+        stats.yielded += count
 
 
 class _InvalidRecord(ValueError):
@@ -638,7 +636,7 @@ def _pcap_tail(path: str) -> tuple[int, float | None]:
     with open(path, "rb") as fp:
         unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
         marks: deque[tuple[float, int]] = deque(maxlen=3)
-        latest = next_mark = -math.inf
+        latest = -math.inf
         pos = 24  # file offset of buf[0]
         buf = b""
         i = size = 0  # next record header in buf, bytes in buf
@@ -656,9 +654,8 @@ def _pcap_tail(path: str) -> tuple[int, float | None]:
             ts = ts_sec + ts_frac / frac_scale
             if ts > latest:
                 latest = ts
-                if ts >= next_mark:
+                if not marks or ts >= marks[-1][0] + REORDER_WINDOW:
                     marks.append((ts, pos + i))
-                    next_mark = ts + REORDER_WINDOW
             i += 16 + caplen
     if not marks:
         return 24, None

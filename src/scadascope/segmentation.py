@@ -66,9 +66,6 @@ class FtKey(NamedTuple):
     dst_port: int
     seg_size: int
 
-    def __str__(self) -> str:
-        return f"{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port}/{self.seg_size}B"
-
 
 def segment_stream(
     records: Iterable[PacketRecord],

@@ -470,7 +470,6 @@ def write_pcap(records: Iterable[PacketRecord], path: str) -> int:
     0 .. 65535, or an address that is not an IPv4 dotted quad.
     """
     count = 0
-    ip_id = 0
     packed: dict[str, bytes] = {}  # dotted quad -> its 4 bytes, filled once per address
     with open(path, "wb") as fp:
         fp.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, PCAP_SNAPLEN, 1))
@@ -490,10 +489,9 @@ def write_pcap(records: Iterable[PacketRecord], path: str) -> int:
                 sec += 1
                 usec = 0
             try:
-                frame = _build_frame(rec, src, dst, ip_id)
+                frame = _build_frame(rec, src, dst, count & 0xFFFF)
             except struct.error as exc:  # a port out of range
                 raise ValueError(f"{rec!r} cannot be framed: {exc}") from None
-            ip_id = (ip_id + 1) & 0xFFFF
             fp.write(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
             fp.write(frame)
             count += 1

@@ -82,6 +82,17 @@ def test_synth_pcap_files_equal_the_separate_writers(tmp_path, d1):
     assert pcap.read_bytes() == (tmp_path / "want.pcap").read_bytes()
 
 
+def test_synth_seed_flag_overrides_the_scenario_seed(tmp_path, d1):
+    out = tmp_path / "out.jsonl"
+    args = ["--quiet", "synth", "--scenario", str(d1["scenario"]), "--out", str(out), "--seed", "77"]
+    assert main(args) == EXIT_OK
+    config = load_scenario(str(d1["scenario"]))
+    assert config.seed != 77
+    config.seed = 77
+    write_records(generate(config)[0], str(tmp_path / "want.jsonl"))
+    assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
 def test_synth_pcap_does_not_hold_the_trace(tmp_path):
     # About 16,000 records: listed, they took 2.2 MiB; streamed, the peak is 0.3 MiB.
     scenario = tmp_path / "scenario.json"
@@ -438,6 +449,20 @@ def test_bad_list_flag_item_names_flag_and_item(d1, capsys, command, flags, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("analyze", ["--num-protocols", "0"], "num_scada_protocols must be >= 1"),
+        ("stability", ["--fractions", ","], "fractions must lie in (0, 1], got none"),
+    ],
+    ids=["num-protocols-0", "fractions-none"],
+)
+def test_empty_setting_is_exit_2(d1, caplog, capsys, command, flags, message):
+    assert main(["--quiet", command, str(d1["trace"]), *flags]) == EXIT_INPUT_ERROR
+    assert message in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_rank_summary_is_deterministic_and_names_analyze_port(tmp_path, capsys, caplog):
     # Five clients poll port 7 of one server.  Port 7 touches every ranked
     # 5-tuple, but Algorithm 1 reads the port off the top 5-tuple's
@@ -540,6 +565,13 @@ def test_stability_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fraction 1: matches full trace" in out
     assert "smallest stable fraction" in out
+
+
+def test_stability_says_when_no_fraction_is_stable(d1, capsys):
+    assert main(["--quiet", "stability", str(d1["trace"]), "--fractions", "0.001"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "fraction 0.001: differs\nno tested fraction reproduces the full-trace topology\n"
+    )
 
 
 def test_stability_refuses_a_bad_setting_before_reading_the_trace(d1, caplog, monkeypatch):
@@ -684,6 +716,23 @@ def test_filter_flags_change_analysis_input(tmp_path, d1):
     assert filtered["manifest"]["records"] == fstats.kept
 
 
+@pytest.mark.parametrize(
+    "ports,flags", [((), []), ((6000,), ["--filter-ports", "6000"])], ids=["alone", "plus-6000"]
+)
+def test_no_default_filter_starts_from_no_ports(tmp_path, d1, ports, flags):
+    out = tmp_path / "r.json"
+    args = ["--quiet", "analyze", str(d1["trace"]), "--no-default-filter", *flags, "--out", str(out)]
+    assert main(args) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["manifest"]["config"]["filter_ports"] == list(ports)
+    # Only non-TCP records and those on the given ports are dropped.
+    fstats = FilterStats()
+    list(filter_packets(read_records(str(d1["trace"])), FilterConfig(frozenset(ports)), fstats))
+    assert report["metrics"]["filter"] == asdict(fstats)
+    assert report["manifest"]["records"] == fstats.kept
+    assert fstats.dropped > 0
+
+
 def test_pcap_input_accepted(tmp_path, capsys):
     records = list(generate(dataset1_like(duration=300.0, seed=506, fds=3))[0])
     trace = tmp_path / "t.pcap"
@@ -749,7 +798,7 @@ def test_progress_line_and_quiet(tmp_path, quiet):
     count = write_records(records, str(trace))
     argv = (["--quiet"] if quiet else []) + ["analyze", str(trace), "--out", str(tmp_path / "r.json")]
     script = (
-        "import sys; import scadascope.inference as inference; inference.PROGRESS_EVERY = 1000; "
+        "import sys; import scadascope.inference as inference; inference.PROGRESS_EVERY = 300; "
         f"from scadascope.cli import main; sys.exit(main({argv!r}))"
     )
     src = str(Path(scadascope.__file__).resolve().parents[1])
@@ -758,10 +807,9 @@ def test_progress_line_and_quiet(tmp_path, quiet):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     lines = [line for line in proc.stderr.splitlines() if "processed" in line]
-    expected = [] if quiet else [
-        f"INFO scadascope.inference: processed {n} records" for n in range(1000, count + 1, 1000)
-    ]
-    assert lines == expected
+    expected = [f"INFO scadascope.inference: processed {n} records" for n in range(300, count + 1, 300)]
+    assert len(expected) >= 2
+    assert lines == ([] if quiet else expected)
 
 
 def test_cli_import_leaves_the_generator_unloaded():

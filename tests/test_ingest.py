@@ -438,6 +438,9 @@ BIG_INT = "<5001 digits>"
         ("ts", [1.0], "ts must be a number, got [1.0]"),
         # Past the int/str digit limit the JSON scanner itself refuses the number.
         ("src_port", BIG_INT, "invalid JSON (Exceeds the limit (4300 digits)"),
+        ("dst_port", 65536, "dst_port out of range: 65536"),
+        ("src_ip", "", "endpoint addresses must be non-empty strings"),
+        ("dst_ip", 7, "endpoint addresses must be non-empty strings"),
     ],
 )
 def test_read_records_validation(tmp_path, field, value, fragment):
@@ -468,6 +471,22 @@ def test_read_records_bad_json_names_line(tmp_path):
     with pytest.raises(RecordFormatError) as err:
         list(read_records(str(path)))
     assert ":2:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ['{oops', '{"ts":2.0,"src_ip":"a","src_port":1,"dst_ip":"b","dst_port":-2,"proto":"udp","size":60}'],
+    ids=["invalid-json", "invalid-record"],
+)
+def test_read_records_counts_a_failed_line_as_read_not_yielded(tmp_path, bad):
+    path = tmp_path / "bad.jsonl"
+    good = '"src_ip":"a","src_port":1,"dst_ip":"b","dst_port":2,"proto":"udp","size":60}'
+    # The second line's tail is memoized, so both reading paths count.
+    path.write_text(f'{{"ts":0.0,{good}\n{{"ts":1.0,{good}\n\n{bad}\n')
+    stats = IngestStats()
+    with pytest.raises(RecordFormatError, match=":4:"):
+        list(read_records(str(path), stats))
+    assert (stats.frames, stats.yielded) == (3, 2)
 
 
 def test_read_records_roundtrip_thousand(tmp_path):

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import statistics
+import struct
 from dataclasses import asdict
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -357,6 +358,29 @@ def test_scenario_sizes_at_the_snaplen_frame(tmp_path):
     assert write_pcap(generate(config)[0], str(path)) == len(list(read_pcap(str(path))))
 
 
+def test_pcap_carries_a_rounded_microsecond_into_the_second(tmp_path):
+    rec = PacketRecord(7.9999996, "10.0.0.1", 20000, "10.0.0.2", 50000, "tcp", 74)
+    path = tmp_path / "carry.pcap"
+    write_pcap([rec], str(path))
+    assert path.read_bytes()[24:32] == struct.pack("<II", 8, 0)
+    assert list(read_pcap(str(path))) == [dataclasses.replace(rec, ts=8.0)]
+
+
+def test_pcap_other_proto_frame_is_a_transport_skip(tmp_path):
+    records = [
+        PacketRecord(0.5, "10.0.0.1", 0, "10.0.0.2", 0, "other", 60),
+        PacketRecord(1.5, "10.0.0.1", 20000, "10.0.0.2", 50000, "tcp", 74),
+    ]
+    path = tmp_path / "other.pcap"
+    assert write_pcap(records, str(path)) == 2
+    blob = path.read_bytes()
+    # IPv4 protocol 253, reserved for experiments; the frame is the record's size.
+    assert struct.unpack_from("<I", blob, 24 + 8)[0] == 60 and blob[24 + 16 + 23] == 253
+    stats = ingest.IngestStats()
+    assert list(read_pcap(str(path), stats)) == records[1:]
+    assert (stats.frames, stats.yielded, stats.skipped, stats.transport) == (2, 1, 1, 1)
+
+
 def test_pcap_udp_and_icmp_frames(tmp_path):
     records = [
         PacketRecord(0.5, "10.0.0.1", 123, "10.0.0.2", 123, "udp", 90),
@@ -440,11 +464,25 @@ _DROP = object()
         (("peripherals", 0, "size"), 65536, "peripherals[0]: size 65536 above the 65535-byte snaplen"),
         (("reporting", 0, "report_size"), 65536, "reporting[0]: sizes above the 65535-byte snaplen"),
         (("reporting", 0, "noise_size"), 70000, "reporting[0]: sizes above the 65535-byte snaplen"),
+        (("master",), {"ephemeral_port_range": [1000, 2000]}, "bad ephemeral port range (1000, 2000)"),
+        (("master",), {"ephemeral_port_range": [50000, 50000]}, "bad ephemeral port range (50000, 50000)"),
+        (("master",), {"reconnect_rate": -0.5}, "reconnect_rate must be >= 0"),
+        (("scada_groups", 0, "port"), 0, "scada_groups[0]: port out of range"),
+        (("scada_groups", 0, "port"), 65536, "scada_groups[0]: port out of range"),
+        (("scada_groups", 0, "num_field_devices"), 254, "scada_groups[0]: num_field_devices must be 0..253"),
+        (("peripherals", 0, "size"), 100, "peripherals[0]: a 50-byte packet falls below the 54-byte floor"),
+        (("scada_groups",), [], "reporting[0]: no SCADA group to borrow a port from"),
+        (("reporting", 0, "consumers"), 0, "reporting[0]: consumers must be >= 1"),
+        (("reporting", 0, "report_size"), 53, "reporting[0]: sizes below the 54-byte floor"),
+        (("reporting", 0, "noise_size"), 20, "reporting[0]: sizes below the 54-byte floor"),
     ],
     ids=["port-float", "response-str", "misspelled-key", "missing-key", "size-str", "bool-for-float",
          "hosts-empty", "seed-float", "seed-bool", "duration-nan", "master-int", "noise-period-0",
          "report-port-0", "report-port-big", "host-name", "host-octet-256", "host-ipv6",
-         "object-size-big", "peripheral-size-big", "report-size-big", "noise-size-big"],
+         "object-size-big", "peripheral-size-big", "report-size-big", "noise-size-big",
+         "ephemeral-below-1024", "ephemeral-empty", "reconnect-negative", "group-port-0", "group-port-big",
+         "field-devices-254", "peripheral-packet-small", "report-without-port", "consumers-0",
+         "report-size-small", "noise-size-small"],
 )
 def test_scenario_file_errors_name_the_path(path, value, message):
     obj = scenario_file_object()

@@ -115,6 +115,7 @@ MUTANTS = (
         "        pairs_as_src[src_port].add(pair)\n        pairs_as_dst[dst_port].add(pair)\n",
         "        pairs_as_src[dst_port].add(pair)\n        pairs_as_dst[src_port].add(pair)\n",
         (
+            "tests/test_features.py::test_popularity_counts_each_port_in_its_own_role",
             "tests/test_features.py::test_rank_matches_reference_features",
             "tests/test_features.py::test_random_scenarios_feature_parity_with_reference",
         ),
@@ -153,6 +154,16 @@ MUTANTS = (
         "while held and high - held[0].ts >= window:",
         "while held and high - held[0].ts > window:",
         ("tests/test_ingest.py::test_ensure_time_order_matches_reference",),
+    ),
+    Mutant(
+        "progress-line-dropped",
+        "scadascope/inference.py",
+        '                log.info("processed %d records", count)\n',
+        "                pass\n",
+        (
+            "tests/test_inference.py::test_record_count_matches_input",
+            "tests/test_cli.py::test_progress_line_and_quiet",
+        ),
     ),
     Mutant(
         "port-side-degree-flipped",
