@@ -328,7 +328,6 @@ def cmd_inspect(args) -> int:
     ips: set[str] = set()
     ports: set[int] = set()
     first = last = None
-    dump = open(args.dump_segments, "w", encoding="utf-8") if args.dump_segments else None
 
     def watch(stream):
         nonlocal first, last
@@ -344,15 +343,13 @@ def cmd_inspect(args) -> int:
             yield rec
 
     seg_count = 0
-    try:
+    path = args.dump_segments
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as dump:
         for seg in segment_stream(watch(trace), t_comm=t_comm):
             seg_count += 1
             if dump:
                 dump.write(seg.to_json())
                 dump.write("\n")
-    finally:
-        if dump:
-            dump.close()
 
     stats, fstats = trace.stats, trace.fstats
     filtered = trace.filter_config is not None

@@ -209,7 +209,6 @@ def rank(
     max_seg = max(key.seg_size for key in ft_map)
 
     groups: dict[tuple[int, ...], SharedFeatures] = {}
-    same: dict[float, float] = {}  # one float per value across the groups
     entries = []
     top_pR = top_dR = 0.0
     for key, cell in ft_map.items():
@@ -222,8 +221,7 @@ def rank(
         counts = a, b, c, d, size
         shared = groups.get(counts)
         if shared is None:
-            features = _gap(a, b), _gap(c, d), size / max_seg
-            shared = groups[counts] = SharedFeatures(*(same.setdefault(x, x) for x in features))
+            shared = groups[counts] = SharedFeatures(_gap(a, b), _gap(c, d), size / max_seg)
         pR, dR = periodicity_durability(cell, pr_cap)
         if pR > top_pR:
             top_pR = pR

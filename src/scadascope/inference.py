@@ -273,8 +273,7 @@ def run_algorithm1(
     first_port = report.protocols[0].scada_port if report.protocols else None
     for ip, prof in profiles.items():
         role, port = roles.get(ip, ("unclassified", first_port))
-        report.evidence[ip] = prof.snapshot(port)
-        report.evidence[ip]["role"] = role
+        report.evidence[ip] = {**prof.snapshot(port), "role": role}
     return report
 
 

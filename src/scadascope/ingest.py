@@ -368,7 +368,6 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
     """
     if stats is None:
         stats = IngestStats()
-    scan = json.JSONDecoder().scan_once
     match_head = _MEMO_HEAD.match
     tails: dict[str, tuple[str, int, str, int, str, int]] = {}
     count = 0  # records yielded
@@ -389,20 +388,7 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
                 if not line:
                     continue
                 try:
-                    obj, end = scan(line, 0)
-                except (StopIteration, ValueError):
-                    end = -1
-                if end != len(line):
-                    # Not one whole JSON value: json.loads words the error.  Besides
-                    # a JSONDecodeError it raises a plain ValueError for an integer
-                    # past the int/str digit limit.
-                    try:
-                        obj = json.loads(line)
-                    except ValueError as exc:
-                        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                        raise RecordFormatError(f"{path}:{lineno}: invalid JSON ({msg})") from exc
-                try:
-                    rec = _build_record(obj)
+                    rec = _decode_line(line)
                 except _InvalidRecord as exc:
                     raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc.__cause__
                 if (
@@ -428,6 +414,27 @@ class _InvalidRecord(ValueError):
 
 
 _INF = float("inf")
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> PacketRecord:
+    """The record of one stripped JSON-lines line: one whole JSON value that
+    ``_build_record`` accepts.  Raises _InvalidRecord."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(line):
+        # Not one whole JSON value: json.loads words the error.  Besides a
+        # JSONDecodeError it raises a plain ValueError for an integer past the
+        # int/str digit limit.
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+            raise _InvalidRecord(f"invalid JSON ({msg})") from exc
+    return _build_record(obj)
 
 
 def _build_record(obj: dict) -> PacketRecord:
@@ -600,7 +607,6 @@ def _records_backwards(path: str) -> Iterator[PacketRecord]:
     Lines are split as ``read_records`` splits them; a line that does not
     decode to a record is skipped.
     """
-    scan = json.JSONDecoder().scan_once
     with open(path, "rb") as fp:
         pos = fp.seek(0, 2)
         carry = b""
@@ -613,12 +619,10 @@ def _records_backwards(path: str) -> Iterator[PacketRecord]:
             carry = lines.pop(0) if pos > 0 and lines else b""
             for raw in reversed(lines):
                 try:
-                    line = raw.decode("utf-8").strip()
-                    obj, end = scan(line, 0)
-                    if end == len(line):
-                        yield _build_record(obj)
-                except (StopIteration, ValueError):
+                    rec = _decode_line(raw.decode("utf-8").strip())
+                except ValueError:
                     continue
+                yield rec
 
 
 def _pcap_tail(path: str) -> tuple[int, float | None]:

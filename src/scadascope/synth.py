@@ -10,6 +10,7 @@ packet stream, so generated traces serve as oracles for the analysis side.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import random
@@ -233,15 +234,11 @@ def _peripheral_packet_sizes(spec: PeripheralSpec) -> tuple[int, ...]:
         request = spec.size // 2 if spec.kind == "ntp" else 2 * spec.size // 3
         return (request, spec.size - request)
     if spec.kind == "backup":
-        return _drip_palette(spec.size)
+        # Bulk drips vary their frame sizes like payload-sized transfers.
+        size = spec.size
+        palette = (size, 3 * size // 4, size // 2, size // 4)
+        return tuple(s for s in palette if s >= MIN_FRAME_BYTES) or (size,)
     return (spec.size,)
-
-
-def _drip_palette(size: int) -> tuple[int, ...]:
-    """Per-frame sizes for bulk drips; varied like payload-sized transfers."""
-    palette = [size, 3 * size // 4, size // 2, size // 4]
-    kept = tuple(s for s in palette if s >= MIN_FRAME_BYTES)
-    return kept if kept else (size,)
 
 
 @dataclass
@@ -286,27 +283,23 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
         return sys.intern(ip)
 
     heap: list[tuple[int, int, object]] = []
-    seq = 0
+    seq = itertools.count()
 
     def push(t_us: int, item: object) -> None:
         """Schedule a source's next tick, or a record's ``PacketRecord`` fields after ``ts``."""
-        nonlocal seq
         if t_us <= duration_us:
-            heapq.heappush(heap, (t_us, seq, item))
-            seq += 1
+            heapq.heappush(heap, (t_us, next(seq), item))
 
     def interval_us(mean: float, sigma: float) -> int:
         return round(max(MIN_INTERVAL, rng.gauss(mean, sigma)) * 1e6)
 
     eph_lo, eph_hi = config.master.ephemeral_port_range
-    next_eph = eph_lo
+    free_eph = iter(range(eph_lo, eph_hi + 1))
 
     def alloc_eph() -> int:
-        nonlocal next_eph
-        if next_eph > eph_hi:
+        port = next(free_eph, None)
+        if port is None:
             raise ScenarioError("master ephemeral port range exhausted")
-        port = next_eph
-        next_eph += 1
         return port
 
     master_ip = label("10.0.0.1", "master") if config.scada_groups else None
@@ -315,11 +308,10 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
 
     def fd_source(group: ScadaGroup, conv: tuple[int, int], fd_ip: str) -> Callable[[int], None]:
         sizes = group.object_sizes
-        state = {"tick": conv[1]}  # offset the size cycle per device
+        ticks = itertools.count(conv[1])  # offset the size cycle per device
 
         def tick(t_us: int) -> None:
-            size = sizes[state["tick"] % len(sizes)]
-            state["tick"] += 1
+            size = sizes[next(ticks) % len(sizes)]
             eph = conv_eph[conv]
             if group.response:
                 push(t_us, (fd_ip, group.port, master_ip, eph, TCP, size - ACK_BYTES))
@@ -399,11 +391,10 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
 
     if config.noise.nonresponder_retry:
         retrier, dead = label("10.0.250.1", "peripheral"), label("10.0.250.2", "peripheral")
-        noise_state = {"cycle": 0}
+        cycles = itertools.count()
 
         def retry_cycle(t_us: int) -> None:
-            sport = 45001 + (noise_state["cycle"] % 8000)
-            noise_state["cycle"] += 1
+            sport = 45001 + (next(cycles) % 8000)
             for i, offset in enumerate(_NOISE_OFFSETS):
                 jitter = rng.uniform(-0.05, 0.05) if i else 0.0
                 push(t_us + round((offset + jitter) * 1e6), (retrier, sport, dead, 9999, TCP, 66))

@@ -368,9 +368,11 @@ def test_rank_memory_per_5_tuple():
     zeros = [e.f for e in ranked if e.f == 0.0]
     assert len(zeros) > 1000 and len(set(map(id, zeros))) == 1
     # cR, uR and sR are computed once per group of equal counts, not per
-    # 5-tuple, and equal values share one float.
+    # 5-tuple; on this table each group has its own (cR, uR, sR).
+    groups = len({id(e.shared) for e in ranked})
+    assert groups == len({e.raw[2:] for e in ranked})
     for column in (2, 3, 4):
-        assert len({id(e.raw[column]) for e in ranked}) <= 2 * len({e.raw[column] for e in ranked})
+        assert len({id(e.raw[column]) for e in ranked}) <= groups
 
 
 def test_rank_column_of_zeros_normalizes_to_positive_zero():

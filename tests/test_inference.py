@@ -487,6 +487,13 @@ _POLL = [0, 1, 2, 3, 5, 8]
      (3, 4, 40001, 20000, 60, [1, 2], False)],
     2, True, 3, 0.5,
 )
+# Two HMI candidates the master sends equal quantities to: the lower address
+# wins, with a warning.
+@example(
+    [(0, 1, 40000, 502, 100, _POLL, True), (0, 3, 40001, 20000, 240, [10, 12, 14, 16, 18, 20], False),
+     (0, 2, 40001, 20000, 240, [11, 13, 15, 17, 19, 21], False)],
+    1, True, 5, 0.5,
+)
 def test_algorithm1_matches_reference(flows, num_protocols, three_layer, fd_degree_threshold, scada_fraction):
     config = InferenceConfig(
         num_scada_protocols=num_protocols,

@@ -457,11 +457,14 @@ def test_read_records_validation(tmp_path, field, value, fragment):
     import json
 
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(obj).replace(json.dumps(BIG_INT), "1" * 5001) + "\n")
+    bad = json.dumps(obj).replace(json.dumps(BIG_INT), "1" * 5001)
+    path.write_text("\n".join([rec(ts=1.0).to_json(), bad, rec(ts=2.0).to_json()]) + "\n")
     with pytest.raises(RecordFormatError) as err:
         list(read_records(str(path)))
-    assert ":1:" in str(err.value)
+    assert ":2:" in str(err.value)
     assert fragment in str(err.value)
+    # The tail reader passes over the line the forward read refuses.
+    assert [r.ts for r in ingest._records_backwards(str(path))] == [2.0, 1.0]
 
 
 def test_read_records_bad_json_names_line(tmp_path):
@@ -888,6 +891,17 @@ def test_last_timestamp_hint_misses_a_far_future_line_but_not_a_frame(tmp_path):
     assert _stream_end(jsonl) == _stream_end(pcap) == 1000.0
     assert ingest.last_timestamp_hint(str(jsonl)) == 4.0
     assert ingest.last_timestamp_hint(str(pcap)) == 1000.0
+
+
+def test_last_timestamp_hint_reads_past_late_lines_within_the_window(tmp_path):
+    # The two last lines are late by less than the window, so the newest
+    # record lies before them.
+    packets = [rec(ts=t, sport=i) for i, t in enumerate((1.0, 5.0, 10.0, 9.5, 9.8))]
+    jsonl, pcap = tmp_path / "t.jsonl", tmp_path / "t.pcap"
+    write_records(packets, str(jsonl))
+    write_pcap(packets, str(pcap))
+    for path in (jsonl, pcap):
+        assert ingest.last_timestamp_hint(str(path)) == _stream_end(path) == 10.0
 
 
 def test_last_timestamp_hint_of_empty_traces(tmp_path):

@@ -156,6 +156,13 @@ MUTANTS = (
         ("tests/test_ingest.py::test_ensure_time_order_matches_reference",),
     ),
     Mutant(
+        "hint-stops-at-first-older-line",
+        "scadascope/ingest.py",
+        "        elif newest - rec.ts >= REORDER_WINDOW:\n            break\n",
+        "        else:\n            break\n",
+        ("tests/test_ingest.py::test_last_timestamp_hint_reads_past_late_lines_within_the_window",),
+    ),
+    Mutant(
         "progress-line-dropped",
         "scadascope/inference.py",
         '                log.info("processed %d records", count)\n',
@@ -193,6 +200,13 @@ MUTANTS = (
         "scadascope/inference.py",
         "if key.src_port <= key.dst_port:",
         "if key.src_port >= key.dst_port:",
+        _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "hmi-tie-ignores-address",
+        "scadascope/inference.py",
+        "key=lambda t: (-t[0], t[1])",
+        "key=lambda t: -t[0]",
         _ALGORITHM1_REFERENCE,
     ),
 )
