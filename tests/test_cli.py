@@ -28,7 +28,7 @@ from scadascope.inference import InferenceConfig
 from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
 from scadascope.synth import generate, load_scenario, write_pcap, write_records
 
-from scenarios import dataset1_like, dataset2_like, office_like
+from scenarios import SCENARIO_DIR, dataset1_like, dataset2_like, office_like
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ def test_synth_refuses_too_many_consumers_before_writing(tmp_path, caplog):
 
 
 def test_synth_refuses_a_size_above_the_snaplen_before_writing(tmp_path, caplog):
-    month = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "month.json"
+    month = SCENARIO_DIR / "month.json"
     obj = json.loads(month.read_text())
     obj["duration"] = 600
     obj["scada_groups"][0]["object_sizes"] = [70000]
@@ -149,7 +149,7 @@ def test_synth_refuses_a_size_above_the_snaplen_before_writing(tmp_path, caplog)
 
 def _month_scenario(tmp_path, **changes) -> Path:
     """The benchmark's month scenario with ``changes`` to its top-level keys, as a file."""
-    month = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "month.json"
+    month = SCENARIO_DIR / "month.json"
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({**json.loads(month.read_text()), **changes}))
     return scenario

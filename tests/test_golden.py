@@ -28,8 +28,8 @@ from pathlib import Path
 
 from scadascope.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = ROOT / "perfbench" / "scenarios"
+from scenarios import SCENARIO_DIR
+
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
 # Scenario -> (duration in seconds, the analyze/stability flags, the flags
@@ -65,7 +65,7 @@ def compute_golden() -> dict:
     outputs: dict[str, dict] = {}
     exits: dict[str, int] = {}
     for scenario, (duration, inference_flags, stream_flags) in TRACES.items():
-        obj = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        obj = json.loads((SCENARIO_DIR / f"{scenario}.json").read_text())
         obj["duration"] = duration
         Path(f"{scenario}.json").write_text(json.dumps(obj))
         jsonl, pcap, truth = f"{scenario}.jsonl", f"{scenario}.pcap", f"{scenario}.truth.json"

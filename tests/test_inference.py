@@ -260,6 +260,32 @@ def test_algorithm_single_protocol_scenario():
     assert report.hmi == "10.0.0.2"
 
 
+@pytest.mark.parametrize(
+    ("period", "hmi", "role", "counts"),
+    [(1.0, "10.0.200.19", "peripheral", (50, 1, 1)), (2.0, "10.0.0.2", "hmi", (51, 0, 0))],
+)
+def test_backup_outweighing_the_hmi_feed_is_claimed_as_the_hmi(period, hmi, role, counts):
+    # The paper's documented miss, "HMIs connected to master server": the HMI
+    # is the master's heaviest initiated peer, so a backup host copying from
+    # the master at a higher byte rate than the HMI feed is claimed in its
+    # place, with no warning.  Field devices and masters are untouched.
+    config = dataset1_like(duration=3600.0, seed=101)
+    (backup,) = [spec for spec in config.peripherals if spec.kind == "backup"]
+    backup.period = period
+    records, truth = generate(config)
+    report = analyze_records(records, InferenceConfig(three_layer=True)).report
+    (entry,) = report.protocols
+    assert entry.field_devices == truth.devices_with_role("field_device")
+    assert entry.master_servers == truth.devices_with_role("master")
+    assert report.warnings == []
+    labels = load_ground_truth(truth.to_dict())
+    assert (report.hmi, labels[report.hmi]) == (hmi, role)
+    metrics = evaluate(report, labels)
+    tp, fp, fn = counts
+    assert (metrics["tp"], metrics["fp"], metrics["fn"]) == counts
+    assert metrics["f_score"] == pytest.approx(2 * tp / (2 * tp + fp + fn))
+
+
 def test_algorithm_two_protocols_and_shared_master():
     config = dataset2_like(duration=2400.0, seed=302)
     records, truth = generate(config)
@@ -559,6 +585,12 @@ def test_evaluate_nothing_claimed_and_nothing_to_find_is_perfect():
     metrics = evaluate(simple_report(set()), {"p": "peripheral"})
     assert metrics["precision"] == metrics["recall"] == metrics["f_score"] == 1.0
     assert (metrics["tp"], metrics["fp"], metrics["fn"]) == (0, 0, 0)
+
+
+def test_evaluate_nothing_claimed_but_something_to_find_scores_zero():
+    metrics = evaluate(TopologyReport(), {"10.0.0.1": "field_device"})
+    assert (metrics["precision"], metrics["recall"], metrics["f_score"]) == (0.0, 0.0, 0.0)
+    assert (metrics["tp"], metrics["fp"], metrics["fn"]) == (0, 0, 1)
 
 
 def test_evaluate_empty_truth_errors():

@@ -904,6 +904,18 @@ def test_last_timestamp_hint_reads_past_late_lines_within_the_window(tmp_path):
         assert ingest.last_timestamp_hint(str(path)) == _stream_end(path) == 10.0
 
 
+def test_last_timestamp_hint_starts_at_the_last_mark_a_window_before_the_latest(tmp_path):
+    # The pcap walk marks 1.0, 5.0 and 6.2.  The frames from the 5.0 mark on
+    # hold 5.5, the newest one the filter keeps; from the 6.2 mark on there
+    # is only the UDP frame it drops.
+    packets = [rec(ts=1.0, sport=1), rec(ts=5.0, sport=2), rec(ts=5.5, sport=3), rec(ts=6.2, sport=4, proto="udp")]
+    jsonl, pcap = tmp_path / "t.jsonl", tmp_path / "t.pcap"
+    write_records(packets, str(jsonl))
+    write_pcap(packets, str(pcap))
+    for path in (jsonl, pcap):
+        assert ingest.last_timestamp_hint(str(path), FilterConfig()) == _stream_end(path, FilterConfig()) == 5.5
+
+
 def test_last_timestamp_hint_of_empty_traces(tmp_path):
     jsonl, pcap = tmp_path / "t.jsonl", tmp_path / "t.pcap"
     write_records([], str(jsonl))

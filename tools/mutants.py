@@ -163,6 +163,13 @@ MUTANTS = (
         ("tests/test_ingest.py::test_last_timestamp_hint_reads_past_late_lines_within_the_window",),
     ),
     Mutant(
+        "pcap-tail-starts-at-last-mark",
+        "scadascope/ingest.py",
+        "if ts < latest - REORDER_WINDOW:\n            start = offset\n",
+        "start = offset\n",
+        ("tests/test_ingest.py::test_last_timestamp_hint_starts_at_the_last_mark_a_window_before_the_latest",),
+    ),
+    Mutant(
         "progress-line-dropped",
         "scadascope/inference.py",
         '                log.info("processed %d records", count)\n',
@@ -208,6 +215,13 @@ MUTANTS = (
         "key=lambda t: (-t[0], t[1])",
         "key=lambda t: -t[0]",
         _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "empty-claim-precision-one",
+        "scadascope/inference.py",
+        "precision = 1.0 if not actual else 0.0",
+        "precision = 1.0",
+        ("tests/test_inference.py::test_evaluate_nothing_claimed_but_something_to_find_scores_zero",),
     ),
 )
 
