@@ -16,7 +16,6 @@ from scadascope.ingest import (
     read_records,
 )
 from scadascope.segmentation import (
-    CommunicationSegment,
     FtCell,
     FtKey,
     aggregate_ft,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SERVICE_PORTS",
-    "CommunicationSegment",
     "FilterConfig",
     "FtCell",
     "FtKey",

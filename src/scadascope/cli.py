@@ -34,7 +34,7 @@ from scadascope.inference import (
     prefix_stability,
     report_to_dot,
 )
-from scadascope.segmentation import segment_stream
+from scadascope.segmentation import segment_stream, segment_to_json
 
 log = logging.getLogger("scadascope")
 
@@ -47,12 +47,10 @@ _HASH_BUFFER_BYTES = 1 << 16
 
 
 def _sha256_of(path: str) -> str:
-    """The SHA-256 of a file, read through one reused buffer.
-
-    The hash runs while the analysis result is still alive, at the process's
-    peak, so it holds no more than the one buffer.
-    """
-    # Imported here: hashlib maps OpenSSL's libcrypto, which only analyze needs.
+    """The SHA-256 of a file, read through one reused buffer."""
+    # Imported here: hashlib maps OpenSSL's libcrypto, which only analyze
+    # needs, and analyze hashes after releasing the table, so the library
+    # does not add to the process's peak.
     import hashlib
 
     digest = hashlib.sha256()
@@ -235,6 +233,8 @@ def cmd_analyze(args) -> int:
     trace = _Trace(args)
     result = analyze_records(trace, inference_config=config)
     report, filter_config = result.report, trace.filter_config
+    dot = report_to_dot(report, result.ft_map) if args.dot else None
+    del result  # the table and the ranking, before the hash loads OpenSSL
     report.metrics["ingest"] = asdict(trace.stats)
     report.metrics["filter"] = asdict(trace.fstats) if filter_config else None
     payload = report.to_dict()
@@ -252,7 +252,7 @@ def cmd_analyze(args) -> int:
     }
     _write_result(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if args.dot:
-        _write_result(report_to_dot(report, result.ft_map), args.dot)
+        _write_result(dot, args.dot)
     for entry in report.protocols:
         log.info("protocol port %d: %d field devices, %d master servers",
                  entry.scada_port, len(entry.field_devices), len(entry.master_servers))
@@ -348,7 +348,7 @@ def cmd_inspect(args) -> int:
         for seg in segment_stream(watch(trace), t_comm=t_comm):
             seg_count += 1
             if dump:
-                dump.write(seg.to_json())
+                dump.write(segment_to_json(seg))
                 dump.write("\n")
 
     stats, fstats = trace.stats, trace.fstats

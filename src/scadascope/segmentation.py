@@ -1,11 +1,14 @@
 """Communication segmentation and 5-tuple aggregation.
 
 A conversation (unordered endpoint pair) is cut into segments wherever the
-gap to the previous packet reaches the ``t_comm`` threshold.  Segments are
-then bucketed by the 5-tuple (initiator ip/port, responder ip/port, segment
-size), which is the unit everything downstream ranks and classifies.  Each
-bucket keeps a fixed-size ``FtCell``, not its start times, so the table
-grows with 5-tuples, not with segments.
+gap to the previous packet reaches the ``t_comm`` threshold.  A segment is
+the plain tuple ``(src_ip, src_port, dst_ip, dst_port, size, start, end,
+packets)``: the initiator, whose packet opened it, then the responder, the
+summed packet sizes, the times of its first and last packets and their
+count.  Its first five fields are the 5-tuple it is bucketed under, which is
+the unit everything downstream ranks and classifies.  Each bucket keeps a
+fixed-size ``FtCell``, not its start times, so the table grows with
+5-tuples, not with segments.
 """
 
 from __future__ import annotations
@@ -18,38 +21,28 @@ from scadascope.ingest import PacketRecord, compact_json
 
 DEFAULT_T_COMM = 1.0
 
-Endpoint = tuple[str, int]
+# The segment layout of the module docstring.
+Segment = tuple[str, int, str, int, int, float, float, int]
 
 
-@dataclass(slots=True)
-class CommunicationSegment:
-    """A gap-delimited run of packets on one conversation."""
+def segment_to_json(seg: Segment) -> str:
+    """A segment as one ``inspect --dump-segments`` line.
 
-    start_ts: float
-    end_ts: float
-    seg_size: int
-    packet_count: int
-    initiator: Endpoint
-    responder: Endpoint
-
-    @property
-    def key(self) -> tuple[Endpoint, Endpoint]:
-        """The conversation, direction-free: the smaller endpoint first."""
-        a, b = self.initiator, self.responder
-        return (a, b) if a <= b else (b, a)
-
-    def to_json(self) -> str:
-        (a_ip, a_port), (b_ip, b_port) = self.key
-        return compact_json(
-            {
-                "key": f"{a_ip}:{a_port}|{b_ip}:{b_port}",
-                "start": self.start_ts,
-                "end": self.end_ts,
-                "size": self.seg_size,
-                "initiator": f"{self.initiator[0]}:{self.initiator[1]}",
-                "packets": self.packet_count,
-            }
-        )
+    ``key`` names the conversation direction-free, the smaller endpoint
+    first, and ``initiator`` the end that opened the segment.
+    """
+    src_ip, src_port, dst_ip, dst_port, size, start, end, packets = seg
+    (a_ip, a_port), (b_ip, b_port) = sorted([(src_ip, src_port), (dst_ip, dst_port)])
+    return compact_json(
+        {
+            "key": f"{a_ip}:{a_port}|{b_ip}:{b_port}",
+            "start": start,
+            "end": end,
+            "size": size,
+            "initiator": f"{src_ip}:{src_port}",
+            "packets": packets,
+        }
+    )
 
 
 class FtKey(NamedTuple):
@@ -57,7 +50,8 @@ class FtKey(NamedTuple):
 
     Direction follows the segment initiator; the size is part of the key, so
     one conversation producing two segment sizes yields two entries.  A key
-    equals, hashes and sorts as its plain tuple.
+    equals, hashes and sorts as its plain tuple, so a segment's first five
+    fields find its entry.
     """
 
     src_ip: str
@@ -71,8 +65,8 @@ def segment_stream(
     records: Iterable[PacketRecord],
     t_comm: float = DEFAULT_T_COMM,
     cutoffs: Iterable[float] = (),
-    on_cutoff: Callable[[int, Iterator[CommunicationSegment]], None] | None = None,
-) -> Iterator[CommunicationSegment]:
+    on_cutoff: Callable[[int, Iterator[Segment]], None] | None = None,
+) -> Iterator[Segment]:
     """Split a time-ordered packet stream into communication segments.
 
     A gap >= t_comm to the previous packet on the same conversation closes
@@ -88,18 +82,14 @@ def segment_stream(
     """
     if not 0 < t_comm < math.inf:
         raise ValueError(f"t_comm must be positive and finite, got {t_comm}")
-    # Both directional (ip, port, ip, port) keys of a conversation map to an
-    # entry (cell, src, dst).  ``cell`` is the conversation's one-item list
-    # holding its open segment, shared by both directions; src and dst are
-    # that direction's endpoints.  A packet so finds the open segment, and a
-    # new segment its initiator and responder, without building the
-    # direction-free key.  ``cells`` holds each conversation's cell once, in
-    # first-seen order.
-    entries: dict[
-        tuple[str, int, str, int], tuple[list[CommunicationSegment], Endpoint, Endpoint]
-    ] = {}
-    cells: list[list[CommunicationSegment]] = []
-    get = entries.get
+    # Both directional (ip, port, ip, port) keys of a conversation map to its
+    # open segment: a list in the segment layout that each of its segments
+    # reuses in turn.  The endpoints in it are the objects of the
+    # conversation's first record, so the table's keys share them.
+    # ``open_segs`` holds each conversation's list once, in first-seen order.
+    by_key: dict[tuple[str, int, str, int], list] = {}
+    open_segs: list[list] = []
+    get = by_key.get
     cuts = iter(cutoffs)
     cut = next(cuts, math.inf)
     for rec in records:
@@ -109,28 +99,28 @@ def segment_stream(
             while ts > cut:
                 passed += 1
                 cut = next(cuts, math.inf)
-            on_cutoff(passed, (cell[0] for cell in cells))
+            on_cutoff(passed, map(tuple, open_segs))
         fwd = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port)
-        entry = get(fwd)
-        if entry is None:
-            src = (rec.src_ip, rec.src_port)
-            dst = (rec.dst_ip, rec.dst_port)
-            cell = [CommunicationSegment(ts, ts, rec.size, 1, src, dst)]
-            entries[fwd] = (cell, src, dst)
-            entries[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = (cell, dst, src)
-            cells.append(cell)
+        seg = get(fwd)
+        if seg is None:
+            seg = [*fwd, rec.size, ts, ts, 1]
+            by_key[fwd] = by_key[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = seg
+            open_segs.append(seg)
             continue
-        cell, src, dst = entry
-        seg = cell[0]
-        if ts - seg.end_ts < t_comm:
-            seg.end_ts = ts
-            seg.seg_size += rec.size
-            seg.packet_count += 1
+        if ts - seg[6] < t_comm:
+            seg[4] += rec.size
+            seg[6] = ts
+            seg[7] += 1
             continue
-        yield seg
-        cell[0] = CommunicationSegment(ts, ts, rec.size, 1, src, dst)
-    for cell in cells:
-        yield cell[0]
+        yield tuple(seg)
+        # The record opens the next segment: its source is the initiator.
+        if rec.src_port != seg[1] or rec.src_ip != seg[0]:
+            seg[:4] = seg[2], seg[3], seg[0], seg[1]
+        seg[4] = rec.size
+        seg[5] = seg[6] = ts
+        seg[7] = 1
+    for seg in open_segs:
+        yield tuple(seg)
 
 
 @dataclass(slots=True)
@@ -182,7 +172,7 @@ LONG_CELL = 256
 
 
 def aggregate_ft(
-    segments: Iterable[CommunicationSegment], table: dict[FtKey, FtCell] | None = None
+    segments: Iterable[Segment], table: dict[FtKey, FtCell] | None = None
 ) -> dict[FtKey, FtCell]:
     """The 5-tuple table: each 5-tuple's ``FtCell``, in first-segment order.
 
@@ -196,7 +186,7 @@ def aggregate_ft(
     return table
 
 
-def _insert(segments: Iterable[CommunicationSegment], table: dict[FtKey, FtCell]) -> None:
+def _insert(segments: Iterable[Segment], table: dict[FtKey, FtCell]) -> None:
     """Count each segment in its 5-tuple's cell in ``table``.
 
     A 5-tuple's segments arrive in start order: its conversation closes
@@ -204,9 +194,9 @@ def _insert(segments: Iterable[CommunicationSegment], table: dict[FtKey, FtCell]
     """
     get = table.get
     for seg in segments:
-        # A plain tuple finds its FtKey; the key is built once per 5-tuple.
-        ft = (*seg.initiator, *seg.responder, seg.seg_size)
-        start = seg.start_ts
+        # The key is built once per 5-tuple.
+        ft = seg[:5]
+        start = seg[5]
         cell = get(ft)
         if cell is None:
             table[FtKey._make(ft)] = FtCell(start)
@@ -273,7 +263,7 @@ def aggregate_records(
     """
     table: dict[FtKey, FtCell] = {}
 
-    def on_cutoff(passed: int, open_segments: Iterator[CommunicationSegment]) -> None:
+    def on_cutoff(passed: int, open_segments: Iterator[Segment]) -> None:
         # Add every open segment as the end of the prefix would flush it.  A
         # 5-tuple has at most one open segment, the one of its conversation,
         # so each cell it changes is copied once and the growing table keeps
@@ -281,7 +271,7 @@ def aggregate_records(
         prefix = dict(table)
         flushed = list(open_segments)
         for seg in flushed:
-            ft = (*seg.initiator, *seg.responder, seg.seg_size)
+            ft = seg[:5]
             cell = prefix.get(ft)
             if cell is not None:
                 prefix[ft] = replace(cell)

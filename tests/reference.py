@@ -216,15 +216,19 @@ def ref_segments(records, t_comm):
     return out
 
 
+def ref_segment_tuple(seg):
+    """A reference segment as (initiator ip, port, responder ip, port, size, start, end, packets)."""
+    a, b = seg["key"]
+    init = seg["initiator"]
+    resp = b if init == a else a
+    return (init[0], init[1], resp[0], resp[1], seg["size"], seg["start"], seg["end"], seg["packets"])
+
+
 def ref_ft_table(segments):
     """Map 5-tuple -> ordered list of segment start times."""
     table = {}
     for seg in segments:
-        a, b = seg["key"]
-        init = seg["initiator"]
-        resp = b if init == a else a
-        ft = (init[0], init[1], resp[0], resp[1], seg["size"])
-        table.setdefault(ft, []).append(seg["start"])
+        table.setdefault(ref_segment_tuple(seg)[:5], []).append(seg["start"])
     for starts in table.values():
         starts.sort()
     return table

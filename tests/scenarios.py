@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from scadascope.features import DEFAULT_PR_CAP, periodicity_durability
-from scadascope.segmentation import CommunicationSegment, FtCell, aggregate_ft
+from scadascope.segmentation import FtCell, aggregate_ft
 from scadascope.synth import (
     MasterConfig,
     NoiseConfig,
@@ -25,7 +25,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios
 
 def cell_of(starts) -> FtCell:
     """The table's cell of one 5-tuple with these segment start times, in order."""
-    segments = (CommunicationSegment(t, t, 1, 1, ("a", 1), ("b", 2)) for t in starts)
+    segments = (("a", 1, "b", 2, 1, t, t, 1) for t in starts)
     (cell,) = aggregate_ft(segments).values()
     return cell
 

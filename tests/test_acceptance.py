@@ -27,7 +27,7 @@ from scadascope.inference import (
 from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate, write_records
 
-from reference import ref_all_features, ref_ft_table, ref_segments
+from reference import ref_all_features, ref_ft_table, ref_segment_tuple, ref_segments
 from scenarios import assert_cells_match, cell_of, dataset1_like, dataset2_like, month_like, small_random_scenario
 
 
@@ -235,14 +235,8 @@ def test_criterion_6_oracle_equivalence():
         if not records:
             continue
 
-        got_segments = sorted(
-            (s.key, s.start_ts, s.end_ts, s.seg_size, s.packet_count, s.initiator)
-            for s in segment_stream(iter(records), 1.0)
-        )
-        want_segments = sorted(
-            (s["key"], s["start"], s["end"], s["size"], s["packets"], s["initiator"])
-            for s in ref_segments(records, 1.0)
-        )
+        got_segments = sorted(segment_stream(iter(records), 1.0))
+        want_segments = sorted(map(ref_segment_tuple, ref_segments(records, 1.0)))
         assert got_segments == want_segments, f"scenario {i}: segmentation mismatch"
 
         table = aggregate_ft(segment_stream(iter(records), 1.0))

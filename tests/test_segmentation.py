@@ -15,16 +15,16 @@ from hypothesis import given, strategies as st
 
 from scadascope.ingest import PacketRecord
 from scadascope.segmentation import (
-    CommunicationSegment,
     FtCell,
     FtKey,
     aggregate_ft,
     aggregate_records,
     segment_stream,
+    segment_to_json,
 )
 from scadascope.synth import MasterConfig, ScadaGroup, ScenarioConfig, generate
 
-from reference import ref_ft_table, ref_segments
+from reference import ref_ft_table, ref_segment_tuple, ref_segments
 from scenarios import assert_cells_match, dataset1_like, month_like, small_random_scenario
 
 
@@ -32,25 +32,20 @@ def pkt(ts, src="10.0.0.1", sport=20000, dst="10.0.0.9", dport=50000, size=100):
     return PacketRecord(ts, src, sport, dst, dport, "tcp", size)
 
 
-def as_tuple(seg):
-    return (seg.key, seg.start_ts, seg.end_ts, seg.seg_size, seg.packet_count, seg.initiator)
+def ref_segment_tuples(records, t_comm):
+    return sorted(map(ref_segment_tuple, ref_segments(records, t_comm)))
 
 
 def test_gap_split_example():
     packets = [pkt(t) for t in (0.0, 0.2, 0.5, 2.0, 2.1)]
     segs = list(segment_stream(packets, t_comm=1.0))
-    assert len(segs) == 2
-    first, second = sorted(segs, key=lambda s: s.start_ts)
-    assert (first.start_ts, first.end_ts, first.packet_count) == (0.0, 0.5, 3)
-    assert (second.start_ts, second.end_ts, second.packet_count) == (2.0, 2.1, 2)
-    assert first.seg_size == 300 and second.seg_size == 200
+    conversation = ("10.0.0.1", 20000, "10.0.0.9", 50000)
+    assert segs == [(*conversation, 300, 0.0, 0.5, 3), (*conversation, 200, 2.0, 2.1, 2)]
 
 
 def test_single_packet_segment():
     segs = list(segment_stream([pkt(3.0, size=74)], t_comm=1.0))
-    assert len(segs) == 1
-    assert segs[0].seg_size == 74
-    assert segs[0].initiator == ("10.0.0.1", 20000)
+    assert segs == [("10.0.0.1", 20000, "10.0.0.9", 50000, 74, 3.0, 3.0, 1)]
 
 
 def test_gap_exactly_t_comm_splits():
@@ -67,12 +62,18 @@ def test_bidirectional_packets_share_segment():
     packets = [
         pkt(0.0, src="10.0.0.5", sport=20000, dst="10.0.0.9", dport=50000, size=274),
         pkt(0.01, src="10.0.0.9", sport=50000, dst="10.0.0.5", dport=20000, size=66),
+        # The responder opens the next segment, so it is that one's initiator.
+        pkt(5.0, src="10.0.0.9", sport=50000, dst="10.0.0.5", dport=20000, size=70),
     ]
     segs = list(segment_stream(packets, t_comm=1.0))
-    assert len(segs) == 1
-    assert segs[0].seg_size == 340
-    assert segs[0].initiator == ("10.0.0.5", 20000)
-    assert list(aggregate_ft(segs)) == [FtKey("10.0.0.5", 20000, "10.0.0.9", 50000, 340)]
+    assert segs == [
+        ("10.0.0.5", 20000, "10.0.0.9", 50000, 340, 0.0, 0.01, 2),
+        ("10.0.0.9", 50000, "10.0.0.5", 20000, 70, 5.0, 5.0, 1),
+    ]
+    assert list(aggregate_ft(segs)) == [
+        FtKey("10.0.0.5", 20000, "10.0.0.9", 50000, 340),
+        FtKey("10.0.0.9", 50000, "10.0.0.5", 20000, 70),
+    ]
 
 
 def test_t_comm_must_be_positive():
@@ -84,28 +85,23 @@ def test_oracle_equivalence_on_synth_trace():
     config = dataset1_like(duration=900.0, seed=11, fds=8)
     records = list(generate(config)[0])
     assert len(records) > 400
-    got = sorted(map(as_tuple, segment_stream(records, 1.0)))
-    want = sorted(
-        (s["key"], s["start"], s["end"], s["size"], s["packets"], s["initiator"])
-        for s in ref_segments(records, 1.0)
-    )
-    assert got == want
+    assert sorted(segment_stream(records, 1.0)) == ref_segment_tuples(records, 1.0)
 
 
 def test_reconstruction_counts_and_gap_bounds():
     config = dataset1_like(duration=600.0, seed=12, fds=6)
     records = list(generate(config)[0])
     segs = list(segment_stream(records, 1.0))
-    assert sum(s.packet_count for s in segs) == len(records)
-    assert sum(s.seg_size for s in segs) == sum(r.size for r in records)
+    assert sum(s[7] for s in segs) == len(records)
+    assert sum(s[4] for s in segs) == sum(r.size for r in records)
     # consecutive segments on one conversation start >= t_comm apart
-    by_key = {}
+    spans = defaultdict(list)
     for seg in segs:
-        by_key.setdefault(seg.key, []).append(seg)
-    for group in by_key.values():
-        group.sort(key=lambda s: s.start_ts)
-        for a, b in zip(group, group[1:]):
-            assert b.start_ts - a.end_ts >= 1.0
+        spans[frozenset((seg[:2], seg[2:4]))].append(seg[5:7])
+    for group in spans.values():
+        group.sort()
+        for (_, end), (start, _) in zip(group, group[1:]):
+            assert start - end >= 1.0
 
 
 def test_doubling_t_comm_never_increases_segments():
@@ -160,7 +156,7 @@ def test_iat_lower_bound_within_ft():
     records = list(generate(config)[0])
     starts = defaultdict(list)
     for seg in segment_stream(records, 1.0):
-        starts[(*seg.initiator, *seg.responder, seg.seg_size)].append(seg.start_ts)
+        starts[seg[:5]].append(seg[5])
     for times in starts.values():
         assert all(b - a >= 1.0 for a, b in zip(times, times[1:]))
 
@@ -217,12 +213,7 @@ def test_random_scenarios_match_reference():
     for _ in range(8):
         config = small_random_scenario(meta)
         records = list(generate(config)[0])
-        got = sorted(map(as_tuple, segment_stream(records, 1.0)))
-        want = sorted(
-            (s["key"], s["start"], s["end"], s["size"], s["packets"], s["initiator"])
-            for s in ref_segments(records, 1.0)
-        )
-        assert got == want
+        assert sorted(segment_stream(records, 1.0)) == ref_segment_tuples(records, 1.0)
         table = aggregate_ft(segment_stream(records, 1.0))
         assert_cells_match(table, ref_ft_table(ref_segments(records, 1.0)))
 
@@ -248,12 +239,7 @@ def test_property_matches_reference(raw):
         ),
         key=lambda r: r.ts,
     )
-    got = sorted(map(as_tuple, segment_stream(records, 1.0)))
-    want = sorted(
-        (s["key"], s["start"], s["end"], s["size"], s["packets"], s["initiator"])
-        for s in ref_segments(records, 1.0)
-    )
-    assert got == want
+    assert sorted(segment_stream(records, 1.0)) == ref_segment_tuples(records, 1.0)
 
 
 def test_segment_yield_order_is_pinned():
@@ -281,20 +267,20 @@ def test_segment_yield_order_is_pinned():
         on(3.0, a_master, a_fd, 12),  # closes A's first segment
     ]
     segs = list(segment_stream(packets, t_comm=1.0))
-    got = [(s.start_ts, s.seg_size, s.packet_count, s.initiator, s.responder) for s in segs]
-    assert got == [
-        (0.1, 20, 1, b_fd, b_master),
-        (0.0, 21, 2, a_master, a_fd),
-        (3.0, 12, 1, a_master, a_fd),
-        (2.0, 43, 2, b_master, b_fd),
-        (0.2, 61, 2, loop, loop),
+    assert segs == [
+        (*b_fd, *b_master, 20, 0.1, 0.1, 1),
+        (*a_master, *a_fd, 21, 0.0, 0.3, 2),
+        (*a_master, *a_fd, 12, 3.0, 3.0, 1),
+        (*b_master, *b_fd, 43, 2.0, 2.5, 2),
+        (*loop, *loop, 61, 0.2, 0.4, 2),
     ]
-    assert [s.key for s in segs] == [
-        (b_fd, b_master),
-        (a_fd, a_master),
-        (a_fd, a_master),
-        (b_fd, b_master),
-        (loop, loop),
+    # The dump names each conversation by its smaller endpoint first.
+    assert [json.loads(segment_to_json(s))["key"] for s in segs] == [
+        "10.0.0.2:20000|10.0.0.8:50001",
+        "10.0.0.6:20000|10.0.0.9:50000",
+        "10.0.0.6:20000|10.0.0.9:50000",
+        "10.0.0.2:20000|10.0.0.8:50001",
+        "10.0.0.3:7000|10.0.0.3:7000",
     ]
 
 
@@ -321,6 +307,16 @@ def records_and_cutoffs(draw):
     times = [rec.ts for rec in records]
     cutoffs = draw(st.lists(st.sampled_from([*times, times[0] - 0.25, times[-1] + 0.25]), max_size=6))
     return records, sorted(cutoffs)
+
+
+@given(records_and_cutoffs(), st.sampled_from([0.5, 1.0]))
+def test_segment_prefix_is_its_ft_key(drawn, t_comm):
+    # The layout is API: a segment's first five fields are the 5-tuple it is
+    # counted under, and each 5-tuple counts the segments with that prefix.
+    records, _ = drawn
+    segs = list(segment_stream(records, t_comm))
+    table = aggregate_ft(segs)
+    assert {key: cell.n for key, cell in table.items()} == Counter(seg[:5] for seg in segs)
 
 
 def table_items(table):
@@ -354,7 +350,8 @@ _ANY_FLOAT = st.floats()  # NaN and the infinities included
 
 
 # Bools, an int ts, NaN and the infinities take ``compact_json``; the rest
-# of the draws take ``to_json``'s format string.  Both must equal json.dumps.
+# of the draws take ``PacketRecord.to_json``'s format string.  Both must
+# equal json.dumps.
 _ANY_INT = st.integers() | st.booleans()
 
 
@@ -369,8 +366,8 @@ def test_record_to_json_is_compact_json_dumps(ts, src_ip, src_port, dst_ip, dst_
 @given(_ANY_FLOAT, _ANY_FLOAT, st.integers(), st.integers(), st.tuples(_ANY_TEXT, st.integers()),
        st.tuples(_ANY_TEXT, st.integers()))
 def test_segment_to_json_is_compact_json_dumps(start, end, size, packets, initiator, responder):
-    seg = CommunicationSegment(start, end, size, packets, initiator, responder)
-    (a_ip, a_port), (b_ip, b_port) = seg.key
+    line = segment_to_json((*initiator, *responder, size, start, end, packets))
+    (a_ip, a_port), (b_ip, b_port) = sorted([initiator, responder])
     fields = {"key": f"{a_ip}:{a_port}|{b_ip}:{b_port}", "start": start, "end": end, "size": size,
               "initiator": f"{initiator[0]}:{initiator[1]}", "packets": packets}
-    assert seg.to_json() == json.dumps(fields, separators=(",", ":"))
+    assert line == json.dumps(fields, separators=(",", ":"))

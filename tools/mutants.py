@@ -102,11 +102,21 @@ MUTANTS = (
     Mutant(
         "gap-rule-closes-above-t_comm",
         "scadascope/segmentation.py",
-        "if ts - seg.end_ts < t_comm:",
-        "if ts - seg.end_ts <= t_comm:",
+        "if ts - seg[6] < t_comm:",
+        "if ts - seg[6] <= t_comm:",
         (
             "tests/test_segmentation.py::test_aggregate_records_prefix_tables_match_reruns",
             "tests/test_segmentation.py::test_property_matches_reference",
+        ),
+    ),
+    Mutant(
+        "segment-opened-by-responder",
+        "scadascope/segmentation.py",
+        "if rec.src_port != seg[1] or rec.src_ip != seg[0]:",
+        "if rec.src_port == seg[1] and rec.src_ip == seg[0]:",
+        (
+            "tests/test_segmentation.py::test_bidirectional_packets_share_segment",
+            "tests/test_segmentation.py::test_oracle_equivalence_on_synth_trace",
         ),
     ),
     Mutant(
