@@ -142,12 +142,6 @@ def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
                         help="fully sort out-of-order input instead of failing")
 
 
-def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
-    _add_stream_flags(parser)
-    parser.add_argument("--pr-cap", type=float, default=InferenceConfig.pr_cap,
-                        help="periodicity value assigned when variance is exactly zero")
-
-
 def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-protocols", type=int, default=InferenceConfig.num_scada_protocols,
                         dest="num_scada_protocols", metavar="NUM_PROTOCOLS")
@@ -323,6 +317,10 @@ def cmd_stability(args) -> int:
 
 def cmd_inspect(args) -> int:
     t_comm = _config(args).t_comm  # a bad setting exits before a file is opened
+    path = args.dump_segments
+    # Opening the dump truncates it, so the dump may not be the input itself.
+    if path and os.path.exists(path) and os.path.exists(args.input) and os.path.samefile(path, args.input):
+        raise ValueError(f"--dump-segments {path} is the input trace")
     trace = _Trace(args)
     protos: dict[str, int] = {}
     ips: set[str] = set()
@@ -343,7 +341,6 @@ def cmd_inspect(args) -> int:
             yield rec
 
     seg_count = 0
-    path = args.dump_segments
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as dump:
         for seg in segment_stream(watch(trace), t_comm=t_comm):
             seg_count += 1
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank 5-tuples by the product score")
     p.add_argument("input")
-    _add_ranking_flags(p)
+    _add_stream_flags(p)
     p.add_argument("--top", type=int, default=20, help="rows to show")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write the table here instead of stdout")
@@ -394,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full topology inference")
     p.add_argument("input")
-    _add_ranking_flags(p)
+    _add_stream_flags(p)
     _add_inference_flags(p)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--dot", help="DOT graph path")
@@ -407,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="analyse trace prefixes in one pass")
     p.add_argument("input")
-    _add_ranking_flags(p)
+    _add_stream_flags(p)
     p.add_argument("--fractions", type=_fraction_list, default="0.02,0.06,0.1,0.25,1.0", metavar="CSV")
     _add_inference_flags(p)
     p.set_defaults(func=cmd_stability)

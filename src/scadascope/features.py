@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, truediv
 from typing import Mapping, TextIO
 
-from scadascope.segmentation import FtCell, FtKey
-
-# pR is mean/variance of the inter-arrival times; a perfectly regular
-# schedule has zero variance, which gets this finite stand-in instead.
-DEFAULT_PR_CAP = 1e6
-
-SECONDS_PER_HOUR = 3600.0
+from scadascope.segmentation import FtCell, FtKey, periodicity_durability
 
 
 # The five features in the order of ``RankedFt.raw`` and ``RankedFt.normalized``.
@@ -133,35 +127,6 @@ def build_device_profiles(ft_map: Mapping[FtKey, FtCell]) -> dict[str, DevicePro
     return profiles
 
 
-def periodicity_durability(cell: FtCell, cap: float = DEFAULT_PR_CAP) -> tuple[float, float]:
-    """pR and dR of one 5-tuple, in constant time from its cell's shifted sums.
-
-    With ``k = n - 1`` gaps between the segment starts and
-    ``s = t1 + s1``, the gaps total ``K * k + s`` and their population
-    variance is ``(t2 + s2 - s ** 2 / k) / k``.  pR is the mean gap over that
-    variance: fewer than two gaps means no measurable periodicity (0), and
-    a variance of zero, or one that rounding leaves at or below zero, gives
-    ``cap``.  dR, the durability, is the observed length in hours times the
-    natural log of the occurrence count, 0 for a single occurrence.  On
-    drawn lists of up to 300,000 gaps, among them near-equal polls behind a
-    first gap that stands apart, pR and dR stayed within 1e-13 of the exact
-    two-pass values.
-    """
-    n = cell.n
-    if n <= 1:
-        return 0.0, 0.0
-    k = n - 1
-    s1 = cell.t1 + cell.s1
-    total = cell.K * k + s1
-    dR = (total / SECONDS_PER_HOUR) * math.log(n)
-    if n <= 2:
-        return 0.0, dR
-    var = (cell.t2 + cell.s2 - s1 * s1 / k) / k
-    if var <= 0.0:
-        return cap, dR
-    return (total / k) / var, dR
-
-
 def _gap(a: int, b: int) -> float:
     """The larger of two positive counts over the smaller, >= 1: cR of two
     devices' port counts, uR of two ports' distinct device pairs."""
@@ -171,14 +136,12 @@ def _gap(a: int, b: int) -> float:
 def rank(
     ft_map: Mapping[FtKey, FtCell],
     profiles: dict[str, DeviceProfile] | None = None,
-    pr_cap: float = DEFAULT_PR_CAP,
 ) -> list[RankedFt]:
     """Score every 5-tuple and sort by descending product score.
 
     ``profiles`` is the device table of ``ft_map``, built here when not
-    given; an address missing from it is a ``ValueError``.  ``pr_cap`` is
-    the periodicity of a zero variance, as in ``periodicity_durability``;
-    ``InferenceConfig`` checks it.
+    given; an address missing from it is a ``ValueError``.  pR and dR come
+    from ``periodicity_durability``.
 
     cR is the gap between the endpoints' port counts, uR the gap between
     the distinct (src_ip, dst_ip) pairs of the source port among 5-tuples
@@ -222,7 +185,7 @@ def rank(
         shared = groups.get(counts)
         if shared is None:
             shared = groups[counts] = SharedFeatures(_gap(a, b), _gap(c, d), size / max_seg)
-        pR, dR = periodicity_durability(cell, pr_cap)
+        pR, dR = periodicity_durability(cell)
         if pR > top_pR:
             top_pR = pR
         if dR > top_dR:
@@ -242,9 +205,8 @@ def rank(
     d_pR, d_dR, d_cR, d_uR, d_sR = divisors
     for e in entries:
         s = e.shared
-        # score_product's order, so f is the same float as score_product(*e.normalized);
         # every zero score is the one constant 0.0
-        e.f = e.pR / d_pR * (e.dR / d_dR) * (s.cR / d_cR) * (s.uR / d_uR) * (s.sR / d_sR) or 0.0
+        e.f = score_product(e.pR / d_pR, e.dR / d_dR, s.cR / d_cR, s.uR / d_uR, s.sR / d_sR) or 0.0
 
     # Stable sorts, the last one the primary, so no entry needs a key tuple:
     # f first over the whole table, then (-pR_n, 5-tuple) inside each run of

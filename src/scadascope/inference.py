@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from scadascope.features import (
-    DEFAULT_PR_CAP,
-    DeviceProfile,
-    RankedFt,
-    build_device_profiles,
-    rank,
-)
+from scadascope.features import DeviceProfile, RankedFt, build_device_profiles, rank
 from scadascope.ingest import PacketRecord
 from scadascope.segmentation import DEFAULT_T_COMM, FtCell, FtKey, aggregate_records
 
@@ -38,10 +32,9 @@ class NoScadaFoundError(LookupError):
 class InferenceConfig:
     """Every setting of one analysis, from segmentation to Algorithm 1.
 
-    ``t_comm`` is the segment gap and ``pr_cap`` the periodicity given to a
-    zero variance; both are checked here, when the config is built, so a
-    bad value is refused before a trace is read.  ``segment_stream`` checks
-    the gap again for callers that pass it directly.  The rest steer
+    ``t_comm`` is the segment gap, checked here, when the config is built,
+    so a bad value is refused before a trace is read.  ``segment_stream``
+    checks it again for callers that pass it directly.  The rest steer
     Algorithm 1.
     """
 
@@ -50,12 +43,11 @@ class InferenceConfig:
     scada_fraction_threshold: float = 0.5
     three_layer: bool = False
     t_comm: float = DEFAULT_T_COMM
-    pr_cap: float = DEFAULT_PR_CAP
 
     def __post_init__(self) -> None:
         if self.num_scada_protocols < 1:
             raise ValueError("num_scada_protocols must be >= 1")
-        for name in ("fd_degree_threshold", "scada_fraction_threshold", "t_comm", "pr_cap"):
+        for name in ("fd_degree_threshold", "scada_fraction_threshold", "t_comm"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -299,10 +291,11 @@ def analyze_records(
     ``PROGRESS_EVERY`` records.  The device table is built once and read by
     both ranking and Algorithm 1.
 
-    ``cutoffs`` are ascending times.  ``prefix_reports`` then holds one
-    report per cutoff, equal to this function's report on the records up to
-    that time, from the same pass: prefixes ending at the same record share
-    one report, and a cutoff the stream never passes gets the full report.
+    ``cutoffs`` are non-decreasing times, none NaN, as ``segment_stream``
+    checks.  ``prefix_reports`` then holds one report per cutoff, equal to
+    this function's report on the records up to that time, from the same
+    pass: prefixes ending at the same record share one report, and a cutoff
+    the stream never passes gets the full report.
     """
     if inference_config is None:
         inference_config = InferenceConfig()
@@ -347,7 +340,7 @@ def _analyze_table(
 ) -> tuple[TopologyReport, list[RankedFt]]:
     """Rank a 5-tuple table and run Algorithm 1 on it."""
     profiles = build_device_profiles(ft_map)
-    ranked = rank(ft_map, profiles, config.pr_cap)
+    ranked = rank(ft_map, profiles)
     if ranked:
         report = run_algorithm1(ft_map, ranked, config, profiles)
     else:

@@ -415,25 +415,17 @@ class _InvalidRecord(ValueError):
 
 _INF = float("inf")
 
-_scan_once = json.JSONDecoder().scan_once
-
 
 def _decode_line(line: str) -> PacketRecord:
     """The record of one stripped JSON-lines line: one whole JSON value that
     ``_build_record`` accepts.  Raises _InvalidRecord."""
     try:
-        obj, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):
-        end = -1
-    if end != len(line):
-        # Not one whole JSON value: json.loads words the error.  Besides a
-        # JSONDecodeError it raises a plain ValueError for an integer past the
-        # int/str digit limit.
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-            raise _InvalidRecord(f"invalid JSON ({msg})") from exc
+        obj = json.loads(line)
+    except ValueError as exc:
+        # Besides a JSONDecodeError, json.loads raises a plain ValueError for
+        # an integer past the int/str digit limit.
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise _InvalidRecord(f"invalid JSON ({msg})") from exc
     return _build_record(obj)
 
 

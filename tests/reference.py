@@ -238,13 +238,13 @@ def ref_iat(starts):
     return [b - a for a, b in zip(starts, starts[1:])]
 
 
-def ref_periodicity(starts, cap=PR_CAP):
+def ref_periodicity(starts):
     iat = ref_iat(starts)
     if len(iat) < 2:
         return 0.0
     var = statistics.pvariance(iat)
     if var == 0:
-        return cap
+        return PR_CAP
     return statistics.mean(iat) / var
 
 
@@ -287,7 +287,7 @@ def ref_size_feature(ft, max_seg):
     return ft[4] / max_seg
 
 
-def ref_all_features(table, cap=PR_CAP):
+def ref_all_features(table):
     """5-tuple -> (pR, dR, cR, uR, sR), each computed the straightforward way."""
     fts = list(table)
     ports_by_ip = ref_ports_by_ip(fts)
@@ -297,7 +297,7 @@ def ref_all_features(table, cap=PR_CAP):
     for ft in fts:
         starts = table[ft]
         out[ft] = (
-            ref_periodicity(starts, cap),
+            ref_periodicity(starts),
             ref_durability(starts),
             ref_complexity(ft, ports_by_ip),
             ref_popularity(ft, pair_sets),
@@ -329,11 +329,11 @@ def ref_hmi(master, table):
 # --- Algorithm 1 --------------------------------------------------------------
 
 
-def ref_rank(table, cap=PR_CAP):
+def ref_rank(table):
     """The 5-tuples best first: each ``ref_all_features`` row divided by its
     column maxima (a column of zeros stays 0), scored by the product of the
     five, sorted by (-f, -pR_n, key)."""
-    raw = ref_all_features(table, cap)
+    raw = ref_all_features(table)
     maxima = [max(column) for column in zip(*raw.values())]
     rows = []
     for ft, features in raw.items():
@@ -389,7 +389,7 @@ def ref_algorithm1(table, config):
         ports = devices[ip]["ports"]
         return ports.get(port, 0) / sum(ports.values())
 
-    ranked = ref_rank(table, config.pr_cap)
+    ranked = ref_rank(table)
     protocols, warnings, status = [], [], "ok"
     roles = {}  # ip -> (role, port)
     for i in range(config.num_scada_protocols):

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scadascope.features import DEFAULT_PR_CAP, periodicity_durability
-from scadascope.segmentation import FtCell, aggregate_ft
+from scadascope.segmentation import FtCell, aggregate_ft, periodicity_durability
 from scadascope.synth import (
     MasterConfig,
     NoiseConfig,
@@ -30,15 +29,15 @@ def cell_of(starts) -> FtCell:
     return cell
 
 
-def assert_cells_match(table, ref_table, cap=DEFAULT_PR_CAP) -> None:
+def assert_cells_match(table, ref_table) -> None:
     """Each cell of ``table`` gives the count, the last start, pR and dR that
     the reference computes in two passes from its start times in ``ref_table``."""
     assert set(table) == set(ref_table)
     for key, cell in table.items():
         starts = ref_table[key]
         assert (cell.n, cell.last) == (len(starts), starts[-1]), key
-        want = (ref_periodicity(starts, cap), ref_durability(starts))
-        assert periodicity_durability(cell, cap) == pytest.approx(want, rel=1e-12, abs=1e-300), key
+        want = (ref_periodicity(starts), ref_durability(starts))
+        assert periodicity_durability(cell) == pytest.approx(want, rel=1e-12, abs=1e-300), key
 
 
 def _benchmark_scenario(name: str, duration: float, seed: int) -> ScenarioConfig:

@@ -393,13 +393,11 @@ def test_coerced_record_value_is_exit_2(tmp_path, caplog, field, value):
         ("inspect", ["--t-comm", "inf"], "t_comm must be positive and finite, got inf"),
         ("analyze", ["--scada-fraction", "nan"], "scada_fraction_threshold must be positive and finite, got nan"),
         ("stability", ["--scada-fraction", "inf"], "scada_fraction_threshold must be positive and finite, got inf"),
-        ("analyze", ["--pr-cap", "nan"], "pr_cap must be positive and finite, got nan"),
-        ("rank", ["--pr-cap=-inf"], "pr_cap must be positive and finite, got -inf"),
         ("stability", ["--fractions", "nan,0.5"], "argument --fractions: 'nan' is not a fraction in (0, 1]"),
         ("stability", ["--fractions", "0.5,inf"], "argument --fractions: 'inf' is not a fraction in (0, 1]"),
     ],
-    ids=["t-comm-nan", "t-comm-inf", "scada-fraction-nan", "scada-fraction-inf", "pr-cap-nan",
-         "pr-cap-minus-inf", "fractions-nan", "fractions-inf"],
+    ids=["t-comm-nan", "t-comm-inf", "scada-fraction-nan", "scada-fraction-inf", "fractions-nan",
+         "fractions-inf"],
 )
 def test_non_finite_flag_is_exit_2(d1, caplog, capsys, command, flags, message):
     # A setting is refused by its config class (logged), a list item by the
@@ -579,10 +577,8 @@ def test_stability_refuses_a_bad_setting_before_reading_the_trace(d1, caplog, mo
         raise AssertionError("the trace was read before the settings were checked")
 
     monkeypatch.setattr(cli.ingest, "last_timestamp_hint", hint)
-    for name, flag in (("pr_cap", "--pr-cap"), ("t_comm", "--t-comm")):
-        caplog.clear()
-        assert main(["--quiet", "stability", str(d1["trace"]), flag, "0"]) == EXIT_INPUT_ERROR
-        assert f"{name} must be positive and finite, got 0.0" in caplog.text
+    assert main(["--quiet", "stability", str(d1["trace"]), "--t-comm", "0"]) == EXIT_INPUT_ERROR
+    assert "t_comm must be positive and finite, got 0.0" in caplog.text
 
 
 def test_inspect_refuses_a_bad_t_comm_before_writing_the_dump(d1, tmp_path, caplog):
@@ -592,6 +588,16 @@ def test_inspect_refuses_a_bad_t_comm_before_writing_the_dump(d1, tmp_path, capl
     assert main(args) == EXIT_INPUT_ERROR
     assert "t_comm must be positive and finite, got 0.0" in caplog.text
     assert dump.read_text() == "kept\n"
+
+
+def test_inspect_refuses_to_dump_over_its_input(d1, tmp_path, caplog):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(d1["trace"].read_bytes())
+    # Another spelling of the same file: the paths are compared as files.
+    args = ["--quiet", "inspect", str(trace), "--dump-segments", str(tmp_path / "." / trace.name)]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "is the input trace" in caplog.text
+    assert trace.read_bytes() == d1["trace"].read_bytes()
 
 
 def _stability_run(capsys, caplog, *args):
@@ -762,12 +768,21 @@ def test_analyze_report_counts_skipped_frames(tmp_path):
 
 def test_inspect_takes_no_ranking_flags(d1, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--quiet", "inspect", str(d1["trace"]), "--pr-cap", "1"])
+        main(["--quiet", "inspect", str(d1["trace"]), "--num-protocols", "1"])
     assert exc.value.code == EXIT_INPUT_ERROR
     for command in ("rank", "analyze", "stability", "inspect"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "--log-base" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["rank", "analyze", "stability"])
+def test_pr_cap_is_not_a_flag(d1, capsys, command):
+    # The periodicity of a zero variance is the constant segmentation.PR_CAP.
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", command, str(d1["trace"]), "--pr-cap", "1"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --pr-cap" in capsys.readouterr().err
 
 
 def test_inspect_prints_skip_reasons(tmp_path, capsys):
@@ -865,8 +880,8 @@ def test_flags_build_the_one_config(tmp_path, d1, monkeypatch, command):
         return original(*args, inference_config=inference_config, **kwargs)
 
     monkeypatch.setattr(cli, target, capturing)
-    flags = ["--t-comm", "2.5", "--pr-cap", "1000"]
-    want = {"t_comm": 2.5, "pr_cap": 1000.0}
+    flags = ["--t-comm", "2.5"]
+    want = {"t_comm": 2.5}
     if command != "rank":
         flags += ["--num-protocols", "2", "--fd-degree-threshold", "7", "--scada-fraction", "0.4", "--three-layer"]
         want.update(num_scada_protocols=2, fd_degree_threshold=7, scada_fraction_threshold=0.4, three_layer=True)

@@ -17,7 +17,6 @@ from scadascope.features import (
     score_product,
     write_ranking_csv,
 )
-from scadascope.inference import InferenceConfig
 from scadascope.ingest import PacketRecord
 from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate
@@ -57,7 +56,6 @@ def test_periodicity_simple_arithmetic():
 def test_periodicity_zero_variance_capped():
     cell = cell_from_iat([5.0, 5.0, 5.0])
     assert periodicity_durability(cell)[0] == 1e6
-    assert periodicity_durability(cell, cap=123.0)[0] == 123.0
     # past LONG_CELL too, where the cell sums its gaps in blocks
     assert periodicity_durability(cell_from_iat([0.25] * 1000))[0] == 1e6
 
@@ -407,11 +405,6 @@ def test_ranking_csv_layout(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[:6] == ["rank", "src_ip", "src_port", "dst_ip", "dst_port", "seg_size"]
     assert len(lines) == 6
-
-
-def test_ranking_config_validation():
-    with pytest.raises(ValueError):
-        InferenceConfig(pr_cap=0.0)
 
 
 def test_random_scenarios_feature_parity_with_reference():

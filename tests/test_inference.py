@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import logging
+import math
 import random
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scadascope import inference
-from scadascope.features import DEFAULT_PR_CAP, RankedFt, SharedFeatures, rank
+from scadascope.features import RankedFt, SharedFeatures, rank
 from scadascope.inference import (
     InferenceConfig,
     NoScadaFoundError,
@@ -377,9 +378,9 @@ def test_analyze_builds_one_device_table_for_rank_and_algorithm1(monkeypatch):
         built.append(build_device_profiles(ft_map))
         return built[-1]
 
-    def ranking(ft_map, profiles=None, pr_cap=DEFAULT_PR_CAP):
+    def ranking(ft_map, profiles=None):
         handed["rank"] = profiles
-        return rank(ft_map, profiles, pr_cap)
+        return rank(ft_map, profiles)
 
     def algorithm1(ft_map, ranked, config, profiles=None):
         handed["run_algorithm1"] = profiles
@@ -785,6 +786,20 @@ def test_prefix_stability_peak_memory_tracks_analyze():
 
     held = peak(analyze), peak(stability)
     assert held[1] - held[0] <= 2 * records, (held, records)
+
+
+@pytest.mark.parametrize("cutoffs", [[5.0, 1.0], [math.nan]], ids=["descending", "nan"])
+def test_analyze_records_refuses_bad_cutoffs_before_a_record_is_read(cutoffs):
+    read = []
+
+    def records():
+        for ts in (0.0, 2.0, 4.0, 6.0):
+            read.append(ts)
+            yield PacketRecord(ts, "10.0.0.1", 20000, "10.0.0.9", 502, "tcp", 100)
+
+    with pytest.raises(ValueError, match="non-decreasing"):
+        analyze_records(records(), cutoffs=cutoffs)
+    assert read == []
 
 
 def test_prefix_rejects_bad_fractions():

@@ -81,6 +81,14 @@ def test_t_comm_must_be_positive():
         list(segment_stream([pkt(0.0)], t_comm=0.0))
 
 
+def test_cutoffs_need_their_callback():
+    records = [pkt(0.0), pkt(2.0)]
+    with pytest.raises(ValueError, match="on_cutoff"):
+        list(segment_stream(records, 1.0, cutoffs=[1.0]))
+    with pytest.raises(ValueError, match="on_prefix"):
+        aggregate_records(records, 1.0, cutoffs=[1.0])
+
+
 def test_oracle_equivalence_on_synth_trace():
     config = dataset1_like(duration=900.0, seed=11, fds=8)
     records = list(generate(config)[0])

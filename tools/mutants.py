@@ -59,17 +59,24 @@ _ALGORITHM1_REFERENCE = (
 MUTANTS = (
     Mutant(
         "pR-sample-variance",
-        "scadascope/features.py",
+        "scadascope/segmentation.py",
         "var = (cell.t2 + cell.s2 - s1 * s1 / k) / k",
         "var = (cell.t2 + cell.s2 - s1 * s1 / k) / (k - 1)",
         _CELL_REFERENCE,
     ),
     Mutant(
         "dR-log-of-gaps",
-        "scadascope/features.py",
+        "scadascope/segmentation.py",
         "dR = (total / SECONDS_PER_HOUR) * math.log(n)",
         "dR = (total / SECONDS_PER_HOUR) * math.log(n - 1)",
         _CELL_REFERENCE,
+    ),
+    Mutant(
+        "zero-variance-not-capped",
+        "scadascope/segmentation.py",
+        "return PR_CAP, dR",
+        "return 0.0, dR",
+        ("tests/test_features.py::test_periodicity_zero_variance_capped",),
     ),
     Mutant(
         "cell-no-first-gap-shift",
