@@ -20,6 +20,7 @@ import stat
 import sys
 import time
 from dataclasses import asdict, fields
+from itertools import chain
 
 import scadascope
 from scadascope import ingest
@@ -227,8 +228,8 @@ def cmd_analyze(args) -> int:
     trace = _Trace(args)
     result = analyze_records(trace, inference_config=config)
     report, filter_config = result.report, trace.filter_config
-    dot = report_to_dot(report, result.ft_map) if args.dot else None
-    del result  # the table and the ranking, before the hash loads OpenSSL
+    dot = report_to_dot(report, result.ranked) if args.dot else None
+    del result  # the ranking, before the hash loads OpenSSL
     report.metrics["ingest"] = asdict(trace.stats)
     report.metrics["filter"] = asdict(trace.fstats) if filter_config else None
     payload = report.to_dict()
@@ -340,9 +341,14 @@ def cmd_inspect(args) -> int:
             last = rec.ts
             yield rec
 
+    # The input yields its first record, or ends, before the dump is opened:
+    # an input that fails at once leaves an existing dump as it was.
+    records = watch(iter(trace))
+    head = next(records, None)
+    records = records if head is None else chain((head,), records)
     seg_count = 0
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as dump:
-        for seg in segment_stream(watch(trace), t_comm=t_comm):
+        for seg in segment_stream(records, t_comm=t_comm):
             seg_count += 1
             if dump:
                 dump.write(segment_to_json(seg))

@@ -133,15 +133,12 @@ def _gap(a: int, b: int) -> float:
     return max(a / b, b / a)
 
 
-def rank(
-    ft_map: Mapping[FtKey, FtCell],
-    profiles: dict[str, DeviceProfile] | None = None,
-) -> list[RankedFt]:
+def rank(ft_map: Mapping[FtKey, FtCell], profiles: dict[str, DeviceProfile]) -> list[RankedFt]:
     """Score every 5-tuple and sort by descending product score.
 
-    ``profiles`` is the device table of ``ft_map``, built here when not
-    given; an address missing from it is a ``ValueError``.  pR and dR come
-    from ``periodicity_durability``.
+    ``profiles`` is the device table of ``ft_map`` (``build_device_profiles``);
+    an address missing from it is a ``ValueError``.  pR and dR come from
+    ``periodicity_durability``.
 
     cR is the gap between the endpoints' port counts, uR the gap between
     the distinct (src_ip, dst_ip) pairs of the source port among 5-tuples
@@ -157,8 +154,6 @@ def rank(
     """
     if not ft_map:
         return []
-    if profiles is None:
-        profiles = build_device_profiles(ft_map)
     port_count = {ip: len(prof.own_port_segments) for ip, prof in profiles.items()}
     pairs_as_src: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
     pairs_as_dst: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)

@@ -167,11 +167,12 @@ def infer_field_devices(
 def infer_master_servers(
     scada_port: int,
     field_devices: set[str],
-    ft_map: Mapping[FtKey, FtCell],
+    ranked: Iterable[RankedFt],
 ) -> set[str]:
     """Non-field-devices with SCADA-port communication to an inferred field device."""
     masters: set[str] = set()
-    for key in ft_map:
+    for e in ranked:
+        key = e.key
         if key.src_port != scada_port and key.dst_port != scada_port:
             continue
         if key.src_ip in field_devices and key.dst_ip not in field_devices:
@@ -181,31 +182,30 @@ def infer_master_servers(
     return masters
 
 
-def hmi_candidates(
-    master: str, ft_map: Mapping[FtKey, FtCell]
-) -> list[tuple[float, str]]:
+def hmi_candidates(master: str, ranked: Iterable[RankedFt]) -> list[tuple[float, str]]:
     """Peers of ``master`` ordered by total communication quantity, best first.
 
     Quantity of one 5-tuple is occurrence count times segment size; per-peer
     totals sum over every 5-tuple the master initiates toward that peer.
     """
     qty: dict[str, float] = {}
-    for key, cell in ft_map.items():
+    for e in ranked:
+        key = e.key
         if key.src_ip != master:
             continue
-        qty[key.dst_ip] = qty.get(key.dst_ip, 0.0) + cell.n * key.seg_size
+        qty[key.dst_ip] = qty.get(key.dst_ip, 0.0) + e.n * key.seg_size
     return sorted(((q, ip) for ip, q in qty.items()), key=lambda t: (-t[0], t[1]))
 
 
 def run_algorithm1(
-    ft_map: Mapping[FtKey, FtCell],
     ranked: Sequence[RankedFt],
+    profiles: dict[str, DeviceProfile],
     config: InferenceConfig,
-    profiles: dict[str, DeviceProfile] | None = None,
 ) -> TopologyReport:
-    """Infer one protocol entry per iteration, removing its port in between."""
-    if profiles is None:
-        profiles = build_device_profiles(ft_map)
+    """Infer one protocol entry per iteration, removing its port in between.
+
+    ``profiles`` is the device table ``ranked`` was ranked with.
+    """
     report = TopologyReport()
     working = list(ranked)
     # ip -> (role, port its evidence is measured on); the first protocol
@@ -221,7 +221,7 @@ def run_algorithm1(
             break
         port, owner_ip, tie = infer_scada_port(working, profiles)
         fds = infer_field_devices(port, profiles, config)
-        masters = infer_master_servers(port, fds, ft_map)
+        masters = infer_master_servers(port, fds, ranked)
         entry = ProtocolEntry(
             scada_port=port,
             scada_ip=owner_ip,
@@ -245,9 +245,8 @@ def run_algorithm1(
         ]
 
     if config.three_layer:
-        candidates = {
-            m: hmi_candidates(m, ft_map) for p in report.protocols for m in p.master_servers
-        }
+        masters = set().union(*(p.master_servers for p in report.protocols))
+        candidates = {m: hmi_candidates(m, ranked) for m in masters}
         if not candidates:
             report.warnings.append("three-layer requested but no master server was inferred")
         else:
@@ -273,7 +272,6 @@ def run_algorithm1(
 class AnalysisResult:
     report: TopologyReport
     ranked: list[RankedFt]
-    ft_map: dict[FtKey, FtCell]
     record_count: int
     last_ts: float | None = None
     prefix_reports: list[TopologyReport] = field(default_factory=list)
@@ -326,7 +324,6 @@ def analyze_records(
     return AnalysisResult(
         report=report,
         ranked=ranked,
-        ft_map=ft_map,
         record_count=count,
         last_ts=last_ts,
         prefix_reports=prefix_reports,
@@ -342,7 +339,7 @@ def _analyze_table(
     profiles = build_device_profiles(ft_map)
     ranked = rank(ft_map, profiles)
     if ranked:
-        report = run_algorithm1(ft_map, ranked, config, profiles)
+        report = run_algorithm1(ranked, profiles, config)
     else:
         report = TopologyReport(status="partial", warnings=["no communication to rank"])
     report.metrics = {
@@ -487,8 +484,8 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, FtCell]) -> str:
-    """Render the inferred topology as an undirected DOT graph."""
+def report_to_dot(report: TopologyReport, ranked: Iterable[RankedFt]) -> str:
+    """Render the report inferred from ``ranked`` as an undirected DOT graph."""
     lines = ["graph scada_topology {", "  node [shape=ellipse];"]
     for ip in sorted(report.evidence):
         lines.append(f"  {_dot_id(ip)} [shape={_DOT_SHAPES[report.evidence[ip]['role']]}];")
@@ -496,18 +493,19 @@ def report_to_dot(report: TopologyReport, ft_map: Mapping[FtKey, FtCell]) -> str
     for entry in report.protocols:
         port = entry.scada_port
         seg_counts: dict[tuple[str, str], int] = {}
-        for key, cell in ft_map.items():
+        for e in ranked:
+            key = e.key
             if port != key.src_port and port != key.dst_port:
                 continue
             pair = tuple(sorted((key.src_ip, key.dst_ip)))
-            seg_counts[pair] = seg_counts.get(pair, 0) + cell.n
+            seg_counts[pair] = seg_counts.get(pair, 0) + e.n
         for (a, b), n in sorted(seg_counts.items()):
             if a in entry.field_devices or b in entry.field_devices:
                 lines.append(f'  {_dot_id(a)} -- {_dot_id(b)} [label="port {port} n={n}"];')
     if report.hmi is not None:
         masters = set().union(*(entry.master_servers for entry in report.protocols))
         for master in sorted(masters):
-            qty = {ip: q for q, ip in hmi_candidates(master, ft_map)}
+            qty = {ip: q for q, ip in hmi_candidates(master, ranked)}
             if report.hmi in qty:
                 lines.append(
                     f'  {_dot_id(master)} -- {_dot_id(report.hmi)} [label="hmi qty={qty[report.hmi]:.3e}"];'

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scadascope.features import RankedFt, build_device_profiles, rank
 from scadascope.segmentation import FtCell, aggregate_ft, periodicity_durability
 from scadascope.synth import (
     MasterConfig,
@@ -27,6 +28,11 @@ def cell_of(starts) -> FtCell:
     segments = (("a", 1, "b", 2, 1, t, t, 1) for t in starts)
     (cell,) = aggregate_ft(segments).values()
     return cell
+
+
+def rank_table(table) -> list[RankedFt]:
+    """``rank`` of a 5-tuple table, with the device table built from it."""
+    return rank(table, build_device_profiles(table))
 
 
 def assert_cells_match(table, ref_table) -> None:

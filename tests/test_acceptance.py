@@ -15,7 +15,7 @@ import time
 import pytest
 
 from scadascope.cli import EXIT_OK, main
-from scadascope.features import rank, score_product
+from scadascope.features import score_product
 from scadascope.inference import (
     InferenceConfig,
     analyze_records,
@@ -28,7 +28,9 @@ from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate, write_records
 
 from reference import ref_all_features, ref_ft_table, ref_segment_tuple, ref_segments
-from scenarios import assert_cells_match, cell_of, dataset1_like, dataset2_like, month_like, small_random_scenario
+from scenarios import (
+    assert_cells_match, cell_of, dataset1_like, dataset2_like, month_like, rank_table, small_random_scenario,
+)
 
 
 def ok(n: int, text: str) -> None:
@@ -87,7 +89,7 @@ SIZE_RATIO_CASES = [
 def test_criterion_2_size_feature():
     # One 5-tuple per case, the largest of 1514 B: rank's sR is size / 1514.
     keys = [FtKey("a", 1, "b", 2 + i, size) for i, (size, _) in enumerate(SIZE_RATIO_CASES)]
-    sR = {e.key: e.raw[4] for e in rank({key: cell_of([0.0]) for key in keys})}
+    sR = {e.key: e.raw[4] for e in rank_table({key: cell_of([0.0]) for key in keys})}
     for key, (size, expected) in zip(keys, SIZE_RATIO_CASES):
         got = sR[key]
         assert abs(got - expected) <= 5e-4, (size, got, expected)
@@ -243,7 +245,7 @@ def test_criterion_6_oracle_equivalence():
         ref_table = ref_ft_table(ref_segments(records, 1.0))
         assert_cells_match(table, ref_table)
 
-        got_features = {tuple(e.key): e.raw for e in rank(table)}
+        got_features = {tuple(e.key): e.raw for e in rank_table(table)}
         want_features = ref_all_features(ref_table)
         for ft_key, want in want_features.items():
             got = got_features[ft_key]
@@ -268,7 +270,7 @@ def test_criterion_7_invariances():
         if not records:
             continue
         table = aggregate_ft(segment_stream(iter(records), 1.0))
-        ranked = rank(table)
+        ranked = rank_table(table)
 
         # uniform time rescale by an exact power of two, t_comm rescaled too
         from scadascope.ingest import PacketRecord
@@ -278,7 +280,7 @@ def test_criterion_7_invariances():
             for r in records
         ]
         scaled_table = aggregate_ft(segment_stream(iter(scaled_records), 2.0))
-        scaled_ranked = rank(scaled_table)
+        scaled_ranked = rank_table(scaled_table)
         assert [e.key for e in ranked] == [e.key for e in scaled_ranked], f"scenario {i}: rescale"
         for a, b in zip(ranked, scaled_ranked):
             assert a.normalized == b.normalized
@@ -291,7 +293,7 @@ def test_criterion_7_invariances():
             for r in records
         ]
         rel_table = aggregate_ft(segment_stream(iter(relabeled), 1.0))
-        rel_ranked = rank(rel_table)
+        rel_ranked = rank_table(rel_table)
         orig_pos = [e for e in ranked if e.f > 0]
         rel_pos = [e for e in rel_ranked if e.f > 0]
         assert len(orig_pos) == len(rel_pos), f"scenario {i}: relabel changed positive count"
@@ -312,8 +314,8 @@ def test_criterion_7_invariances():
             for k, s in table.items():
                 nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 5)
                 scaled[nk] = s
-            hmi = hmi_candidates(master, table)[0][1]
-            assert hmi == hmi_candidates(master, scaled)[0][1], f"scenario {i}: hmi scale"
+            hmi = hmi_candidates(master, ranked)[0][1]
+            assert hmi == hmi_candidates(master, rank_table(scaled))[0][1], f"scenario {i}: hmi scale"
             hmi_checked += 1
     assert hmi_checked >= 4
     ok(7, f"20 scenarios: rescale and relabel invariant, HMI argmax scale-invariant ({hmi_checked} checked)")

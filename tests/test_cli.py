@@ -600,6 +600,28 @@ def test_inspect_refuses_to_dump_over_its_input(d1, tmp_path, caplog):
     assert trace.read_bytes() == d1["trace"].read_bytes()
 
 
+def test_inspect_keeps_the_dump_when_the_input_is_missing(tmp_path, caplog):
+    dump = tmp_path / "segments.jsonl"
+    dump.write_text("kept\n")
+    args = ["--quiet", "inspect", str(tmp_path / "missing.jsonl"), "--dump-segments", str(dump)]
+    assert main(args) == EXIT_INPUT_ERROR
+    assert "No such file or directory" in caplog.text
+    assert dump.read_text() == "kept\n"
+
+
+def test_inspect_keeps_the_dump_when_the_first_line_is_bad(tmp_path, caplog):
+    trace, dump = tmp_path / "bad.jsonl", tmp_path / "segments.jsonl"
+    trace.write_text('{"ts": 1.0}\n')
+    dump.write_text("kept\n")
+    assert main(["--quiet", "inspect", str(trace), "--dump-segments", str(dump)]) == EXIT_INPUT_ERROR
+    assert "bad.jsonl:1: missing or malformed field ('src_ip')" in caplog.text
+    assert dump.read_text() == "kept\n"
+    # An empty trace is read to its end, so it still dumps no segments.
+    trace.write_text("")
+    assert main(["--quiet", "inspect", str(trace), "--dump-segments", str(dump)]) == EXIT_OK
+    assert dump.read_text() == ""
+
+
 def _stability_run(capsys, caplog, *args):
     """Exit code, stdout and warnings of one ``stability`` run."""
     caplog.clear()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
 from scadascope.synth import generate
 
 from reference import ref_all_features, ref_durability, ref_ft_table, ref_periodicity, ref_segments
-from scenarios import cell_of, dataset1_like, small_random_scenario
+from scenarios import cell_of, dataset1_like, rank_table, small_random_scenario
 
 
 def cell_from_iat(iat, t0=0.0):
@@ -88,7 +89,7 @@ def table_of(*fts):
 
 def raw_of(key, *fts):
     """The raw features ``rank`` gives ``key`` in the table of these 5-tuples."""
-    return next(e.raw for e in rank(table_of(*fts)) if e.key == key)
+    return next(e.raw for e in rank_table(table_of(*fts)) if e.key == key)
 
 
 def test_complexity_equal_port_counts():
@@ -163,7 +164,7 @@ def test_popularity_counts_each_port_in_its_own_role():
         ("M", 40001, "B", 502, 100),
     ]
     table = table_of(*fts)
-    got = {tuple(e.key): e.raw[3] for e in rank(table)}
+    got = {tuple(e.key): e.raw[3] for e in rank_table(table)}
     assert got == {ft: want[3] for ft, want in ref_all_features({ft: [0.0] for ft in fts}).items()}
     assert [got[ft] for ft in fts] == [1.0, 1.0, 2.0, 2.0, 2.0]
 
@@ -193,7 +194,7 @@ def test_score_product_reference_rows():
 
 
 def test_rank_empty_map():
-    assert rank({}) == []
+    assert rank_table({}) == []
 
 
 def build_table(records):
@@ -210,7 +211,7 @@ def synth_table(duration=900.0, seed=31, fds=6):
 
 def test_rank_normalization_invariants():
     table = synth_table()
-    ranked = rank(table)
+    ranked = rank_table(table)
     for i in range(5):
         values = [e.normalized[i] for e in ranked]
         assert max(values) == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +223,7 @@ def test_rank_normalization_invariants():
 
 def test_rank_single_occurrence_scores_zero_and_sorts_last():
     table = synth_table()
-    ranked = rank(table)
+    ranked = rank_table(table)
     singles = [e for e in ranked if e.n == 1]
     assert singles, "scenario should contain single-occurrence entries"
     assert all(e.f == 0.0 for e in singles)
@@ -232,7 +233,7 @@ def test_rank_single_occurrence_scores_zero_and_sorts_last():
 
 def test_rank_matches_reference_features():
     records = synth_records(duration=600.0, seed=32, fds=5)
-    ranked = {tuple(e.key): e for e in rank(build_table(records))}
+    ranked = {tuple(e.key): e for e in rank_table(build_table(records))}
     reference = ref_all_features(ref_ft_table(ref_segments(records, 1.0)))
     assert set(ranked) == set(reference)
     for ft, want in reference.items():
@@ -243,12 +244,12 @@ def test_rank_matches_reference_features():
 
 def test_rank_order_invariant_under_exact_time_rescale():
     records = synth_records(duration=600.0, seed=33, fds=5)
-    ranked = rank(build_table(records))
+    ranked = rank_table(build_table(records))
     scaled = [
         PacketRecord(r.ts * 2.0, r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.proto, r.size)
         for r in records
     ]
-    ranked2 = rank(aggregate_ft(segment_stream(scaled, 2.0)))
+    ranked2 = rank_table(aggregate_ft(segment_stream(scaled, 2.0)))
     assert [e.key for e in ranked] == [e.key for e in ranked2]
     for a, b in zip(ranked, ranked2):
         assert a.normalized == b.normalized
@@ -263,8 +264,8 @@ def test_rank_order_invariant_under_relabeling():
     for k, s in table.items():
         nk = FtKey(mapping[k.src_ip], k.src_port, mapping[k.dst_ip], k.dst_port, k.seg_size)
         relabeled[nk] = s
-    ranked = rank(table)
-    ranked2 = {e.key: e for e in rank(relabeled)}
+    ranked = rank_table(table)
+    ranked2 = {e.key: e for e in rank_table(relabeled)}
     for entry in ranked:
         if entry.f == 0.0:
             continue  # zero scores tie; their relative order is name-dependent
@@ -272,7 +273,7 @@ def test_rank_order_invariant_under_relabeling():
         twin = ranked2[FtKey(mapping[k.src_ip], k.src_port, mapping[k.dst_ip], k.dst_port, k.seg_size)]
         assert twin.f == entry.f
         assert twin.normalized == entry.normalized
-    nonzero = [e for e in rank(relabeled) if e.f > 0]
+    nonzero = [e for e in rank_table(relabeled) if e.f > 0]
     original_nonzero = [e for e in ranked if e.f > 0]
     assert [e.f for e in nonzero] == [e.f for e in original_nonzero]
 
@@ -284,8 +285,8 @@ def test_rank_deterministic_tiebreak():
         k1: cell_of([0.0, 10.0, 20.0, 30.0]),
         k2: cell_of([0.0, 10.0, 20.0, 30.0]),
     }
-    first = rank(table)
-    second = rank(dict(reversed(list(table.items()))))
+    first = rank_table(table)
+    second = rank_table(dict(reversed(list(table.items()))))
     assert [e.key for e in first] == [e.key for e in second]
 
 
@@ -295,7 +296,7 @@ def test_rank_breaks_an_exact_f_tie_by_normalized_periodicity():
     # higher pR_n comes first although its key sorts last.
     first = FtKey("10.0.0.1", 40001, "10.0.0.3", 502, 100)
     second = FtKey("10.0.0.1", 40000, "10.0.0.2", 502, 100)
-    ranked = rank({second: cell_of([0.0, 2.0, 8.0]), first: cell_of([0.0, 1.0, 4.0])})
+    ranked = rank_table({second: cell_of([0.0, 2.0, 8.0]), first: cell_of([0.0, 1.0, 4.0])})
     assert [e.key for e in ranked] == [first, second]
     assert ranked[0].f == ranked[1].f == 0.5
     assert [e.normalized[0] for e in ranked] == [1.0, 0.5]
@@ -320,7 +321,7 @@ _tables = st.dictionaries(
 
 @given(_tables)
 def test_rank_order_is_descending_f_then_pR_n_then_key(table):
-    ranked = rank(table)
+    ranked = rank_table(table)
     want = sorted(ranked, key=lambda e: (-e.f, -e.normalized[0], e.key))
     assert [e.key for e in ranked] == [e.key for e in want]
 
@@ -381,7 +382,7 @@ def test_rank_column_of_zeros_normalizes_to_positive_zero():
         FtKey("10.0.0.3", 502, "10.0.0.1", 40001, 60),
         FtKey("10.0.0.1", 40001, "10.0.0.3", 502, 12),
     ]
-    ranked = rank({k: cell_of([float(i)]) for i, k in enumerate(keys)})
+    ranked = rank_table({k: cell_of([float(i)]) for i, k in enumerate(keys)})
     for e in ranked:
         assert e.raw[:2] == (0.0, 0.0)
         for value in e.normalized[:2]:
@@ -392,13 +393,18 @@ def test_rank_column_of_zeros_normalizes_to_positive_zero():
 
 
 def test_rank_reads_a_given_device_table_as_its_own():
+    # Algorithm 1 reads the device table after rank: rank leaves it as it was.
     table = synth_table(duration=600.0, seed=36, fds=5)
-    assert rank(table) == rank(table, build_device_profiles(table))
+    profiles = build_device_profiles(table)
+    before = copy.deepcopy(profiles)
+    ranked = rank(table, profiles)
+    assert profiles == before
+    assert ranked == rank(table, build_device_profiles(dict(reversed(table.items()))))
 
 
 def test_ranking_csv_layout(tmp_path):
     table = synth_table(duration=300.0, seed=35, fds=3)
-    ranked = rank(table)
+    ranked = rank_table(table)
     out = tmp_path / "rank.csv"
     with open(out, "w") as fp:
         write_ranking_csv(ranked, fp, top=5)
@@ -414,7 +420,7 @@ def test_random_scenarios_feature_parity_with_reference():
         records = list(generate(config)[0])
         if not records:
             continue
-        got = {tuple(e.key): e.raw for e in rank(build_table(records))}
+        got = {tuple(e.key): e.raw for e in rank_table(build_table(records))}
         want = ref_all_features(ref_ft_table(ref_segments(records, 1.0)))
         for ft in want:
             for g, w in zip(got[ft], want[ft]):

@@ -32,11 +32,13 @@ from scadascope.inference import (
     run_algorithm1,
 )
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import FtKey
-from scadascope.synth import ScadaGroup, ScenarioConfig, generate
+from scadascope.segmentation import FtKey, aggregate_ft, segment_stream
+from scadascope.synth import PeripheralSpec, ScadaGroup, ScenarioConfig, generate
 
-from reference import ref_algorithm1, ref_ft_table, ref_hmi, ref_segments
-from scenarios import cell_of, dataset1_like, dataset2_like, month_like, office_like, small_random_scenario
+from reference import ref_algorithm1, ref_ft_table, ref_hmi, ref_quantities, ref_segments
+from scenarios import (
+    cell_of, dataset1_like, dataset2_like, month_like, office_like, rank_table, small_random_scenario,
+)
 
 
 def ft(src, sport, dst, dport, size, n=2, period=10.0):
@@ -46,6 +48,12 @@ def ft(src, sport, dst, dport, size, n=2, period=10.0):
 
 def table_of(*entries):
     return dict(entries)
+
+
+def algorithm1_on(table, config):
+    """Algorithm 1 on a 5-tuple table, ranked with its one device table."""
+    profiles = build_device_profiles(table)
+    return run_algorithm1(rank(table, profiles), profiles, config)
 
 
 def ranked_stub(key, n=5):
@@ -155,7 +163,7 @@ def test_master_connected_to_field_devices():
     table = scada_like_table(num_fds=5)
     profiles = build_device_profiles(table)
     fds = infer_field_devices(20000, profiles, InferenceConfig())
-    assert infer_master_servers(20000, fds, table) == {"10.9.9.9"}
+    assert infer_master_servers(20000, fds, rank_table(table)) == {"10.9.9.9"}
 
 
 def test_peripheral_on_other_port_not_master():
@@ -165,12 +173,12 @@ def test_peripheral_on_other_port_not_master():
     profiles = build_device_profiles(table)
     fds = infer_field_devices(20000, profiles, InferenceConfig())
     assert "10.1.0.1" in fds
-    assert infer_master_servers(20000, fds, table) == {"10.9.9.9"}
+    assert infer_master_servers(20000, fds, rank_table(table)) == {"10.9.9.9"}
 
 
 def test_master_empty_when_no_field_devices():
     table = scada_like_table(num_fds=2)
-    assert infer_master_servers(20000, set(), table) == set()
+    assert infer_master_servers(20000, set(), rank_table(table)) == set()
 
 
 # --- HMI -------------------------------------------------------------------------
@@ -183,18 +191,18 @@ def test_hmi_dominant_quantity():
         ft("m", 49002, "fd1", 20000, 340, n=100),
     ]
     table = table_of(*entries)
-    assert hmi_candidates("m", table)[0][1] == "hmi"
+    assert hmi_candidates("m", rank_table(table))[0][1] == "hmi"
 
 
 def test_hmi_single_peer():
     table = table_of(ft("m", 49000, "only", 8055, 100, n=1))
-    assert hmi_candidates("m", table)[0][1] == "only"
+    assert hmi_candidates("m", rank_table(table))[0][1] == "only"
 
 
 def test_three_layer_master_without_outgoing_leaves_hmi_unknown():
     # The field device initiates; the master it answers initiates nothing.
     table = table_of(ft("fd", 20000, "m", 49000, 340))
-    report = run_algorithm1(table, rank(table), InferenceConfig(three_layer=True))
+    report = algorithm1_on(table, InferenceConfig(three_layer=True))
     assert report.protocols[0].master_servers == {"m"}
     assert report.hmi is None
     assert "master m initiates no communication, HMI unknown" in report.warnings
@@ -204,7 +212,7 @@ def test_three_layer_master_without_outgoing_leaves_hmi_unknown():
 def test_three_layer_without_master_warns():
     # Two field devices poll each other on the SCADA port: no master to follow.
     table = table_of(ft("fd1", 20000, "fd2", 20000, 340))
-    report = run_algorithm1(table, rank(table), InferenceConfig(three_layer=True))
+    report = algorithm1_on(table, InferenceConfig(three_layer=True))
     assert report.protocols[0].field_devices == {"fd1", "fd2"}
     assert report.protocols[0].master_servers == set()
     assert report.hmi is None
@@ -219,12 +227,10 @@ def test_hmi_matches_bruteforce_oracle():
         if config.layers != 3:
             continue
         records = list(generate(config)[0])
-        from scadascope.segmentation import aggregate_ft, segment_stream
-
         table = aggregate_ft(segment_stream(records, 1.0))
         want = ref_hmi("10.0.0.1", ref_ft_table(ref_segments(records, 1.0)))
         assert want is not None
-        assert hmi_candidates("10.0.0.1", table)[0][1] == want[1]
+        assert hmi_candidates("10.0.0.1", rank_table(table))[0][1] == want[1]
 
 
 def test_hmi_argmax_invariant_under_size_scaling():
@@ -237,7 +243,7 @@ def test_hmi_argmax_invariant_under_size_scaling():
     for k, s in table.items():
         nk = FtKey(k.src_ip, k.src_port, k.dst_ip, k.dst_port, k.seg_size * 7)
         scaled[nk] = s
-    assert hmi_candidates("m", table)[0][1] == hmi_candidates("m", scaled)[0][1]
+    assert hmi_candidates("m", rank_table(table))[0][1] == hmi_candidates("m", rank_table(scaled))[0][1]
 
 
 # --- the full loop -----------------------------------------------------------------
@@ -303,6 +309,21 @@ def test_algorithm_two_protocols_and_shared_master():
     assert metrics["f_score"] == 1.0
 
 
+def test_shared_master_gets_one_hmi_pass(monkeypatch):
+    # Both protocols name the same master: its HMI candidates are summed once.
+    calls = []
+
+    def counting(master, ranked):
+        calls.append(master)
+        return hmi_candidates(master, ranked)
+
+    monkeypatch.setattr(inference, "hmi_candidates", counting)
+    records, _ = generate(dataset2_like(duration=2400.0, seed=302))
+    report = analyze_records(records, analyze_config(num_scada_protocols=2, three_layer=True)).report
+    assert [p.master_servers for p in report.protocols] == [{"10.0.0.1"}, {"10.0.0.1"}]
+    assert calls == ["10.0.0.1"]
+
+
 def test_algorithm_removal_soundness():
     config = dataset2_like(duration=1200.0, seed=303)
     records, _ = generate(config)
@@ -320,8 +341,7 @@ def test_algorithm_removal_soundness():
 
 def test_algorithm_exhaustion_gives_partial_report():
     table = scada_like_table(num_fds=4)
-    ranked = rank(table)
-    report = run_algorithm1(table, ranked, analyze_config(num_scada_protocols=3))
+    report = algorithm1_on(table, analyze_config(num_scada_protocols=3))
     assert report.status == "partial"
     assert len(report.protocols) < 3
     assert any("exhausted" in w for w in report.warnings)
@@ -378,13 +398,13 @@ def test_analyze_builds_one_device_table_for_rank_and_algorithm1(monkeypatch):
         built.append(build_device_profiles(ft_map))
         return built[-1]
 
-    def ranking(ft_map, profiles=None):
+    def ranking(ft_map, profiles):
         handed["rank"] = profiles
         return rank(ft_map, profiles)
 
-    def algorithm1(ft_map, ranked, config, profiles=None):
+    def algorithm1(ranked, profiles, config):
         handed["run_algorithm1"] = profiles
-        return run_algorithm1(ft_map, ranked, config, profiles)
+        return run_algorithm1(ranked, profiles, config)
 
     monkeypatch.setattr(inference, "build_device_profiles", building)
     monkeypatch.setattr(inference, "rank", ranking)
@@ -433,9 +453,10 @@ def expected_role_and_port(ip, report):
     ids=["shared-master", "hmi"],
 )
 def test_evidence_role_and_classifying_port(config, kw, ip, role, port):
-    result = analyze_records(generate(config)[0], inference_config=analyze_config(**kw))
+    records = list(generate(config)[0])
+    result = analyze_records(records, inference_config=analyze_config(**kw))
     report = result.report
-    profiles = build_device_profiles(result.ft_map)
+    profiles = build_device_profiles(aggregate_ft(segment_stream(records, InferenceConfig.t_comm)))
     assert expected_role_and_port(ip, report) == (role, port)
     for dev, evidence in report.evidence.items():
         want_role, want_port = expected_role_and_port(dev, report)
@@ -443,7 +464,7 @@ def test_evidence_role_and_classifying_port(config, kw, ip, role, port):
         assert evidence["scada_fraction"] == round(profiles[dev].scada_fraction(want_port), 6), dev
         assert (want_role == "unclassified") == (dev in report.unclassified), dev
     shapes = {"field_device": "box", "master": "doublecircle", "hmi": "diamond", "unclassified": "ellipse"}
-    dot = report_to_dot(report, result.ft_map)
+    dot = report_to_dot(report, result.ranked)
     for dev, evidence in report.evidence.items():
         assert f'  "{dev}" [shape={shapes[evidence["role"]]}];' in dot
 
@@ -519,6 +540,13 @@ _POLL = [0, 1, 2, 3, 5, 8]
 @example(
     [(0, 1, 40000, 502, 100, _POLL, True), (0, 3, 40001, 20000, 240, [10, 12, 14, 16, 18, 20], False),
      (0, 2, 40001, 20000, 240, [11, 13, 15, 17, 19, 21], False)],
+    1, True, 5, 0.5,
+)
+# The same tie, where the higher address ranks first: its polls are evenly
+# spaced.
+@example(
+    [(0, 1, 40000, 502, 100, _POLL, True), (0, 3, 40001, 20000, 240, [10, 12, 14, 16, 18, 20], False),
+     (0, 2, 40001, 20000, 240, [11, 13, 15, 17, 19, 23], False)],
     1, True, 5, 0.5,
 )
 def test_algorithm1_matches_reference(flows, num_protocols, three_layer, fd_degree_threshold, scada_fraction):
@@ -673,9 +701,9 @@ def test_prefix_stability_reads_once_and_ranks_each_prefix_once(monkeypatch):
 
     ranked_sizes = []
 
-    def counting(ft_map, *args, **kwargs):
+    def counting(ft_map, profiles):
         ranked_sizes.append(sum(cell.n for cell in ft_map.values()))
-        return rank(ft_map, *args, **kwargs)
+        return rank(ft_map, profiles)
 
     monkeypatch.setattr(inference, "rank", counting)
     fractions = [0.02, 0.06, 0.1, 0.25, 0.2500001, 1.0]
@@ -816,13 +844,43 @@ def test_dot_export_shapes_and_edges():
     config = dataset1_like(duration=1800.0, seed=310, fds=8)
     records, _ = generate(config)
     result = analyze_records(records, inference_config=analyze_config(three_layer=True))
-    dot = report_to_dot(result.report, result.ft_map)
+    dot = report_to_dot(result.report, result.ranked)
     assert dot.startswith("graph scada_topology {")
     assert '[shape=box];' in dot
     assert '[shape=doublecircle];' in dot
     assert '[shape=diamond];' in dot
     assert 'port 20000' in dot
     assert 'hmi qty=' in dot
+
+
+def test_dot_edges_match_the_reference_segment_counts():
+    # Field device 10.0.10.1 also talks X11 to a peripheral: only 5-tuples
+    # on the SCADA port make port edges, and each edge counts the segments
+    # of its pair, not its 5-tuples.
+    config = dataset1_like(duration=1800.0, seed=101, fds=4)
+    config.peripherals.append(PeripheralSpec("x11", 30.0, 180, hosts=("10.0.10.1", "10.0.200.77")))
+    records, truth = generate(config)
+    records = list(records)
+    result = analyze_records(records, inference_config=analyze_config(three_layer=True))
+    report = result.report
+    assert evaluate(report, load_ground_truth(truth.to_dict()))["f_score"] == 1.0
+    (entry,) = report.protocols
+    port = entry.scada_port
+    assert port == 20000 and "10.0.10.1" in entry.field_devices
+    table = ref_ft_table(ref_segments(records, 1.0))
+    assert any(key[0] == "10.0.10.1" and key[2] == "10.0.200.77" for key in table)
+    want = {}
+    for (src, src_port, dst, dst_port, _size), starts in table.items():
+        if port in (src_port, dst_port) and (src in entry.field_devices or dst in entry.field_devices):
+            pair = tuple(sorted((src, dst)))
+            want[pair] = want.get(pair, 0) + len(starts)
+    dot = report_to_dot(report, result.ranked)
+    edges = re.findall(r'  "([^"]+)" -- "([^"]+)" \[label="port (\d+) n=(\d+)"\];', dot)
+    assert {int(p) for _, _, p, _ in edges} == {port}
+    assert {(a, b): int(n) for a, b, _, n in edges} == want
+    (master,) = entry.master_servers
+    qty = ref_quantities(master, table)[report.hmi]
+    assert f'  "{master}" -- "{report.hmi}" [label="hmi qty={qty:.3e}"];' in dot.splitlines()
 
 
 def test_dot_draws_shared_master_hmi_edge_once():
@@ -838,7 +896,7 @@ def test_dot_draws_shared_master_hmi_edge_once():
     report = result.report
     assert [p.master_servers for p in report.protocols] == [{"10.0.0.1"}, {"10.0.0.1"}]
     assert report.hmi == "10.0.0.2"
-    hmi_edges = [line for line in report_to_dot(report, result.ft_map).splitlines() if "hmi qty=" in line]
+    hmi_edges = [line for line in report_to_dot(report, result.ranked).splitlines() if "hmi qty=" in line]
     assert len(hmi_edges) == 1
     assert hmi_edges[0].startswith('  "10.0.0.1" -- "10.0.0.2" [label="hmi qty=')
 
@@ -853,7 +911,7 @@ def test_dot_escapes_quotes_and_backslashes_in_ids():
         rec.dst_ip = evil if rec.dst_ip == "10.0.10.1" else rec.dst_ip
     result = analyze_records(records, inference_config=analyze_config(three_layer=True))
     assert evil in result.report.protocols[0].field_devices
-    dot = report_to_dot(result.report, result.ft_map)
+    dot = report_to_dot(result.report, result.ranked)
     quoted = r'"((?:[^"\\]|\\.)*)"'
     statement = re.compile(rf"  {quoted}(?: -- {quoted})? \[[^\]\[]*\];")
     ids = set()

@@ -55,6 +55,7 @@ _ALGORITHM1_REFERENCE = (
     "tests/test_inference.py::test_algorithm1_matches_reference",
     "tests/test_inference.py::test_algorithm1_matches_reference_on_random_scenarios",
 )
+_DOT_REFERENCE = ("tests/test_inference.py::test_dot_edges_match_the_reference_segment_counts",)
 
 MUTANTS = (
     Mutant(
@@ -227,11 +228,39 @@ MUTANTS = (
         _ALGORITHM1_REFERENCE,
     ),
     Mutant(
+        "master-ignores-port",
+        "scadascope/inference.py",
+        "        if key.src_port != scada_port and key.dst_port != scada_port:\n            continue\n",
+        "",
+        _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "hmi-qty-ignores-size",
+        "scadascope/inference.py",
+        "+ e.n * key.seg_size",
+        "+ e.n",
+        _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
         "hmi-tie-ignores-address",
         "scadascope/inference.py",
         "key=lambda t: (-t[0], t[1])",
         "key=lambda t: -t[0]",
         _ALGORITHM1_REFERENCE,
+    ),
+    Mutant(
+        "dot-edges-ignore-port",
+        "scadascope/inference.py",
+        "            if port != key.src_port and port != key.dst_port:\n                continue\n",
+        "",
+        _DOT_REFERENCE,
+    ),
+    Mutant(
+        "dot-edge-counts-5-tuples",
+        "scadascope/inference.py",
+        "seg_counts.get(pair, 0) + e.n",
+        "seg_counts.get(pair, 0) + 1",
+        _DOT_REFERENCE,
     ),
     Mutant(
         "empty-claim-precision-one",
