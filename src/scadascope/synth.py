@@ -9,7 +9,6 @@ packet stream, so generated traces serve as oracles for the analysis side.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -17,6 +16,7 @@ import random
 import struct
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from heapq import heappop, heappush
 from ipaddress import IPv4Address
 from types import UnionType
 from typing import Callable, Iterable, Iterator, TextIO, Union, get_args, get_origin, get_type_hints
@@ -43,7 +43,8 @@ HMI_FEED_PORT = 8055
 HMI_FEED_INTERVAL = 1.3
 HMI_FEED_FRAMES = (1514, 1106, 646, 206)
 
-_NOISE_OFFSETS = (0.0, 1.0, 3.0, 7.0, 15.0, 31.0)  # backoff-style retry pattern
+# Backoff-style retries, in seconds after a retry cycle's first attempt.
+_RETRY_OFFSETS = (1.0, 3.0, 7.0, 15.0, 31.0)
 
 # Schedules are clamped so two firings of one source are never closer than
 # this; at the default 1 s segmentation threshold adjacent firings therefore
@@ -251,12 +252,6 @@ class GroundTruth:
         return {ip: dict(self.labels[ip]) for ip in sorted(self.labels)}
 
 
-def _ts(t_us: int) -> float:
-    # Compose seconds the same way the pcap reader does, so timestamps
-    # survive a write/read round trip bit for bit.
-    return (t_us // 1_000_000) + (t_us % 1_000_000) / 1e6
-
-
 def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTruth]:
     """Build the packet stream and its labels; fully determined by the seed.
 
@@ -264,7 +259,12 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
     keeps its first label; the master and the HMI are labelled first), draws
     every source's first tick and pushes it onto the event heap, so a
     scenario the set-up cannot build raises here, before any record is asked
-    for.  The returned iterator only pops the heap.
+    for.  The returned iterator pops the heap in time order, ties in push
+    order.  A popped tick pushes its later records and its next tick and
+    returns the record due at its own time, which is yielded at once unless
+    another event waits at the same microsecond; then it is pushed behind
+    that event, as push order has it.  The stream ends at the first event
+    later than ``duration``, so a shorter run is a prefix of a longer one.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -276,13 +276,9 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
             truth.add(ip, role, protocol)
         return sys.intern(ip)
 
+    # (time in us, push order, a tick or the ``PacketRecord`` fields after ``ts``)
     heap: list[tuple[int, int, object]] = []
     seq = itertools.count()
-
-    def push(t_us: int, item: object) -> None:
-        """Schedule a source's next tick, or a record's ``PacketRecord`` fields after ``ts``."""
-        if t_us <= duration_us:
-            heapq.heappush(heap, (t_us, next(seq), item))
 
     def interval_us(mean: float, sigma: float) -> int:
         return round(max(MIN_INTERVAL, rng.gauss(mean, sigma)) * 1e6)
@@ -300,27 +296,26 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
     hmi_ip = label("10.0.0.2", "hmi") if config.layers == 3 else None
     conv_eph: dict[tuple[int, int], int] = {}
 
-    def fd_source(group: ScadaGroup, conv: tuple[int, int], fd_ip: str) -> Callable[[int], None]:
+    def fd_source(group: ScadaGroup, conv: tuple[int, int], fd_ip: str) -> Callable[[int], tuple]:
         sizes = group.object_sizes
         ticks = itertools.count(conv[1])  # offset the size cycle per device
 
-        def tick(t_us: int) -> None:
+        def tick(t_us: int) -> tuple:
             size = sizes[next(ticks) % len(sizes)]
             eph = conv_eph[conv]
             if group.response:
-                push(t_us, (fd_ip, group.port, master_ip, eph, TCP, size - ACK_BYTES))
                 delay = rng.randint(2000, 20000)
-                push(t_us + delay, (master_ip, eph, fd_ip, group.port, TCP, ACK_BYTES))
-            else:
-                push(t_us, (fd_ip, group.port, master_ip, eph, TCP, size))
-            push(t_us + interval_us(group.poll_mean, group.poll_jitter_stddev), tick)
+                heappush(heap, (t_us + delay, next(seq), (master_ip, eph, fd_ip, group.port, TCP, ACK_BYTES)))
+                size -= ACK_BYTES
+            heappush(heap, (t_us + interval_us(group.poll_mean, group.poll_jitter_stddev), next(seq), tick))
+            return (fd_ip, group.port, master_ip, eph, TCP, size)
 
         return tick
 
     def reconnect_source(conv: tuple[int, int], mean_interval_s: float) -> Callable[[int], None]:
         def tick(t_us: int) -> None:
             conv_eph[conv] = alloc_eph()
-            push(t_us + round(rng.expovariate(1.0) * mean_interval_s * 1e6), tick)
+            heappush(heap, (t_us + round(rng.expovariate(1.0) * mean_interval_s * 1e6), next(seq), tick))
 
         return tick
 
@@ -330,12 +325,13 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
             conv = (g, i)
             conv_eph[conv] = alloc_eph()
             first = round(rng.uniform(0.0, group.poll_mean) * 1e6)
-            push(first, fd_source(group, conv, fd_ip))
+            heappush(heap, (first, next(seq), fd_source(group, conv, fd_ip)))
             if config.master.reconnect_rate > 0:
                 mean_s = 86400.0 / config.master.reconnect_rate
-                push(round(rng.expovariate(1.0) * mean_s * 1e6), reconnect_source(conv, mean_s))
+                first = round(rng.expovariate(1.0) * mean_s * 1e6)
+                heappush(heap, (first, next(seq), reconnect_source(conv, mean_s)))
 
-    def peripheral_source(spec: PeripheralSpec, idx: int, src: str, dst: str) -> Callable[[int], None]:
+    def peripheral_source(spec: PeripheralSpec, idx: int, src: str, dst: str) -> Callable[[int], tuple]:
         server_port = _PERIPH_SERVER_PORT[spec.kind]
         proto = _PERIPH_PROTO[spec.kind]
         if spec.kind in ("ntp", "netbios"):
@@ -351,12 +347,13 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
         is_drip = spec.kind == "backup"
         two_way = spec.kind in _TWO_WAY_KINDS
 
-        def tick(t_us: int) -> None:
+        def tick(t_us: int) -> tuple:
             size = rng.choice(sizes) if is_drip else sizes[0]
-            push(t_us, (src, client_port, dst, server_port, proto, size))
             if two_way:
-                push(t_us + rng.randint(2000, 20000), (dst, server_port, src, client_port, proto, sizes[1]))
-            push(t_us + interval_us(spec.period, sigma), tick)
+                reply = (dst, server_port, src, client_port, proto, sizes[1])
+                heappush(heap, (t_us + rng.randint(2000, 20000), next(seq), reply))
+            heappush(heap, (t_us + interval_us(spec.period, sigma), next(seq), tick))
+            return (src, client_port, dst, server_port, proto, size)
 
         return tick
 
@@ -372,29 +369,32 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
             auto += 2
         src, dst = label(src, "peripheral"), label(dst, "peripheral")
         first = round(rng.uniform(0.05, max(0.1, spec.period)) * 1e6)
-        push(first, peripheral_source(spec, idx, src, dst))
+        heappush(heap, (first, next(seq), peripheral_source(spec, idx, src, dst)))
 
     if config.layers == 3 and master_ip is not None:
         feed_port = alloc_eph()
 
-        def hmi_feed(t_us: int) -> None:
-            push(t_us, (master_ip, feed_port, hmi_ip, HMI_FEED_PORT, TCP, rng.choice(HMI_FEED_FRAMES)))
-            push(t_us + interval_us(HMI_FEED_INTERVAL, 0.05), hmi_feed)
+        def hmi_feed(t_us: int) -> tuple:
+            size = rng.choice(HMI_FEED_FRAMES)
+            heappush(heap, (t_us + interval_us(HMI_FEED_INTERVAL, 0.05), next(seq), hmi_feed))
+            return (master_ip, feed_port, hmi_ip, HMI_FEED_PORT, TCP, size)
 
-        push(round(rng.uniform(0.1, 1.0) * 1e6), hmi_feed)
+        heappush(heap, (round(rng.uniform(0.1, 1.0) * 1e6), next(seq), hmi_feed))
 
     if config.noise.nonresponder_retry:
         retrier, dead = label("10.0.250.1", "peripheral"), label("10.0.250.2", "peripheral")
         cycles = itertools.count()
 
-        def retry_cycle(t_us: int) -> None:
+        def retry_cycle(t_us: int) -> tuple:
             sport = 45001 + (next(cycles) % 8000)
-            for i, offset in enumerate(_NOISE_OFFSETS):
-                jitter = rng.uniform(-0.05, 0.05) if i else 0.0
-                push(t_us + round((offset + jitter) * 1e6), (retrier, sport, dead, 9999, TCP, 66))
-            push(t_us + round((63.0 + rng.uniform(-1.0, 1.0)) * 1e6), retry_cycle)
+            attempt = (retrier, sport, dead, 9999, TCP, 66)
+            for offset in _RETRY_OFFSETS:
+                jitter = rng.uniform(-0.05, 0.05)
+                heappush(heap, (t_us + round((offset + jitter) * 1e6), next(seq), attempt))
+            heappush(heap, (t_us + round((63.0 + rng.uniform(-1.0, 1.0)) * 1e6), next(seq), retry_cycle))
+            return attempt
 
-        push(round(rng.uniform(0.1, 5.0) * 1e6), retry_cycle)
+        heappush(heap, (round(rng.uniform(0.1, 5.0) * 1e6), next(seq), retry_cycle))
 
     consumer_auto = 1
     for r, spec in enumerate(config.reporting):
@@ -404,29 +404,39 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
         port = spec.port if spec.port is not None else config.scada_groups[0].port
         state = {"tick": 0}
 
-        def report_tick(t_us: int, r_ip=r_ip, consumers=consumers, port=port, spec=spec, state=state) -> None:
+        def report_tick(t_us: int, r_ip=r_ip, consumers=consumers, port=port, spec=spec, state=state) -> tuple:
             j = state["tick"] % len(consumers)
             state["tick"] += 1
-            push(t_us, (r_ip, port, consumers[j], 36000 + j, TCP, spec.report_size))
-            push(t_us + interval_us(spec.scada_period, max(0.1, 0.02 * spec.scada_period)), report_tick)
+            next_us = t_us + interval_us(spec.scada_period, max(0.1, 0.02 * spec.scada_period))
+            heappush(heap, (next_us, next(seq), report_tick))
+            return (r_ip, port, consumers[j], 36000 + j, TCP, spec.report_size)
 
-        push(round(rng.uniform(0.1, spec.scada_period) * 1e6), report_tick)
+        heappush(heap, (round(rng.uniform(0.1, spec.scada_period) * 1e6), next(seq), report_tick))
         if spec.noise_period is not None:
             peer = label(f"10.0.242.{1 + r}", "peripheral")
 
-            def noise_tick(t_us: int, r_ip=r_ip, peer=peer, spec=spec) -> None:
-                push(t_us, (r_ip, 52000 + r, peer, 7070, TCP, spec.noise_size))
-                push(t_us + interval_us(spec.noise_period, max(0.1, 0.02 * spec.noise_period)), noise_tick)
+            def noise_tick(t_us: int, r_ip=r_ip, peer=peer, spec=spec) -> tuple:
+                next_us = t_us + interval_us(spec.noise_period, max(0.1, 0.02 * spec.noise_period))
+                heappush(heap, (next_us, next(seq), noise_tick))
+                return (r_ip, 52000 + r, peer, 7070, TCP, spec.noise_size)
 
-            push(round(rng.uniform(0.1, spec.noise_period) * 1e6), noise_tick)
+            heappush(heap, (round(rng.uniform(0.1, spec.noise_period) * 1e6), next(seq), noise_tick))
 
     def packets() -> Iterator[PacketRecord]:
         while heap:
-            t_us, _, item = heapq.heappop(heap)
-            if callable(item):
-                item(t_us)
-            else:
-                yield PacketRecord(_ts(t_us), *item)
+            t_us, _, item = heappop(heap)
+            if t_us > duration_us:
+                return
+            if type(item) is not tuple:
+                item = item(t_us)
+                if item is None:
+                    continue
+                if heap and heap[0][0] == t_us:
+                    heappush(heap, (t_us, next(seq), item))
+                    continue
+            # Seconds composed the way the pcap reader composes them, so
+            # timestamps survive a write/read round trip bit for bit.
+            yield PacketRecord(t_us // 1_000_000 + t_us % 1_000_000 / 1e6, *item)
 
     return packets(), truth
 
@@ -445,74 +455,96 @@ def write_records(records: Iterable[PacketRecord], path: str) -> int:
         return sum(1 for _ in tee_json_lines(records, fp))
 
 
+# Ethernet (MACs 02:00 plus the IPv4 address), then IPv4 with DF, TTL 64 and
+# the checksum; a TCP frame adds its 20-byte header with PSH|ACK, so all 54
+# header bytes are one pack.
+_ETH_IP = ">H4sH4sHBBHHHBBH4s4s"
+_ETH_IP_HEADERS = struct.Struct(_ETH_IP)
+_TCP_HEADERS = struct.Struct(_ETH_IP + "HHIIBBHHH")
+_PCAP_RECORD = struct.Struct("<IIII")
+_ZEROS = bytes(PCAP_SNAPLEN)
+
+
 def write_pcap(records: Iterable[PacketRecord], path: str) -> int:
     """Write a classic little-endian pcap whose captured lengths equal record sizes.
 
-    Frames are synthetic Ethernet/IPv4/TCP-or-UDP-or-ICMP with zero padding;
-    payload content is meaningless by design.  A record a classic pcap cannot
-    hold raises a ``ValueError`` naming it: a size outside 54 bytes (the header
-    floor) .. 65535 (the snaplen), a ts outside 0 .. 2**32 s, a port outside
+    Frames are synthetic Ethernet/IPv4/TCP-or-UDP-or-ICMP with zero padding
+    and a valid IPv4 header checksum; payload content is meaningless by
+    design.  Each address is packed, and the sum of its two 16-bit words
+    taken, once per file; a TCP frame's headers are one ``struct`` pack, and
+    each record, its pcap header included, is one write.  A record a classic
+    pcap cannot hold raises a ``ValueError`` naming it: a size outside 54
+    bytes (the header floor) .. 65535 (the snaplen), a ts outside
+    0 .. 2**32 s, a proto other than tcp, udp, icmp or other, a port outside
     0 .. 65535, or an address that is not an IPv4 dotted quad.
     """
     count = 0
-    packed: dict[str, bytes] = {}  # dotted quad -> its 4 bytes, filled once per address
+    packed: dict[str, tuple[bytes, int]] = {}  # dotted quad -> (its 4 bytes, its word sum)
     with open(path, "wb") as fp:
         fp.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, PCAP_SNAPLEN, 1))
         for rec in records:
-            if not MIN_FRAME_BYTES <= rec.size <= PCAP_SNAPLEN:
+            size = rec.size
+            if not MIN_FRAME_BYTES <= size <= PCAP_SNAPLEN:
                 raise ValueError(
-                    f"{rec!r}: {rec.size} bytes cannot be framed "
+                    f"{rec!r}: {size} bytes cannot be framed "
                     f"(floor {MIN_FRAME_BYTES}, snaplen {PCAP_SNAPLEN})"
                 )
-            if not 0.0 <= rec.ts <= _PCAP_MAX_TS:
-                raise ValueError(f"{rec!r}: ts {rec.ts} outside the 0 .. 2**32 s a pcap holds")
-            src = packed.get(rec.src_ip) or _pack_ipv4(rec.src_ip, rec, packed)
-            dst = packed.get(rec.dst_ip) or _pack_ipv4(rec.dst_ip, rec, packed)
-            sec = int(rec.ts)
-            usec = round((rec.ts - sec) * 1e6)
+            ts = rec.ts
+            if not 0.0 <= ts <= _PCAP_MAX_TS:
+                raise ValueError(f"{rec!r}: ts {ts} outside the 0 .. 2**32 s a pcap holds")
+            proto = _IP_PROTO_NUM.get(rec.proto)
+            if proto is None:
+                raise ValueError(f"{rec!r}: proto {rec.proto!r} is not one of {', '.join(_IP_PROTO_NUM)}")
+            src, src_sum = packed.get(rec.src_ip) or _pack_ipv4(rec.src_ip, rec, packed)
+            dst, dst_sum = packed.get(rec.dst_ip) or _pack_ipv4(rec.dst_ip, rec, packed)
+            sec = int(ts)
+            usec = round((ts - sec) * 1e6)
             if usec == 1_000_000:
                 sec += 1
                 usec = 0
+            total_len = size - 14
+            ip_id = count & 0xFFFF
+            # The sum of the IPv4 header's ten words, its checksum word 0:
+            # version|IHL 0x4500 and flags 0x4000 make 0x8500.
+            checksum = 0x8500 + (64 << 8 | proto) + total_len + ip_id + src_sum + dst_sum
+            while checksum > 0xFFFF:
+                checksum = (checksum & 0xFFFF) + (checksum >> 16)
+            checksum = ~checksum & 0xFFFF
             try:
-                frame = _build_frame(rec, src, dst, count & 0xFFFF)
+                if rec.proto == TCP:
+                    headers = _TCP_HEADERS.pack(
+                        0x0200, dst, 0x0200, src, 0x0800, 0x45, 0, total_len, ip_id, 0x4000, 64, proto, checksum,
+                        src, dst, rec.src_port, rec.dst_port, 0, 0, 5 << 4, 0x18, 8192, 0, 0,
+                    )
+                else:
+                    headers = _eth_ip_headers(rec, proto, src, dst, total_len, ip_id, checksum)
             except struct.error as exc:  # a port out of range
                 raise ValueError(f"{rec!r} cannot be framed: {exc}") from None
-            fp.write(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
-            fp.write(frame)
+            fp.write(_PCAP_RECORD.pack(sec, usec, size, size) + headers + _ZEROS[: size - len(headers)])
             count += 1
     return count
 
 
-def _pack_ipv4(ip: str, rec: PacketRecord, packed: dict[str, bytes]) -> bytes:
-    """``ip``'s 4 bytes, kept in ``packed``; the rule of ``_is_ipv4``."""
+def _pack_ipv4(ip: str, rec: PacketRecord, packed: dict[str, tuple[bytes, int]]) -> tuple[bytes, int]:
+    """``ip``'s 4 bytes and the sum of its two 16-bit words, kept in ``packed``; the rule of ``_is_ipv4``."""
     if not _is_ipv4(ip):
         raise ValueError(f"{rec!r}: address {ip!r} is not an IPv4 dotted quad")
-    packed[ip] = IPv4Address(ip).packed
+    quad = IPv4Address(ip).packed
+    packed[ip] = quad, (quad[0] << 8 | quad[1]) + (quad[2] << 8 | quad[3])
     return packed[ip]
 
 
-def _build_frame(rec: PacketRecord, src: bytes, dst: bytes, ip_id: int) -> bytes:
-    eth = b"\x02\x00" + dst + b"\x02\x00" + src + b"\x08\x00"
-    total_len = rec.size - 14
-    ip_hdr = struct.pack(
-        ">BBHHHBBH4s4s", 0x45, 0, total_len, ip_id, 0x4000, 64, _IP_PROTO_NUM[rec.proto], 0, src, dst
+def _eth_ip_headers(rec: PacketRecord, proto: int, src: bytes, dst: bytes, total_len: int, ip_id: int,
+                    checksum: int) -> bytes:
+    """The headers of a UDP, ICMP or ``other`` frame; ``other`` has no transport header."""
+    eth_ip = _ETH_IP_HEADERS.pack(
+        0x0200, dst, 0x0200, src, 0x0800, 0x45, 0, total_len, ip_id, 0x4000, 64, proto, checksum, src, dst
     )
-    total = sum(struct.unpack(">10H", ip_hdr))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    ip_hdr = ip_hdr[:10] + struct.pack(">H", ~total & 0xFFFF) + ip_hdr[12:]
-    if rec.proto == TCP:
-        l4 = struct.pack(
-            ">HHIIBBHHH", rec.src_port, rec.dst_port, 0, 0, 5 << 4, 0x18, 8192, 0, 0
-        )
-    elif rec.proto == UDP:
-        udp_len = total_len - 20
-        l4 = struct.pack(">HHHH", rec.src_port, rec.dst_port, udp_len, 0)
-    elif rec.proto == ICMP:
-        l4 = struct.pack(">BBHHH", 8, 0, 0, 0, 0)
-    else:
-        l4 = b""
-    return eth + ip_hdr + l4 + bytes(rec.size - 14 - 20 - len(l4))
+    if rec.proto == UDP:
+        return eth_ip + struct.pack(">HHHH", rec.src_port, rec.dst_port, total_len - 20, 0)
+    if rec.proto == ICMP:
+        return eth_ip + struct.pack(">BBHHH", 8, 0, 0, 0, 0)
+    return eth_ip
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:

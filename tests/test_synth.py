@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -11,11 +12,12 @@ import statistics
 import struct
 from dataclasses import asdict
 from ipaddress import IPv4Address
+from typing import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
 
-from scadascope import ingest
+from scadascope import ingest, synth
 from scadascope.ingest import PacketRecord, read_pcap, read_records
 from scadascope.inference import analyze_records
 from scadascope.segmentation import aggregate_ft, segment_stream
@@ -76,6 +78,75 @@ def test_different_seed_differs():
 def test_stream_is_time_ordered():
     records = list(generate(dataset1_like(duration=200.0, seed=3, fds=5))[0])
     assert all(b.ts >= a.ts for a, b in zip(records, records[1:]))
+
+
+def _assert_prefix_of_twice_as_long(config):
+    shorter = list(generate(config)[0])
+    longer = generate(dataclasses.replace(config, duration=2 * config.duration))[0]
+    assert list(itertools.islice(longer, len(shorter))) == shorter
+    assert next(longer).ts > config.duration
+
+
+@pytest.mark.parametrize("name,duration", [("churn", 120.0), ("day", 300.0), ("month", 86400.0)])
+def test_a_shorter_trace_is_a_prefix_of_a_longer_one(name, duration):
+    config = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    _assert_prefix_of_twice_as_long(dataclasses.replace(config, duration=duration))
+
+
+def test_a_shorter_random_scenario_is_a_prefix_of_a_longer_one():
+    meta = random.Random(31)
+    for _ in range(8):
+        _assert_prefix_of_twice_as_long(small_random_scenario(meta))
+
+
+class _FixedRandom(random.Random):
+    """Each draw the generator makes returns a fixed value; ``gauss`` its mean."""
+
+    def uniform(self, a, b):
+        return 0.5
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        return mu
+
+    def randint(self, a, b):
+        return 2000
+
+    def expovariate(self, lambd=1.0):
+        return 1.0
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def _at(t_us: int, src_ip: str, src_port: int, dst_ip: str, dst_port: int, size: int) -> PacketRecord:
+    return PacketRecord(t_us // 1_000_000 + t_us % 1_000_000 / 1e6, src_ip, src_port, dst_ip, dst_port, "tcp", size)
+
+
+def test_events_at_the_same_microsecond_come_in_push_order(monkeypatch):
+    monkeypatch.setattr(synth.random, "Random", _FixedRandom)
+    config = ScenarioConfig(duration=10.0, seed=1, scada_groups=[ScadaGroup(502, 3, 2.0, 0.0, [200])])
+    fds = [(f"10.0.10.{1 + i}", 49152 + i) for i in range(3)]
+    want = []
+    for poll_us in range(500_000, 10_000_000, 2_000_000):
+        want += [_at(poll_us, fd, 502, "10.0.0.1", eph, 134) for fd, eph in fds]
+        want += [_at(poll_us + 2000, "10.0.0.1", eph, fd, 502, 66) for fd, eph in fds]
+    assert list(generate(config)[0]) == want
+
+
+def test_a_record_due_with_a_waiting_event_comes_after_it(monkeypatch):
+    # The second group polls 2 ms later than the first in each cycle, at the
+    # microsecond of the first group's ack: its tick was pushed a cycle
+    # earlier than that ack, and its request comes after the ack all the same.
+    monkeypatch.setattr(synth.random, "Random", _FixedRandom)
+    config = ScenarioConfig(
+        duration=3.0,
+        seed=1,
+        scada_groups=[ScadaGroup(502, 1, 2.0, 0.0, [200]), ScadaGroup(102, 1, 2.002, 0.0, [200])],
+    )
+    records = [(round(rec.ts * 1e6), rec.src_port, rec.dst_port) for rec in generate(config)[0]]
+    assert records[4:] == [
+        (2_500_000, 502, 49152), (2_502_000, 49152, 502), (2_502_000, 102, 49153), (2_504_000, 49153, 102)
+    ]
 
 
 # --- schedules -------------------------------------------------------------------
@@ -325,9 +396,11 @@ def _bad_record(**changes):
         (_bad_record(ts=math.inf), "ts inf outside"),
         (_bad_record(src_port=65536), "cannot be framed"),
         (_bad_record(proto="udp", dst_port=-1), "cannot be framed"),
+        (_bad_record(proto="sctp"), "proto 'sctp' is not one of tcp, udp, icmp, other"),
     ],
     ids=["three-octets", "five-octets", "trailing-space", "leading-zero", "octet-256", "above-snaplen",
-         "below-floor", "ts-2**32", "ts-negative", "ts-nan", "ts-inf", "port-65536", "port-negative"],
+         "below-floor", "ts-2**32", "ts-negative", "ts-nan", "ts-inf", "port-65536", "port-negative",
+         "proto-sctp"],
 )
 def test_pcap_refuses_what_a_classic_pcap_cannot_hold(tmp_path, rec, message):
     good = _bad_record()
@@ -388,6 +461,41 @@ def test_pcap_udp_and_icmp_frames(tmp_path):
     path = tmp_path / "mixed.pcap"
     write_pcap(records, str(path))
     assert list(read_pcap(str(path))) == records
+
+
+def _ipv4_headers(blob: bytes) -> Iterator[bytes]:
+    """The 20-byte IPv4 header of each frame in a pcap ``write_pcap`` wrote."""
+    offset = 24
+    while offset < len(blob):
+        (caplen,) = struct.unpack_from("<I", blob, offset + 8)
+        yield blob[offset + 16 + 14 : offset + 16 + 34]
+        offset += 16 + caplen
+
+
+def _ones_complement_sum(header: bytes) -> int:
+    total = 0
+    for (word,) in struct.iter_unpack(">H", header):
+        total += word
+        total = (total & 0xFFFF) + (total >> 16)  # end-around carry
+    return total
+
+
+def test_every_ipv4_header_checksums_to_ffff(tmp_path):
+    addresses = ["255.255.255.255", "0.0.0.0", "10.0.0.1", "255.255.0.1", "192.168.254.255"]
+    protos = [("tcp", 20000, 50000), ("udp", 123, 123), ("icmp", 0, 0), ("other", 0, 0)]
+    # More records than the 16-bit IP id holds, so the id wraps.
+    records = [
+        PacketRecord(i / 1000, addresses[i % 5], protos[i % 4][1], addresses[(i + 1) % 5], protos[i % 4][2],
+                     protos[i % 4][0], MIN_FRAME_BYTES + i % 1500)
+        for i in range(65_536 + 600)
+    ]
+    path = tmp_path / "sums.pcap"
+    assert write_pcap(records, str(path)) == len(records)
+    headers = list(_ipv4_headers(path.read_bytes()))
+    assert len(headers) == len(records)
+    assert struct.unpack(">H", headers[65_536][4:6]) == (0,)  # the id wrapped
+    bad = [i for i, header in enumerate(headers) if _ones_complement_sum(header) != 0xFFFF]
+    assert not bad, f"{len(bad)} headers checksum wrong, the first {records[bad[0]]!r}"
 
 
 # --- scenario files -------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation checks: break one rule of the analysis on purpose, and see a test fail.
+"""Mutation checks: break one rule of the analysis or the generator on purpose, and see a test fail.
 
 Each mutant names a file under ``src/``, an exact snippet of it, the
 replacement and the tests that must kill it.  For each mutant the tool copies
@@ -268,6 +268,20 @@ MUTANTS = (
         "precision = 1.0 if not actual else 0.0",
         "precision = 1.0",
         ("tests/test_inference.py::test_evaluate_nothing_claimed_but_something_to_find_scores_zero",),
+    ),
+    Mutant(
+        "ipv4-checksum-unfolded",
+        "scadascope/synth.py",
+        "            while checksum > 0xFFFF:\n                checksum = (checksum & 0xFFFF) + (checksum >> 16)\n",
+        "",
+        ("tests/test_synth.py::test_every_ipv4_header_checksums_to_ffff",),
+    ),
+    Mutant(
+        "tied-record-yielded-at-once",
+        "scadascope/synth.py",
+        "                if heap and heap[0][0] == t_us:\n",
+        "                if False:\n",
+        ("tests/test_synth.py::test_a_record_due_with_a_waiting_event_comes_after_it",),
     ),
 )
 
