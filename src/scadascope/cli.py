@@ -154,7 +154,7 @@ def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_synth(args) -> int:
     # Imported here: no other subcommand needs the generator.
-    from scadascope.synth import generate, load_scenario, tee_json_lines, write_pcap, write_records
+    from scadascope.synth import generate, load_scenario, tee_json_lines, write_pcap
 
     config = load_scenario(args.scenario)
     if args.seed is not None:
@@ -163,17 +163,15 @@ def cmd_synth(args) -> int:
     opened: list[str] = []  # each output path, once its file is open
 
     def after_open(path: str, records):
-        # Both writers open their file before they pull the first record.
+        # ``write_pcap`` opens its file before it pulls the first record.
         opened.append(path)
         yield from records
 
     try:
-        if args.pcap:
-            with open(args.out, "w", encoding="utf-8") as fp:
-                opened.append(args.out)
-                count = write_pcap(tee_json_lines(after_open(args.pcap, records), fp), args.pcap)
-        else:
-            count = write_records(after_open(args.out, records), args.out)
+        with open(args.out, "w", encoding="utf-8") as fp:
+            opened.append(args.out)
+            records = tee_json_lines(records, fp)
+            count = write_pcap(after_open(args.pcap, records), args.pcap) if args.pcap else sum(1 for _ in records)
         if args.truth:
             with open(args.truth, "w", encoding="utf-8") as fp:
                 opened.append(args.truth)
@@ -279,7 +277,7 @@ def cmd_eval(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fp:
         try:
             payload = json.load(fp)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{args.report}: not valid JSON ({exc})") from None
     protocols = payload.get("protocols") if isinstance(payload, dict) else None
     if not isinstance(protocols, list) or not all(isinstance(e, dict) for e in protocols):
@@ -291,7 +289,7 @@ def cmd_eval(args) -> int:
     with open(args.truth, "r", encoding="utf-8") as fp:
         try:
             truth = load_ground_truth(json.load(fp))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{args.truth}: {exc}") from None
     report = TopologyReport(protocols=entries, hmi=hmi)
     metrics = evaluate(report, truth)

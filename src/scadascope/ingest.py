@@ -78,7 +78,8 @@ _quote = json.encoder.encode_basestring_ascii
 # How many record tails ``read_records`` remembers, and how long one may be.
 # Polling repeats a few hundred tails per trace.  4,096 tails of the
 # ~110-character lines ``synth`` writes take 1.2 MB, and the length bound
-# keeps a file of long lines from taking more than about 2 MB.
+# keeps a file of long lines from taking more than about 2 MB.  A full memo
+# starts afresh, so a trace whose conversations churn keeps learning.
 _TAIL_MEMO_ENTRIES = 4096
 _TAIL_MAX_CHARS = 256
 # The start of a line as read whose ts may come from the memo: ``{"ts":``, an
@@ -364,7 +365,8 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
     remembered only when its line matched ``_MEMO_HEAD`` and the tail holds
     no backslash and no ``"ts"``, which could be a key that overrides the
     first ts; at most ``_TAIL_MEMO_ENTRIES`` tails of at most
-    ``_TAIL_MAX_CHARS`` characters are remembered.
+    ``_TAIL_MAX_CHARS`` characters are remembered, and a full memo is
+    cleared before the next tail goes in.
     """
     if stats is None:
         stats = IngestStats()
@@ -391,22 +393,34 @@ def read_records(path: str, stats: IngestStats | None = None) -> Iterator[Packet
                     rec = _decode_line(line)
                 except _InvalidRecord as exc:
                     raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc.__cause__
-                if (
-                    head is not None
-                    and len(tails) < _TAIL_MEMO_ENTRIES
-                    and len(tail) <= _TAIL_MAX_CHARS
-                    and "\\" not in tail
-                    and '"ts"' not in tail
-                ):
+                if head is not None and len(tail) <= _TAIL_MAX_CHARS and "\\" not in tail and '"ts"' not in tail:
+                    if len(tails) >= _TAIL_MEMO_ENTRIES:
+                        tails.clear()
                     tails[tail] = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port, rec.proto, rec.size)
                 count += 1
                 yield rec
-    except RecordFormatError:
+    except (RecordFormatError, UnicodeDecodeError) as exc:
         stats.frames += 1  # the line that failed was read, not yielded
+        if isinstance(exc, UnicodeDecodeError):
+            raise _undecodable(path, exc) from exc
         raise
     finally:
         stats.frames += count
         stats.yielded += count
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> RecordFormatError:
+    """``exc``, raised by the text reader of ``path``, as an error naming its line.
+
+    The reader's offsets count within its decode buffer, so the file is read
+    again, with its lines split the same way and each byte that is not UTF-8
+    kept as a lone surrogate, to find the first line holding one.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            if re.search("[\udc80-\udcff]", line):
+                return RecordFormatError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})")
+    return RecordFormatError(f"{path}: invalid UTF-8 ({exc.reason})")
 
 
 class _InvalidRecord(ValueError):
@@ -421,6 +435,8 @@ def _decode_line(line: str) -> PacketRecord:
     ``_build_record`` accepts.  Raises _InvalidRecord."""
     try:
         obj = json.loads(line)
+    except RecursionError:
+        raise _InvalidRecord("invalid JSON (nesting too deep)") from None
     except ValueError as exc:
         # Besides a JSONDecodeError, json.loads raises a plain ValueError for
         # an integer past the int/str digit limit.

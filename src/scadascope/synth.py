@@ -188,32 +188,9 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: sizes below the {MIN_FRAME_BYTES}-byte floor")
             if max(spec.report_size, spec.noise_size) > PCAP_SNAPLEN:
                 raise ScenarioError(f"{where}: sizes above the {PCAP_SNAPLEN}-byte snaplen")
-        # Each auto-numbered block is one /24 (see ``generate``).
+        # The SCADA groups' blocks; ``generate`` bounds each other auto-numbered block.
         if len(self.scada_groups) > _MAX_GROUPS:
             raise ScenarioError(f"scada_groups: at most {_MAX_GROUPS} groups, got {len(self.scada_groups)}")
-        auto = sum(1 if _backs_up_master(self, spec) else 2 for spec in self.peripherals if spec.hosts is None)
-        if auto > _LAST_HOST:
-            raise ScenarioError(
-                f"peripherals: {auto} auto-addressed hosts exceed the {_LAST_HOST} addresses of 10.0.200.x"
-            )
-        if len(self.reporting) > _LAST_HOST:
-            raise ScenarioError(
-                f"reporting: {len(self.reporting)} workstations exceed the {_LAST_HOST} addresses "
-                "of 10.0.240.x and 10.0.242.x"
-            )
-        consumers = 0
-        for r, spec in enumerate(self.reporting):
-            consumers += spec.consumers
-            if consumers > _LAST_HOST:
-                raise ScenarioError(
-                    f"reporting[{r}].consumers: {consumers} consumers in all exceed the "
-                    f"{_LAST_HOST} addresses of 10.0.241.x"
-                )
-
-
-def _backs_up_master(config: ScenarioConfig, spec: PeripheralSpec) -> bool:
-    """An auto-addressed backup in a three-layer scenario copies from the master."""
-    return config.layers == 3 and spec.kind == "backup" and bool(config.scada_groups)
 
 
 def _is_ipv4(host) -> bool:
@@ -258,8 +235,9 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
     One set-up pass labels each address where it is first needed (an address
     keeps its first label; the master and the HMI are labelled first), draws
     every source's first tick and pushes it onto the event heap, so a
-    scenario the set-up cannot build raises here, before any record is asked
-    for.  The returned iterator pops the heap in time order, ties in push
+    scenario the set-up cannot build (an auto-numbered /24 block past host
+    254, an exhausted ephemeral port range) raises here, before any record is
+    asked for.  The returned iterator pops the heap in time order, ties in push
     order.  A popped tick pushes its later records and its next tick and
     returns the record due at its own time, which is yielded at once unless
     another event waits at the same microsecond; then it is pushed behind
@@ -275,6 +253,12 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
         if ip not in truth.labels:
             truth.add(ip, role, protocol)
         return sys.intern(ip)
+
+    def host(block: int, n: int, where: str) -> str:
+        """Host ``n`` of the auto-numbered /24 ``10.0.{block}.x``, which ``where`` asked for."""
+        if n > _LAST_HOST:
+            raise ScenarioError(f"{where}: 10.0.{block}.{n} is past the last host 10.0.{block}.{_LAST_HOST}")
+        return f"10.0.{block}.{n}"
 
     # (time in us, push order, a tick or the ``PacketRecord`` fields after ``ts``)
     heap: list[tuple[int, int, object]] = []
@@ -361,11 +345,12 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
     for idx, spec in enumerate(config.peripherals):
         if spec.hosts is not None:
             src, dst = spec.hosts
-        elif _backs_up_master(config, spec):
-            src, dst = master_ip, f"10.0.200.{auto}"
+        elif config.layers == 3 and spec.kind == "backup" and master_ip is not None:
+            # An auto-addressed backup in a three-layer scenario copies from the master.
+            src, dst = master_ip, host(200, auto, f"peripherals[{idx}]")
             auto += 1
         else:
-            src, dst = f"10.0.200.{auto}", f"10.0.200.{auto + 1}"
+            src, dst = host(200, auto, f"peripherals[{idx}]"), host(200, auto + 1, f"peripherals[{idx}]")
             auto += 2
         src, dst = label(src, "peripheral"), label(dst, "peripheral")
         first = round(rng.uniform(0.05, max(0.1, spec.period)) * 1e6)
@@ -398,8 +383,11 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
 
     consumer_auto = 1
     for r, spec in enumerate(config.reporting):
-        r_ip = label(f"10.0.240.{1 + r}", "peripheral")
-        consumers = [label(f"10.0.241.{consumer_auto + j}", "peripheral") for j in range(spec.consumers)]
+        r_ip = label(host(240, 1 + r, f"reporting[{r}]"), "peripheral")
+        consumers = [
+            label(host(241, consumer_auto + j, f"reporting[{r}].consumers"), "peripheral")
+            for j in range(spec.consumers)
+        ]
         consumer_auto += spec.consumers
         port = spec.port if spec.port is not None else config.scada_groups[0].port
         state = {"tick": 0}
@@ -413,7 +401,7 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
 
         heappush(heap, (round(rng.uniform(0.1, spec.scada_period) * 1e6), next(seq), report_tick))
         if spec.noise_period is not None:
-            peer = label(f"10.0.242.{1 + r}", "peripheral")
+            peer = label(host(242, 1 + r, f"reporting[{r}]"), "peripheral")
 
             def noise_tick(t_us: int, r_ip=r_ip, peer=peer, spec=spec) -> tuple:
                 next_us = t_us + interval_us(spec.noise_period, max(0.1, 0.02 * spec.noise_period))
@@ -595,4 +583,8 @@ def _read(tp, value, path: str):
 
 def load_scenario(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fp:
-        return scenario_from_dict(json.load(fp))
+        try:
+            obj = json.load(fp)
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+    return scenario_from_dict(obj)

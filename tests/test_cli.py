@@ -128,7 +128,7 @@ def test_synth_refuses_too_many_consumers_before_writing(tmp_path, caplog):
     out, pcap = tmp_path / "o.jsonl", tmp_path / "o.pcap"
     args = ["--quiet", "synth", "--scenario", str(scenario), "--out", str(out), "--pcap", str(pcap)]
     assert main(args) == EXIT_INPUT_ERROR
-    assert "reporting[0].consumers: 300 consumers in all exceed the 254 addresses" in caplog.text
+    assert "reporting[0].consumers: 10.0.241.255 is past the last host 10.0.241.254" in caplog.text
     assert not out.exists() and not pcap.exists()
 
 
@@ -551,6 +551,33 @@ def test_scenario_of_wrong_shape_is_exit_2_naming_the_key(tmp_path, caplog):
     bad.write_text('{"duration": 60, "seed": 1, "master": 5}')
     assert main(["--quiet", "synth", "--scenario", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_INPUT_ERROR
     assert "scenario.master: expected an object, got 5" in caplog.text
+
+
+def test_scenario_that_is_not_json_is_exit_2_naming_the_file(tmp_path, caplog):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"duration": 60,\n}')
+    assert main(["--quiet", "synth", "--scenario", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_INPUT_ERROR
+    assert f"{bad}: not valid JSON (Expecting property name" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["analyze", "stability", "synth", "eval"])
+def test_too_deeply_nested_json_is_exit_2_naming_where(tmp_path, d1, caplog, command):
+    deep = "[" * 200_000
+    bad = tmp_path / "bad.json"
+    if command in ("analyze", "stability"):
+        # The last line, where the stability tail hint starts reading.
+        trace = d1["trace"].read_text()
+        bad.write_text(trace + deep + "\n")
+        where = f"{bad}:{trace.count(chr(10)) + 1}: invalid JSON (nesting too deep)"
+        args = [command, str(bad)]
+    else:
+        bad.write_text(deep)
+        where = f"{bad}: not valid JSON ("
+        args = (["synth", "--scenario", str(bad), "--out", str(tmp_path / "o.jsonl")] if command == "synth"
+                else ["eval", "--report", str(bad), "--truth", str(d1["truth"])])
+    assert main(["--quiet", *args]) == EXIT_INPUT_ERROR
+    assert where in caplog.text
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_stability_command(tmp_path, capsys):

@@ -476,6 +476,18 @@ def test_read_records_bad_json_names_line(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_records_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    # Far past the reader's first 8 KiB decode buffer, whose offsets name no line.
+    lines = [f'{{"ts":{i}.5{TAIL}' for i in range(5000)]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(newline.join(lines).encode().replace(b'"ts":3999.5,"src_ip":"10.0.0.1"',
+                                                          b'"ts":3999.5,"src_ip":"10.0.0.\xff"'))
+    with pytest.raises(RecordFormatError) as err:
+        list(read_records(str(path)))
+    assert str(err.value) == f"{path}:4000: invalid UTF-8 (invalid start byte)"
+
+
 @pytest.mark.parametrize(
     "bad",
     ['{oops', '{"ts":2.0,"src_ip":"a","src_port":1,"dst_ip":"b","dst_port":-2,"proto":"udp","size":60}'],
@@ -640,6 +652,20 @@ def test_read_records_with_more_tails_than_the_memo_holds(tmp_path):
     got = _outcome(read_records, str(path))
     assert len(got) == 2 * count
     assert got == _outcome(ref_read_records, str(path))
+
+
+def test_read_records_keeps_learning_tails_once_the_memo_is_full(tmp_path):
+    count = ingest._TAIL_MEMO_ENTRIES + 1
+    lines = [f'{{"ts":{i}.5,"src_ip":"10.0.0.1","src_port":{i},"dst_ip":"10.0.0.2",'
+             f'"dst_port":502,"proto":"tcp","size":60}}' for i in range(count)]
+    # A new tail, after more distinct ones than the memo holds, is decoded once.
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines + [f'{{"ts":{count + i}.5{TAIL}' for i in range(10)]) + "\n")
+    with mock.patch.object(ingest, "_build_record", wraps=ingest._build_record) as build:
+        records = list(read_records(str(path)))
+    assert build.call_count == count + 1
+    assert len(records) == count + 10
+    assert records[-1] == PacketRecord(count + 9.5, "10.0.0.1", 502, "10.0.0.2", 50000, "tcp", 60)
 
 
 # --- filtering ----------------------------------------------------------------

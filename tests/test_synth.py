@@ -675,24 +675,27 @@ def _auto_heartbeats(n):
 @pytest.mark.parametrize(
     "fits,over,message",
     [
-        # Each auto-addressed peripheral takes two hosts of 10.0.200.x.
-        (dict(peripherals=_auto_heartbeats(127)), dict(peripherals=_auto_heartbeats(128)),
-         "peripherals: 256 auto-addressed hosts exceed the 254 addresses of 10.0.200.x"),
+        # Each auto-addressed peripheral takes two hosts of 10.0.200.x, a backup
+        # copying from the master one: the 128th peripheral's first host is 255.
+        (dict(peripherals=_auto_heartbeats(127)),
+         dict(layers=3, peripherals=[*_auto_heartbeats(127), PeripheralSpec("backup", 600.0, 66)]),
+         "peripherals[127]: 10.0.200.255 is past the last host 10.0.200.254"),
         (dict(reporting=[ReportingSpec(20.0, consumers=200), ReportingSpec(20.0, consumers=54)]),
          dict(reporting=[ReportingSpec(20.0, consumers=200), ReportingSpec(20.0, consumers=55)]),
-         "reporting[1].consumers: 255 consumers in all exceed the 254 addresses of 10.0.241.x"),
+         "reporting[1].consumers: 10.0.241.255 is past the last host 10.0.241.254"),
         (dict(reporting=[ReportingSpec(20.0, noise_period=9.0)] * 254),
          dict(reporting=[ReportingSpec(20.0, noise_period=9.0)] * 255),
-         "reporting: 255 workstations exceed the 254 addresses of 10.0.240.x and 10.0.242.x"),
+         "reporting[254]: 10.0.240.255 is past the last host 10.0.240.254"),
         (dict(scada_groups=[ScadaGroup(1000 + g, 0, 5.0, 0.5, [340]) for g in range(190)]),
          dict(scada_groups=[ScadaGroup(1000 + g, 0, 5.0, 0.5, [340]) for g in range(191)]),
          "scada_groups: at most 190 groups, got 191"),
     ],
 )
 def test_validation_bounds_each_auto_numbered_block(fits, over, message):
-    tiny_config(**fits).validate()
+    # ``generate`` validates, then numbers each block during set-up.
+    generate(tiny_config(**fits))
     with pytest.raises(ScenarioError) as exc:
-        tiny_config(**over).validate()
+        generate(tiny_config(**over))
     assert str(exc.value) == message
 
 

@@ -160,6 +160,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "memo-stops-learning-when-full",
+        "scadascope/ingest.py",
+        "                    if len(tails) >= _TAIL_MEMO_ENTRIES:\n                        tails.clear()\n"
+        "                    tails[tail] = ",
+        "                    if len(tails) < _TAIL_MEMO_ENTRIES:\n                        tails[tail] = ",
+        ("tests/test_ingest.py::test_read_records_keeps_learning_tails_once_the_memo_is_full",),
+    ),
+    Mutant(
         "one-vlan-tag",
         "scadascope/ingest.py",
         "for _ in range(2):",
@@ -275,6 +283,13 @@ MUTANTS = (
         "            while checksum > 0xFFFF:\n                checksum = (checksum & 0xFFFF) + (checksum >> 16)\n",
         "",
         ("tests/test_synth.py::test_every_ipv4_header_checksums_to_ffff",),
+    ),
+    Mutant(
+        "address-block-allows-host-255",
+        "scadascope/synth.py",
+        "if n > _LAST_HOST:",
+        "if n > _LAST_HOST + 1:",
+        ("tests/test_synth.py::test_validation_bounds_each_auto_numbered_block",),
     ),
     Mutant(
         "tied-record-yielded-at-once",
