@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -23,9 +24,10 @@ import scadascope
 
 from scadascope import cli
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
-from scadascope.features import RANKING_CSV_COLUMNS
+from scadascope.features import RANKING_CSV_COLUMNS, RankedFt
 from scadascope.inference import InferenceConfig
 from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
+from scadascope.segmentation import FtCell
 from scadascope.synth import generate, load_scenario, write_pcap, write_records
 
 from scenarios import SCENARIO_DIR, dataset1_like, dataset2_like, office_like
@@ -617,14 +619,53 @@ def test_inspect_refuses_a_bad_t_comm_before_writing_the_dump(d1, tmp_path, capl
     assert dump.read_text() == "kept\n"
 
 
-def test_inspect_refuses_to_dump_over_its_input(d1, tmp_path, caplog):
-    trace = tmp_path / "trace.jsonl"
-    trace.write_bytes(d1["trace"].read_bytes())
-    # Another spelling of the same file: the paths are compared as files.
-    args = ["--quiet", "inspect", str(trace), "--dump-segments", str(tmp_path / "." / trace.name)]
+@pytest.mark.parametrize(
+    "args, threatened, message",
+    [
+        (["inspect", "{trace}", "--dump-segments", "{trace}"], "trace", "--dump-segments {trace} is the input trace"),
+        (["analyze", "{trace}", "--out", "{trace}"], "trace", "--out {trace} is the input trace"),
+        (["rank", "{trace}", "--out", "{trace}"], "trace", "--out {trace} is the input trace"),
+        (["analyze", "{trace}", "--out", "{other}", "--dot", "{trace}"], "trace", "--dot {trace} is the input trace"),
+        (["analyze", "{trace}", "--out", "{other}", "--dot", "{other}"], "other", "--dot {other} is the --out file"),
+        (["synth", "--scenario", "{scenario}", "--out", "{scenario}"], "scenario",
+         "--out {scenario} is the --scenario file"),
+        (["synth", "--scenario", "{scenario}", "--out", "{other}", "--pcap", "{other}", "--truth", "{other}"],
+         "other", "--pcap {other} is the --out file"),
+    ],
+    ids=["inspect-dump", "analyze-out", "rank-out", "analyze-dot", "analyze-dot-out", "synth-out", "synth-all-three"],
+)
+def test_no_output_overwrites_an_input_or_another_output(tmp_path, d1, caplog, args, threatened, message):
+    paths = {"trace": tmp_path / "trace.jsonl", "scenario": tmp_path / "scenario.json", "other": tmp_path / "o"}
+    paths["trace"].write_bytes(d1["trace"].read_bytes())
+    paths["scenario"].write_bytes(d1["scenario"].read_bytes())
+    paths["other"].write_text("keep\n")
+    kept = paths[threatened].read_bytes()
+    # A path named twice is spelled another way the second time, so the
+    # paths are compared as files.
+    spelled = {name: str(tmp_path / "." / path.name) for name, path in paths.items()}
+    argv, named = [], set()
+    for arg in args:
+        name = arg.strip("{}")
+        argv.append(spelled[name] if name in named else arg.format(**paths))
+        named.add(name)
+    assert main(["--quiet", *argv]) == EXIT_INPUT_ERROR
+    assert message.format(**spelled) in caplog.text
+    assert paths[threatened].read_bytes() == kept
+
+
+def test_synth_refuses_two_outputs_on_one_new_path(tmp_path, d1, caplog):
+    out = tmp_path / "same.jsonl"
+    args = ["--quiet", "synth", "--scenario", str(d1["scenario"]), "--out", str(out), "--pcap", str(out)]
     assert main(args) == EXIT_INPUT_ERROR
-    assert "is the input trace" in caplog.text
-    assert trace.read_bytes() == d1["trace"].read_bytes()
+    assert f"--pcap {out} is the --out file" in caplog.text
+    assert not out.exists()
+
+
+def test_outputs_that_are_not_regular_files_may_coincide(d1, capsys):
+    # A device is not truncated, so two outputs may both be /dev/null.
+    args = ["--quiet", "analyze", str(d1["trace"]), "--out", os.devnull, "--dot", os.devnull]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_inspect_keeps_the_dump_when_the_input_is_missing(tmp_path, caplog):
@@ -903,9 +944,48 @@ def test_cli_import_leaves_hashlib_unloaded_and_analyze_hashes_its_input(tmp_pat
     assert json.loads(report.read_text())["manifest"]["input_sha256"] == want
 
 
+def test_analyze_collects_fully_between_the_release_and_the_hash(tmp_path, d1, monkeypatch):
+    # Released blocks left in CPython's free lists keep pymalloc's arenas
+    # mapped until a full collection empties the lists; only then does
+    # libcrypto, mapped by the hash, reuse memory the OS has back.
+    def alive():
+        return sum(isinstance(obj, (FtCell, RankedFt)) for obj in gc.get_objects())
+
+    events = []
+    analyze_records, sha256_of = cli.analyze_records, cli._sha256_of
+
+    def analyzed(*args, **kwargs):
+        result = analyze_records(*args, **kwargs)
+        events.append("analyzed")
+        return result
+
+    def hashed(path):
+        events.append(f"hash(alive={alive() - baseline})")
+        return sha256_of(path)
+
+    def collecting(phase, info):
+        if phase == "start" and info["generation"] == 2 and events:
+            events.append("full-collection")
+
+    monkeypatch.setattr(cli, "analyze_records", analyzed)
+    monkeypatch.setattr(cli, "_sha256_of", hashed)
+    enabled = gc.isenabled()
+    gc.collect()
+    baseline = alive()
+    gc.disable()  # no automatic collection stands in for analyze's own
+    gc.callbacks.append(collecting)
+    try:
+        assert main(["--quiet", "analyze", str(d1["trace"]), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    finally:
+        gc.callbacks.remove(collecting)
+        if enabled:
+            gc.enable()
+    assert events == ["analyzed", "full-collection", "hash(alive=0)"]
+
+
 def test_input_hash_holds_one_buffer(tmp_path):
-    # analyze hashes its input while the table and the ranking are alive,
-    # so the hash adds one buffer to the peak, not a read per chunk.
+    # analyze hashes its input after releasing the table and the ranking;
+    # the hash adds one buffer to the process, not a read per chunk.
     path = tmp_path / "blob"
     data = bytes(range(256)) * (4 << 12)  # 4 MiB
     path.write_bytes(data)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation checks: break one rule of the analysis or the generator on purpose, and see a test fail.
+"""Mutation checks: break one rule of the analysis, the generator or the CLI on purpose, and see a test fail.
 
 Each mutant names a file under ``src/``, an exact snippet of it, the
 replacement and the tests that must kill it.  For each mutant the tool copies
@@ -55,6 +55,7 @@ _ALGORITHM1_REFERENCE = (
     "tests/test_inference.py::test_algorithm1_matches_reference",
     "tests/test_inference.py::test_algorithm1_matches_reference_on_random_scenarios",
 )
+_RELEASE_BEFORE_HASH = ("tests/test_cli.py::test_analyze_collects_fully_between_the_release_and_the_hash",)
 _DOT_REFERENCE = ("tests/test_inference.py::test_dot_edges_match_the_reference_segment_counts",)
 
 MUTANTS = (
@@ -297,6 +298,20 @@ MUTANTS = (
         "                if heap and heap[0][0] == t_us:\n",
         "                if False:\n",
         ("tests/test_synth.py::test_a_record_due_with_a_waiting_event_comes_after_it",),
+    ),
+    Mutant(
+        "no-collection-before-hash",
+        "scadascope/cli.py",
+        "    gc.collect()\n",
+        "",
+        _RELEASE_BEFORE_HASH,
+    ),
+    Mutant(
+        "hash-before-release",
+        "scadascope/cli.py",
+        "    del result  # the ranking, before the hash loads OpenSSL\n",
+        "",
+        _RELEASE_BEFORE_HASH,
     ),
 )
 
