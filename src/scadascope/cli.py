@@ -346,7 +346,10 @@ def cmd_stability(args) -> int:
         print("no tested fraction reproduces the full-trace topology")
     else:
         print(f"smallest stable fraction: {result.smallest_stable:g}")
-    return EXIT_OK
+    report = result.full_report
+    for warning in report.warnings:
+        log.warning("%s", warning)
+    return EXIT_LOW_CONFIDENCE if report.low_confidence else EXIT_OK
 
 
 def cmd_inspect(args) -> int:

@@ -65,6 +65,9 @@ MAX_RECORD_BYTES = 262_144
 # From frame offset 12: EtherType, then the IPv4 version/IHL byte, flags and
 # fragment offset, protocol, source and destination address.
 _ETH_IPV4 = struct.Struct(">HB5xHxB2xII")
+# The same fields and the two ports behind a 20-byte IPv4 header: frame
+# offsets 12 to 38.
+_ETH_IPV4_PORTS = struct.Struct(">HB5xHxB2xIIHH")
 _PORTS = struct.Struct(">HH")
 
 _IP_PROTO_NAMES = {6: TCP, 17: UDP, 1: ICMP}
@@ -199,6 +202,11 @@ def read_pcap(
     PcapFormatError naming its byte offset.  The counts reach ``stats`` when
     the stream ends or is closed.
 
+    A plain frame, untagged IPv4 with a 20-byte header and no fragment
+    offset carrying TCP or UDP in at least 38 captured bytes, is decoded
+    with one read.  Every other frame takes the general checks, on the
+    fields that read gave where VLAN tags do not move the IPv4 header.
+
     The file is read in ``_CHUNK_BYTES`` pieces into one buffer and parsed
     in place; a record that straddles two pieces is carried over to the
     next.  The buffer holds a chunk and at least one record of the largest
@@ -210,10 +218,11 @@ def read_pcap(
     with open(path, "rb") as fp:
         unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
         fp.seek(start)
+        unpack_frame = _ETH_IPV4_PORTS.unpack_from
         unpack_ipv4 = _ETH_IPV4.unpack_from
         unpack_ports = _PORTS.unpack_from
         proto_names = _IP_PROTO_NAMES
-        names: dict[int, str] = {}  # IPv4 address -> interned dotted quad
+        names = _DottedQuads()
         frames = short = non_ipv4 = fragment = transport = 0
         chunk = _CHUNK_BYTES
         buf = bytearray(max(chunk, 16 + MAX_RECORD_BYTES))
@@ -242,20 +251,46 @@ def read_pcap(
                         break
                     pos = stop
                     frames += 1
-                    if caplen < 34:  # ethernet + minimal IPv4
+                    if caplen >= 38:
+                        ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
+                            buf, frame + 12
+                        )
+                        # Untagged IPv4, a 20-byte header, no fragment offset,
+                        # TCP or UDP: the ports were read with the header.
+                        if (
+                            ethertype == ETHERTYPE_IPV4 and ver_ihl == 0x45 and not frag & 0x1FFF
+                            and (proto_num == 6 or proto_num == 17)
+                        ):
+                            yield PacketRecord(
+                                ts_sec + ts_frac / frac_scale, names[src], src_port, names[dst], dst_port,
+                                TCP if proto_num == 6 else UDP, caplen,
+                            )
+                            continue
+                        ports_at = frame + 34  # where src_port and dst_port were read
+                    elif caplen < 34:  # ethernet + minimal IPv4
                         short += 1
                         continue
-                    ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, frame + 12)
+                    else:
+                        ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, frame + 12)
+                        ports_at = -1  # no ports read
+                    # Every other layout takes the general checks, on the
+                    # fields read above unless VLAN tags move the header.
                     ip = frame + 14
                     if ethertype != ETHERTYPE_IPV4:
                         ip = _untag(buf, frame)
                         if ip < 0:
                             non_ipv4 += 1
                             continue
-                        if stop - ip < 20:
+                        if stop - ip >= 24:
+                            ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
+                                buf, ip - 2
+                            )
+                            ports_at = ip + 20
+                        elif stop - ip >= 20:
+                            ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, ip - 2)
+                        else:
                             short += 1
                             continue
-                        ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, ip - 2)
                     ihl = (ver_ihl & 0x0F) * 4
                     if ver_ihl >> 4 != 4 or ihl < 20:
                         non_ipv4 += 1
@@ -273,19 +308,13 @@ def read_pcap(
                         continue
                     if proto_num == 1:  # ICMP
                         src_port = dst_port = 0
-                    elif stop - l4 < 4:
-                        short += 1
-                        continue
-                    else:
+                    elif l4 != ports_at:
+                        if stop - l4 < 4:
+                            short += 1
+                            continue
                         src_port, dst_port = unpack_ports(buf, l4)
-                    src_ip = names.get(src)
-                    if src_ip is None:
-                        src_ip = names[src] = _dotted_quad(src)
-                    dst_ip = names.get(dst)
-                    if dst_ip is None:
-                        dst_ip = names[dst] = _dotted_quad(dst)
                     yield PacketRecord(
-                        ts_sec + ts_frac / frac_scale, src_ip, src_port, dst_ip, dst_port, proto, caplen
+                        ts_sec + ts_frac / frac_scale, names[src], src_port, names[dst], dst_port, proto, caplen
                     )
             if pos < end:
                 stats.truncated = True
@@ -344,8 +373,12 @@ def _untag(buf: bytearray, frame: int) -> int:
     return -1
 
 
-def _dotted_quad(addr: int) -> str:
-    return sys.intern(f"{addr >> 24}.{(addr >> 16) & 0xFF}.{(addr >> 8) & 0xFF}.{addr & 0xFF}")
+class _DottedQuads(dict):
+    """IPv4 address as an int -> its interned dotted quad, made on first use."""
+
+    def __missing__(self, addr: int) -> str:
+        name = self[addr] = sys.intern(f"{addr >> 24}.{(addr >> 16) & 0xFF}.{(addr >> 8) & 0xFF}.{addr & 0xFF}")
+        return name
 
 
 def read_records(path: str, stats: IngestStats | None = None) -> Iterator[PacketRecord]:

@@ -749,10 +749,15 @@ def test_stability_malformed_last_line_is_exit_2(tmp_path, capsys, caplog):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
 def test_stability_on_an_empty_trace(tmp_path, capsys, caplog, fmt):
+    # Nothing to rank: every fraction matches the empty full-trace topology,
+    # and the exit status says that the topology is low confidence.
     trace = tmp_path / f"empty.{fmt}"
     (write_records if fmt == "jsonl" else write_pcap)([], str(trace))
+    if fmt == "pcap":
+        assert trace.stat().st_size == 24  # the global header alone
     code, out, log = _stability_run(capsys, caplog, str(trace))
-    assert code == EXIT_OK
+    assert code == EXIT_LOW_CONFIDENCE
+    assert "no communication to rank" in log
     assert out.splitlines() == [
         "fraction 0.0001: matches full trace",
         "fraction 0.1: matches full trace",
@@ -761,6 +766,22 @@ def test_stability_on_an_empty_trace(tmp_path, capsys, caplog, fmt):
         "fraction 1: matches full trace",
         "smallest stable fraction: 0.0001",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
+def test_stability_exits_3_where_analyze_does(tmp_path, capsys, caplog, fmt):
+    # 50 UDP records, and the filter drops every packet that is not TCP.
+    records = [
+        PacketRecord(1000.0 + i, "10.0.0.1", 40000, "10.0.0.2", 6000, "udp", 90) for i in range(50)
+    ]
+    trace = tmp_path / f"udp.{fmt}"
+    (write_records if fmt == "jsonl" else write_pcap)(records, str(trace))
+    assert main(["--quiet", "analyze", str(trace), "--filter-ports", "6000"]) == EXIT_LOW_CONFIDENCE
+    capsys.readouterr()
+    code, out, log = _stability_run(capsys, caplog, str(trace), "--filter-ports", "6000")
+    assert code == EXIT_LOW_CONFIDENCE
+    assert "no communication to rank" in log
+    assert out.splitlines()[-1] == "smallest stable fraction: 0.0001"
 
 
 def test_inspect_counts_and_segment_dump(tmp_path, d1, capsys):

@@ -72,6 +72,27 @@ def vlan_tagged(frame, *tpids):
     return frame[:12] + tags + frame[12:]
 
 
+def with_ip_option(frame):
+    """The untagged IPv4 frame with a 4-byte option (three NOPs and an
+    end-of-options byte) after its 20-byte header: IHL 6."""
+    ip = bytearray(frame[14:34])
+    ip[0] += 1
+    struct.pack_into(">H", ip, 2, struct.unpack_from(">H", ip, 2)[0] + 4)
+    return frame[:14] + bytes(ip) + b"\x01\x01\x01\x00" + frame[34:]
+
+
+def rewrite_frames(blob, rewrite):
+    """A little-endian capture with ``rewrite`` applied to every frame."""
+    out = bytearray(blob[:24])
+    off = 24
+    while off < len(blob):
+        sec, frac, caplen, orig_len = struct.unpack_from("<IIII", blob, off)
+        frame = rewrite(blob[off + 16 : off + 16 + caplen])
+        out += struct.pack("<IIII", sec, frac, len(frame), orig_len + len(frame) - caplen) + frame
+        off += 16 + caplen
+    return bytes(out)
+
+
 def pcap_bytes(frames, endian="<", ts0=1000.0, nanosecond=False):
     out = bytearray()
     out += struct.pack(endian + "IHHiIII", 0xA1B23C4D if nanosecond else 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
@@ -279,10 +300,29 @@ def reader_output(path):
 
 
 _STACKED_TAGS = pcap_bytes([vlan_tagged(eth_ipv4_tcp("10.0.0.1", 40000, "10.0.0.2", 502, 60), 0x88A8, 0x8100)])
+# Captures on each edge of the one-read decode of a plain frame.
+_TCP_54 = eth_ipv4_tcp("10.0.0.1", 40000, "10.0.0.2", 502, 54)
+_NEXT = eth_ipv4_tcp("10.0.0.3", 40001, "10.0.0.4", 503, 60)
+# 37 bytes: one byte of the destination port; the next record header follows.
+_TCP_37 = pcap_bytes([_TCP_54[:37], _NEXT])
+_TCP_38 = pcap_bytes([_TCP_54[:38], _NEXT])  # the shortest plain frame
+_TCP_IHL_6 = pcap_bytes([with_ip_option(_TCP_54)])  # the option bytes sit where ports would be
+_ONE_TAG = pcap_bytes([vlan_tagged(_TCP_54, 0x8100)])
+_ICMP_AND_GRE = pcap_bytes([_TCP_54[:23] + bytes([proto]) + _TCP_54[24:] for proto in (1, 47)])
+# A non-first fragment with a 20-byte header: payload where the ports would be.
+_FRAGMENT_IHL_5 = pcap_bytes([eth_ipv4_udp("10.0.0.1", "10.0.0.2", 185, b"\xde\xad\xbe\xef" + b"\x00" * 20)])
+_ARP = pcap_bytes([arp_frame()])  # 60 bytes
 
 
 @given(random_captures(), st.sampled_from([1, 3, 16, 17, 50, ingest._CHUNK_BYTES]))
 @example(_STACKED_TAGS, ingest._CHUNK_BYTES)  # the second tag is stripped too
+@example(_TCP_37, ingest._CHUNK_BYTES)
+@example(_TCP_38, ingest._CHUNK_BYTES)
+@example(_TCP_IHL_6, ingest._CHUNK_BYTES)
+@example(_ONE_TAG, ingest._CHUNK_BYTES)
+@example(_ICMP_AND_GRE, ingest._CHUNK_BYTES)
+@example(_FRAGMENT_IHL_5, ingest._CHUNK_BYTES)
+@example(_ARP, ingest._CHUNK_BYTES)
 def test_read_pcap_matches_reference(tmp_path_factory, blob, chunk):
     path = tmp_path_factory.mktemp("cap") / "random.pcap"
     path.write_bytes(blob)
@@ -320,6 +360,27 @@ def test_read_pcap_mutated_headers_match_reference(tmp_path_factory, blob, chunk
                 reader_output(path)
         else:
             assert reader_output(path) == want
+
+
+def test_read_pcap_reads_tagged_and_optioned_copies_alike(tmp_path):
+    # The plain capture takes the one-read decode; a tag or an IPv4 option in
+    # every frame sends each through the general checks instead.
+    records = list(generate(dataset1_like(duration=300.0, seed=509, fds=4))[0])
+    records[5:5] = [
+        PacketRecord(records[5].ts, "10.0.9.1", 0, "10.0.9.2", 0, "icmp", 74),
+        PacketRecord(records[5].ts, "10.0.9.1", 0, "10.0.9.2", 0, "other", 60),
+    ]
+    plain = tmp_path / "plain.pcap"
+    write_pcap(records, str(plain))
+    want, want_stats = reader_output(plain)
+    assert want_stats["yielded"] == len(records) - 1 and want_stats["transport"] == 1
+    assert {r[5] for r in want} == {"tcp", "udp", "icmp"}
+    for name, rewrite in (("tagged", lambda f: vlan_tagged(f, 0x8100)), ("optioned", with_ip_option)):
+        path = tmp_path / f"{name}.pcap"
+        path.write_bytes(rewrite_frames(plain.read_bytes(), rewrite))
+        got, got_stats = reader_output(path)
+        assert got == [r[:6] + (r[6] + 4,) for r in want], name
+        assert got_stats == want_stats, name
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 16, 33, 100, 250])

@@ -176,6 +176,27 @@ MUTANTS = (
         ("tests/test_ingest.py::test_read_pcap_matches_reference",),
     ),
     Mutant(
+        "plain-frame-any-ihl",
+        "scadascope/ingest.py",
+        "ver_ihl == 0x45",
+        "ver_ihl >> 4 == 4",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
+        "plain-frame-any-fragment",
+        "scadascope/ingest.py",
+        " and not frag & 0x1FFF",
+        "",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
+        "plain-frame-from-34-bytes",
+        "scadascope/ingest.py",
+        "if caplen >= 38:",
+        "if caplen >= 34:",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
         "reorder-window-holds-its-edge",
         "scadascope/ingest.py",
         "while held and high - held[0].ts >= window:",
