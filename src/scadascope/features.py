@@ -157,13 +157,18 @@ def rank(ft_map: Mapping[FtKey, FtCell], profiles: dict[str, DeviceProfile]) -> 
     port_count = {ip: len(prof.own_port_segments) for ip, prof in profiles.items()}
     pairs_as_src: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
     pairs_as_dst: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
+    # The sets share one tuple per device pair.  A tuple per 5-tuple, freed
+    # with the sets, would fill CPython's tuple free list, which only a full
+    # collection empties, and the entries could not reuse that memory.
+    pair_of: dict[tuple[str, str], tuple[str, str]] = {}
     for src_ip, src_port, dst_ip, dst_port, _size in ft_map:
         pair = src_ip, dst_ip
+        pair = pair_of.setdefault(pair, pair)
         pairs_as_src[src_port].add(pair)
         pairs_as_dst[dst_port].add(pair)
     src_use = {port: len(pairs) for port, pairs in pairs_as_src.items()}
     dst_use = {port: len(pairs) for port, pairs in pairs_as_dst.items()}
-    del pairs_as_src, pairs_as_dst  # freed before the entries are built
+    del pairs_as_src, pairs_as_dst, pair_of  # freed before the entries are built
     max_seg = max(key.seg_size for key in ft_map)
 
     groups: dict[tuple[int, ...], SharedFeatures] = {}

@@ -17,11 +17,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from scadascope.features import DeviceProfile, RankedFt, build_device_profiles, rank
 from scadascope.ingest import PacketRecord
-from scadascope.segmentation import DEFAULT_T_COMM, FtCell, FtKey, aggregate_records
+from scadascope.segmentation import DEFAULT_T_COMM, FtCell, FtKey, StreamStats, aggregate_records
 
 log = logging.getLogger(__name__)
-
-PROGRESS_EVERY = 1_000_000
 
 
 class NoScadaFoundError(LookupError):
@@ -285,9 +283,8 @@ def analyze_records(
     """Full pipeline from a time-ordered record stream to a topology report.
 
     ``inference_config`` holds every setting, the default one when absent.
-    Records are counted on the way in, with an INFO log line every
-    ``PROGRESS_EVERY`` records.  The device table is built once and read by
-    both ranking and Algorithm 1.
+    The segmenter counts the records (see ``segment_stream``).  The device
+    table is built once and read by both ranking and Algorithm 1.
 
     ``cutoffs`` are non-decreasing times, none NaN, as ``segment_stream``
     checks.  ``prefix_reports`` then holds one report per cutoff, equal to
@@ -297,35 +294,21 @@ def analyze_records(
     """
     if inference_config is None:
         inference_config = InferenceConfig()
-    count = 0
-    last_ts = None
-
-    def counted():
-        nonlocal count, last_ts
-        every = PROGRESS_EVERY
-        rec = None
-        for count, rec in enumerate(records, 1):
-            if count % every == 0:
-                log.info("processed %d records", count)
-            yield rec
-        if rec is not None:
-            last_ts = rec.ts
-
+    stats = StreamStats()
     prefix_reports: list[TopologyReport] = []
 
     def on_prefix(passed: int, ft_map: dict[FtKey, FtCell]) -> None:
-        # The record that passed the cutoffs is counted but not segmented.
-        report, _ = _analyze_table(ft_map, count - 1, inference_config)
+        report, _ = _analyze_table(ft_map, stats.records, inference_config)
         prefix_reports.extend([report] * passed)
 
-    ft_map = aggregate_records(counted(), inference_config.t_comm, cutoffs, on_prefix)
-    report, ranked = _analyze_table(ft_map, count, inference_config)
+    ft_map = aggregate_records(records, inference_config.t_comm, cutoffs, on_prefix, stats)
+    report, ranked = _analyze_table(ft_map, stats.records, inference_config)
     prefix_reports.extend([report] * (len(cutoffs) - len(prefix_reports)))
     return AnalysisResult(
         report=report,
         ranked=ranked,
-        record_count=count,
-        last_ts=last_ts,
+        record_count=stats.records,
+        last_ts=stats.last_ts,
         prefix_reports=prefix_reports,
     )
 

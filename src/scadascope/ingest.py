@@ -37,6 +37,7 @@ PCAP_MAGIC_BE = 0xD4C3B2A1
 PCAP_MAGIC_NS_LE = 0xA1B23C4D
 PCAP_MAGIC_NS_BE = 0x4D3CB2A1
 ETHERTYPE_IPV4 = 0x0800
+ETHERTYPE_8021Q = 0x8100
 
 # The first four bytes of a capture read little-endian -> (byte order of the
 # file, timestamp fractions per second).
@@ -47,7 +48,7 @@ _PCAP_MAGICS = {
     PCAP_MAGIC_NS_BE: (">", 1e9),
 }
 # 802.1Q and 802.1ad tag protocol identifiers.
-_VLAN_TPIDS = frozenset((0x8100, 0x88A8))
+_VLAN_TPIDS = frozenset((ETHERTYPE_8021Q, 0x88A8))
 
 # How far back in time ``ensure_time_order`` puts a late record in place, in
 # seconds.
@@ -204,8 +205,10 @@ def read_pcap(
 
     A plain frame, untagged IPv4 with a 20-byte header and no fragment
     offset carrying TCP or UDP in at least 38 captured bytes, is decoded
-    with one read.  Every other frame takes the general checks, on the
-    fields that read gave where VLAN tags do not move the IPv4 header.
+    with one read.  So is the same frame behind one 802.1Q tag, in at least
+    42 bytes, with a second read 4 bytes on.  Every other frame takes the
+    general checks, on the fields those reads gave where further VLAN tags
+    do not move the IPv4 header.
 
     The file is read in ``_CHUNK_BYTES`` pieces into one buffer and parsed
     in place; a record that straddles two pieces is carried over to the
@@ -252,11 +255,18 @@ def read_pcap(
                     pos = stop
                     frames += 1
                     if caplen >= 38:
+                        ip = frame + 14
                         ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
                             buf, frame + 12
                         )
-                        # Untagged IPv4, a 20-byte header, no fragment offset,
-                        # TCP or UDP: the ports were read with the header.
+                        if ethertype == ETHERTYPE_8021Q and caplen >= 42:
+                            # One 802.1Q tag: the same fields, 4 bytes on.
+                            ip = frame + 18
+                            ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
+                                buf, frame + 16
+                            )
+                        # IPv4, a 20-byte header, no fragment offset, TCP or
+                        # UDP: the ports were read with the header.
                         if (
                             ethertype == ETHERTYPE_IPV4 and ver_ihl == 0x45 and not frag & 0x1FFF
                             and (proto_num == 6 or proto_num == 17)
@@ -266,16 +276,16 @@ def read_pcap(
                                 TCP if proto_num == 6 else UDP, caplen,
                             )
                             continue
-                        ports_at = frame + 34  # where src_port and dst_port were read
+                        ports_at = ip + 20  # where src_port and dst_port were read
                     elif caplen < 34:  # ethernet + minimal IPv4
                         short += 1
                         continue
                     else:
                         ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, frame + 12)
+                        ip = frame + 14
                         ports_at = -1  # no ports read
                     # Every other layout takes the general checks, on the
-                    # fields read above unless VLAN tags move the header.
-                    ip = frame + 14
+                    # fields read above unless more VLAN tags move the header.
                     if ethertype != ETHERTYPE_IPV4:
                         ip = _untag(buf, frame)
                         if ip < 0:

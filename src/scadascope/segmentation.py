@@ -14,13 +14,19 @@ and dR.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from scadascope.ingest import PacketRecord, compact_json
 
+log = logging.getLogger(__name__)
+
 DEFAULT_T_COMM = 1.0
+
+# ``segment_stream`` logs a progress line every this many records.
+PROGRESS_EVERY = 1_000_000
 
 # The segment layout of the module docstring.
 Segment = tuple[str, int, str, int, int, float, float, int]
@@ -62,17 +68,34 @@ class FtKey(NamedTuple):
     seg_size: int
 
 
+@dataclass
+class StreamStats:
+    """What ``segment_stream`` has read: the records and the last one's time.
+
+    ``records`` counts the records segmented.  It is set before each
+    ``on_cutoff`` call, so it leaves out the record that passed the
+    cutoffs, and again when the stream ends or is closed, when ``last_ts``
+    gets the time of the last record read (None for an empty stream).
+    """
+
+    records: int = 0
+    last_ts: float | None = None
+
+
 def segment_stream(
     records: Iterable[PacketRecord],
     t_comm: float = DEFAULT_T_COMM,
     cutoffs: Iterable[float] = (),
     on_cutoff: Callable[[int, Iterator[Segment]], None] | None = None,
+    stats: StreamStats | None = None,
 ) -> Iterator[Segment]:
     """Split a time-ordered packet stream into communication segments.
 
     A gap >= t_comm to the previous packet on the same conversation closes
     the open segment; every packet lands in exactly one segment.  Open
     segments are flushed at end of stream in first-seen conversation order.
+    Records are counted in ``stats`` (see ``StreamStats``), with an INFO log
+    line every ``PROGRESS_EVERY`` records.
 
     ``cutoffs`` are non-decreasing times, none NaN.  Before the first
     record later than one or more of them is segmented,
@@ -91,6 +114,8 @@ def segment_stream(
     # NaN compares false with everything, so it fails ``a <= b`` too.
     if any(not a <= b for a, b in zip(cutoffs, [*cutoffs[1:], math.inf])):
         raise ValueError(f"cutoffs must be non-decreasing times, none NaN, got {cutoffs}")
+    if stats is None:
+        stats = StreamStats()
     # Both directional (ip, port, ip, port) keys of a conversation map to its
     # open segment: a list in the segment layout that each of its segments
     # reuses in turn.  The endpoints in it are the objects of the
@@ -101,35 +126,46 @@ def segment_stream(
     get = by_key.get
     cuts = iter(cutoffs)
     cut = next(cuts, math.inf)
-    for rec in records:
-        ts = rec.ts
-        if ts > cut:
-            passed = 0
-            while ts > cut:
-                passed += 1
-                cut = next(cuts, math.inf)
-            on_cutoff(passed, map(tuple, open_segs))
-        fwd = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port)
-        seg = get(fwd)
-        if seg is None:
-            seg = [*fwd, rec.size, ts, ts, 1]
-            by_key[fwd] = by_key[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = seg
-            open_segs.append(seg)
-            continue
-        if ts - seg[6] < t_comm:
-            seg[4] += rec.size
-            seg[6] = ts
-            seg[7] += 1
-            continue
-        yield tuple(seg)
-        # The record opens the next segment: its source is the initiator.
-        if rec.src_port != seg[1] or rec.src_ip != seg[0]:
-            seg[:4] = seg[2], seg[3], seg[0], seg[1]
-        seg[4] = rec.size
-        seg[5] = seg[6] = ts
-        seg[7] = 1
-    for seg in open_segs:
-        yield tuple(seg)
+    every = mark = PROGRESS_EVERY
+    count = 0
+    ts = None
+    try:
+        for count, rec in enumerate(records, 1):
+            if count == mark:
+                log.info("processed %d records", count)
+                mark += every
+            ts = rec.ts
+            if ts > cut:
+                passed = 0
+                while ts > cut:
+                    passed += 1
+                    cut = next(cuts, math.inf)
+                stats.records = count - 1
+                on_cutoff(passed, map(tuple, open_segs))
+            fwd = (rec.src_ip, rec.src_port, rec.dst_ip, rec.dst_port)
+            seg = get(fwd)
+            if seg is None:
+                seg = [*fwd, rec.size, ts, ts, 1]
+                by_key[fwd] = by_key[(rec.dst_ip, rec.dst_port, rec.src_ip, rec.src_port)] = seg
+                open_segs.append(seg)
+                continue
+            if ts - seg[6] < t_comm:
+                seg[4] += rec.size
+                seg[6] = ts
+                seg[7] += 1
+                continue
+            yield tuple(seg)
+            # The record opens the next segment: its source is the initiator.
+            if rec.src_port != seg[1] or rec.src_ip != seg[0]:
+                seg[:4] = seg[2], seg[3], seg[0], seg[1]
+            seg[4] = rec.size
+            seg[5] = seg[6] = ts
+            seg[7] = 1
+        for seg in open_segs:
+            yield tuple(seg)
+    finally:
+        stats.records = count
+        stats.last_ts = ts
 
 
 @dataclass(slots=True)
@@ -238,12 +274,13 @@ def _insert(segments: Iterable[Segment], table: dict[FtKey, FtCell]) -> None:
     """
     get = table.get
     for seg in segments:
-        # The key is built once per 5-tuple.
+        # The key is built once per 5-tuple, in C: ``FtKey._make`` would
+        # add a Python call.
         ft = seg[:5]
         start = seg[5]
         cell = get(ft)
         if cell is None:
-            table[FtKey._make(ft)] = FtCell(start)
+            table[tuple.__new__(FtKey, ft)] = FtCell(start)
             continue
         gap = start - cell.last
         cell.last = start
@@ -294,8 +331,12 @@ def aggregate_records(
     t_comm: float = DEFAULT_T_COMM,
     cutoffs: Sequence[float] = (),
     on_prefix: Callable[[int, dict[FtKey, FtCell]], None] | None = None,
+    stats: StreamStats | None = None,
 ) -> dict[FtKey, FtCell]:
     """Segment and aggregate a time-ordered record stream in one pass.
+
+    ``stats`` counts the records as ``segment_stream`` does; during an
+    ``on_prefix`` call it counts those of the prefix.
 
     ``cutoffs`` are non-decreasing times, none NaN, as ``segment_stream``
     checks; they need ``on_prefix``.  Where the stream first passes one or
@@ -325,4 +366,4 @@ def aggregate_records(
         _insert(flushed, prefix)
         on_prefix(passed, prefix)
 
-    return aggregate_ft(segment_stream(records, t_comm, cutoffs, on_cutoff), table)
+    return aggregate_ft(segment_stream(records, t_comm, cutoffs, on_cutoff, stats), table)

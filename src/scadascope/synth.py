@@ -414,6 +414,9 @@ def generate(config: ScenarioConfig) -> tuple[Iterator[PacketRecord], GroundTrut
         while heap:
             t_us, _, item = heappop(heap)
             if t_us > duration_us:
+                # The events due after the end go now; the sources' closures
+                # refer to themselves and stay until a collection.
+                heap.clear()
                 return
             if type(item) is not tuple:
                 item = item(t_us)

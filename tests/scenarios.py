@@ -60,6 +60,11 @@ def dataset1_like(duration: float = 86400.0, seed: int = 101, fds: int = 49) -> 
     return config
 
 
+def churn_like(duration: float = 1800.0, seed: int = 505) -> ScenarioConfig:
+    """The benchmark's churn scenario: the master reconnects 720 times a day, so the 5-tuple table grows."""
+    return _benchmark_scenario("churn", duration, seed)
+
+
 def dataset2_like(duration: float = 21600.0, seed: int = 202) -> ScenarioConfig:
     """Two proprietary protocols sharing one master, two layers."""
     return ScenarioConfig(

@@ -30,7 +30,7 @@ from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_pa
 from scadascope.segmentation import FtCell
 from scadascope.synth import generate, load_scenario, write_pcap, write_records
 
-from scenarios import SCENARIO_DIR, dataset1_like, dataset2_like, office_like
+from scenarios import SCENARIO_DIR, churn_like, dataset1_like, dataset2_like, office_like
 
 
 @pytest.fixture(scope="module")
@@ -924,7 +924,7 @@ def test_progress_line_and_quiet(tmp_path, quiet):
     count = write_records(records, str(trace))
     argv = (["--quiet"] if quiet else []) + ["analyze", str(trace), "--out", str(tmp_path / "r.json")]
     script = (
-        "import sys; import scadascope.inference as inference; inference.PROGRESS_EVERY = 300; "
+        "import sys; import scadascope.segmentation as segmentation; segmentation.PROGRESS_EVERY = 300; "
         f"from scadascope.cli import main; sys.exit(main({argv!r}))"
     )
     src = str(Path(scadascope.__file__).resolve().parents[1])
@@ -933,7 +933,7 @@ def test_progress_line_and_quiet(tmp_path, quiet):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     lines = [line for line in proc.stderr.splitlines() if "processed" in line]
-    expected = [f"INFO scadascope.inference: processed {n} records" for n in range(300, count + 1, 300)]
+    expected = [f"INFO scadascope.segmentation: processed {n} records" for n in range(300, count + 1, 300)]
     assert len(expected) >= 2
     assert lines == ([] if quiet else expected)
 
@@ -1002,6 +1002,125 @@ def test_analyze_collects_fully_between_the_release_and_the_hash(tmp_path, d1, m
         if enabled:
             gc.enable()
     assert events == ["analyzed", "full-collection", "hash(alive=0)"]
+
+
+@pytest.fixture(scope="module")
+def churn_traces(tmp_path_factory):
+    """The churn scenario at a length and at four times it: as JSON lines and
+    pcap, and its scenario file, ground truth and ``analyze`` report."""
+    root = tmp_path_factory.mktemp("churn")
+    traces = {}
+    for length, duration in (("short", 150.0), ("long", 600.0)):
+        config = churn_like(duration)
+        for fmt, write in (("jsonl", write_records), ("pcap", write_pcap)):
+            path = root / f"{length}.{fmt}"
+            write(generate(config)[0], str(path))
+            traces[length, fmt] = path
+        traces[length, "scenario"] = root / f"{length}.scenario.json"
+        traces[length, "scenario"].write_text(json.dumps(asdict(config)))
+        traces[length, "truth"] = root / f"{length}.truth.json"
+        traces[length, "truth"].write_text(json.dumps(generate(config)[1].to_dict()))
+        traces[length, "report"] = root / f"{length}.report.json"
+        code = main(["--quiet", "analyze", str(traces[length, "pcap"]), "--out", str(traces[length, "report"])])
+        assert code in (EXIT_OK, EXIT_LOW_CONFIDENCE)
+    return traces
+
+
+# The unreachable objects a fresh interpreter finds when ``main(argv)`` has
+# run with the collector off, by type.  DEBUG_SAVEALL keeps them in
+# gc.garbage, where they can be counted, instead of freeing them.
+_GARBAGE_SCRIPT = """
+import collections, gc, json, sys
+from scadascope.cli import main
+gc.collect()
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+code = main(json.loads(sys.argv[1]))
+gc.collect()
+print(json.dumps([code, sorted(collections.Counter(type(obj).__qualname__ for obj in gc.garbage).items())]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args,most",
+    [
+        (["analyze", "{pcap}", "--filter-ports", "6000", "--dot", "{out}.dot", "--out", "{out}.json"], 1000),
+        (["rank", "{jsonl}"], 1000),
+        (["stability", "{pcap}"], 1000),
+        (["stability", "{jsonl}", "--force-sort"], 1000),
+        (["inspect", "{jsonl}", "--dump-segments", "{out}.segments"], 1000),
+        # The generator's sources are closures that refer to themselves: a
+        # fixed number per scenario, whatever its duration.
+        (["synth", "--scenario", "{scenario}", "--out", "{out}.jsonl", "--pcap", "{out}.pcap", "--truth", "{out}.truth"],
+         5000),
+        (["eval", "--report", "{report}", "--truth", "{truth}"], 1000),
+    ],
+    ids=["analyze-pcap", "rank-jsonl", "stability-pcap", "stability-force-sort-jsonl", "inspect-jsonl", "synth", "eval"],
+)
+def test_no_command_makes_cyclic_garbage_that_grows_with_the_trace(tmp_path, churn_traces, args, most):
+    # Commands run with the collector off (see ``main``), which is safe only
+    # while the cycles they leave behind do not grow with the trace: today
+    # argparse's parser graph, in analyze one JSONEncoder closure, and in
+    # synth the generator's sources.
+    src = str(Path(scadascope.__file__).resolve().parents[1])
+    garbage = {}
+    for length in ("short", "long"):
+        paths = {kind: str(path) for (at, kind), path in churn_traces.items() if at == length}
+        argv = ["--quiet", *(a.format(out=str(tmp_path / length), **paths) for a in args)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _GARBAGE_SCRIPT, json.dumps(argv)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, garbage[length] = json.loads(proc.stdout.splitlines()[-1])
+        assert code == EXIT_OK, proc.stderr
+    assert garbage["short"] == garbage["long"]
+    assert sum(n for _, n in garbage["long"]) < most
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, d1, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["--quiet", "inspect", str(d1["trace"])]) == EXIT_OK
+        assert gc.isenabled() is enabled
+        assert main(["--quiet", "inspect", str(tmp_path / "missing.jsonl")]) == EXIT_INPUT_ERROR
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_stability_runs_no_automatic_collection(churn_traces, monkeypatch):
+    # stability makes no explicit collection, so any collection while it
+    # runs is an automatic one, which the collector being off rules out.
+    collections = []
+    running = False
+    stability = cli.cmd_stability
+
+    def watched(args):
+        nonlocal running
+        running = True
+        try:
+            return stability(args)
+        finally:
+            running = False
+
+    def collecting(phase, info):
+        if phase == "start" and running:
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(cli, "cmd_stability", watched)
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(collecting)
+    try:
+        assert main(["--quiet", "stability", str(churn_traces["long", "pcap"])]) == EXIT_OK
+    finally:
+        gc.callbacks.remove(collecting)
+        if not was:
+            gc.disable()
+    assert collections == []
 
 
 def test_input_hash_holds_one_buffer(tmp_path):

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scadascope import inference
+from scadascope import inference, segmentation
 from scadascope.features import RankedFt, SharedFeatures, rank
 from scadascope.inference import (
     InferenceConfig,
@@ -370,8 +370,8 @@ def test_algorithm_deterministic():
 def test_record_count_matches_input(caplog, monkeypatch):
     config = dataset1_like(duration=300.0, seed=311, fds=3)
     records = list(generate(config)[0])
-    monkeypatch.setattr(inference, "PROGRESS_EVERY", 300)
-    with caplog.at_level(logging.INFO, logger="scadascope.inference"):
+    monkeypatch.setattr(segmentation, "PROGRESS_EVERY", 300)
+    with caplog.at_level(logging.INFO, logger="scadascope.segmentation"):
         result = analyze_records(iter(records))
     assert result.record_count == len(records) == result.report.metrics["records"]
     progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("processed")]

@@ -308,10 +308,24 @@ _TCP_37 = pcap_bytes([_TCP_54[:37], _NEXT])
 _TCP_38 = pcap_bytes([_TCP_54[:38], _NEXT])  # the shortest plain frame
 _TCP_IHL_6 = pcap_bytes([with_ip_option(_TCP_54)])  # the option bytes sit where ports would be
 _ONE_TAG = pcap_bytes([vlan_tagged(_TCP_54, 0x8100)])
-_ICMP_AND_GRE = pcap_bytes([_TCP_54[:23] + bytes([proto]) + _TCP_54[24:] for proto in (1, 47)])
+_ICMP_AND_GRE_FRAMES = [_TCP_54[:23] + bytes([proto]) + _TCP_54[24:] for proto in (1, 47)]
+_ICMP_AND_GRE = pcap_bytes(_ICMP_AND_GRE_FRAMES)
 # A non-first fragment with a 20-byte header: payload where the ports would be.
-_FRAGMENT_IHL_5 = pcap_bytes([eth_ipv4_udp("10.0.0.1", "10.0.0.2", 185, b"\xde\xad\xbe\xef" + b"\x00" * 20)])
+_FRAGMENT_FRAME = eth_ipv4_udp("10.0.0.1", "10.0.0.2", 185, b"\xde\xad\xbe\xef" + b"\x00" * 20)
+_FRAGMENT_IHL_5 = pcap_bytes([_FRAGMENT_FRAME])
 _ARP = pcap_bytes([arp_frame()])  # 60 bytes
+# And on each edge of the one-read decode behind one 802.1Q tag.
+_TAGGED_TCP_58 = vlan_tagged(_TCP_54, 0x8100)
+_TAGGED_41 = pcap_bytes([_TAGGED_TCP_58[:41], _NEXT])  # one byte of the destination port
+_TAGGED_42 = pcap_bytes([_TAGGED_TCP_58[:42], _NEXT])  # the shortest tagged plain frame
+_UDP_DONT_FRAGMENT = eth_ipv4_udp("10.0.0.1", "10.0.0.2", 0x4000, struct.pack(">HHHH", 40000, 502, 8, 0))
+_TAGGED_UDP = pcap_bytes([vlan_tagged(_UDP_DONT_FRAGMENT, 0x8100)])
+_TAGGED_IHL_6 = pcap_bytes([vlan_tagged(with_ip_option(_TCP_54), 0x8100)])
+_TAGGED_ICMP_AND_GRE = pcap_bytes([vlan_tagged(frame, 0x8100) for frame in _ICMP_AND_GRE_FRAMES])
+_TAGGED_FRAGMENT_IHL_5 = pcap_bytes([vlan_tagged(_FRAGMENT_FRAME, 0x8100)])
+_TAGGED_ARP = pcap_bytes([vlan_tagged(arp_frame(), 0x8100)])
+# An 802.1ad outer tag, and two 802.1Q tags: both take the general checks.
+_OTHER_TAGS = pcap_bytes([vlan_tagged(_TCP_54, 0x88A8), vlan_tagged(_TCP_54, 0x8100, 0x8100)])
 
 
 @given(random_captures(), st.sampled_from([1, 3, 16, 17, 50, ingest._CHUNK_BYTES]))
@@ -323,6 +337,14 @@ _ARP = pcap_bytes([arp_frame()])  # 60 bytes
 @example(_ICMP_AND_GRE, ingest._CHUNK_BYTES)
 @example(_FRAGMENT_IHL_5, ingest._CHUNK_BYTES)
 @example(_ARP, ingest._CHUNK_BYTES)
+@example(_TAGGED_41, ingest._CHUNK_BYTES)
+@example(_TAGGED_42, ingest._CHUNK_BYTES)
+@example(_TAGGED_UDP, ingest._CHUNK_BYTES)
+@example(_TAGGED_IHL_6, ingest._CHUNK_BYTES)
+@example(_TAGGED_ICMP_AND_GRE, ingest._CHUNK_BYTES)
+@example(_TAGGED_FRAGMENT_IHL_5, ingest._CHUNK_BYTES)
+@example(_TAGGED_ARP, ingest._CHUNK_BYTES)
+@example(_OTHER_TAGS, ingest._CHUNK_BYTES)
 def test_read_pcap_matches_reference(tmp_path_factory, blob, chunk):
     path = tmp_path_factory.mktemp("cap") / "random.pcap"
     path.write_bytes(blob)

@@ -17,6 +17,7 @@ from scadascope.ingest import PacketRecord
 from scadascope.segmentation import (
     FtCell,
     FtKey,
+    StreamStats,
     aggregate_ft,
     aggregate_records,
     segment_stream,
@@ -87,6 +88,24 @@ def test_cutoffs_need_their_callback():
         list(segment_stream(records, 1.0, cutoffs=[1.0]))
     with pytest.raises(ValueError, match="on_prefix"):
         aggregate_records(records, 1.0, cutoffs=[1.0])
+
+
+def test_stream_stats_count_the_records_segmented():
+    # Before each cutoff callback, the records before the one that passed the
+    # cutoffs; at the end, every record and the last one's time.
+    stats = StreamStats()
+    seen = []
+    packets = [pkt(t) for t in (0.0, 0.5, 2.0, 3.0)]
+
+    def on_cutoff(passed, open_segments):
+        seen.append(stats.records)
+
+    segs = list(segment_stream(packets, cutoffs=[1.0, 2.5], on_cutoff=on_cutoff, stats=stats))
+    assert len(segs) == 3 and seen == [2, 3]
+    assert (stats.records, stats.last_ts) == (4, 3.0)
+    empty = StreamStats()
+    assert list(segment_stream([], stats=empty)) == []
+    assert (empty.records, empty.last_ts) == (0, None)
 
 
 def test_oracle_equivalence_on_synth_trace():

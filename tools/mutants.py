@@ -153,8 +153,8 @@ MUTANTS = (
     Mutant(
         "prefix-cutoff-takes-equal-time",
         "scadascope/segmentation.py",
-        "        if ts > cut:\n            passed = 0\n            while ts > cut:\n",
-        "        if ts >= cut:\n            passed = 0\n            while ts >= cut:\n",
+        "            if ts > cut:\n                passed = 0\n                while ts > cut:\n",
+        "            if ts >= cut:\n                passed = 0\n                while ts >= cut:\n",
         (
             "tests/test_segmentation.py::test_aggregate_records_prefix_tables_match_reruns",
             "tests/test_inference.py::test_prefix_stability_matches_prefix_reruns",
@@ -197,6 +197,20 @@ MUTANTS = (
         ("tests/test_ingest.py::test_read_pcap_matches_reference",),
     ),
     Mutant(
+        "tagged-frame-header-untagged",
+        "scadascope/ingest.py",
+        "ip = frame + 18",
+        "ip = frame + 14",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
+        "tagged-frame-from-38-bytes",
+        "scadascope/ingest.py",
+        "if ethertype == ETHERTYPE_8021Q and caplen >= 42:",
+        "if ethertype == ETHERTYPE_8021Q and caplen >= 38:",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
         "reorder-window-holds-its-edge",
         "scadascope/ingest.py",
         "while held and high - held[0].ts >= window:",
@@ -219,7 +233,7 @@ MUTANTS = (
     ),
     Mutant(
         "progress-line-dropped",
-        "scadascope/inference.py",
+        "scadascope/segmentation.py",
         '                log.info("processed %d records", count)\n',
         "                pass\n",
         (
@@ -326,6 +340,13 @@ MUTANTS = (
         "    gc.collect()\n",
         "",
         _RELEASE_BEFORE_HASH,
+    ),
+    Mutant(
+        "collector-left-on",
+        "scadascope/cli.py",
+        "    gc.disable()\n",
+        "",
+        ("tests/test_cli.py::test_stability_runs_no_automatic_collection",),
     ),
     Mutant(
         "hash-before-release",
