@@ -63,11 +63,11 @@ _TAIL_BYTES = 1 << 16
 # The largest captured length a pcap record may claim: libpcap's maximum
 # snapshot length for Ethernet, above which it refuses a record as invalid.
 MAX_RECORD_BYTES = 262_144
-# From frame offset 12: EtherType, then the IPv4 version/IHL byte, flags and
-# fragment offset, protocol, source and destination address.
-_ETH_IPV4 = struct.Struct(">HB5xHxB2xII")
-# The same fields and the two ports behind a 20-byte IPv4 header: frame
-# offsets 12 to 38.
+# A 20-byte IPv4 header: the version/IHL byte, flags and fragment offset,
+# protocol, source and destination address.
+_IPV4 = struct.Struct(">B5xHxB2xII")
+# From frame offset 12: the EtherType, the same fields and the two ports
+# behind a 20-byte IPv4 header, to frame offset 38.
 _ETH_IPV4_PORTS = struct.Struct(">HB5xHxB2xIIHH")
 _PORTS = struct.Struct(">HH")
 
@@ -203,12 +203,12 @@ def read_pcap(
     PcapFormatError naming its byte offset.  The counts reach ``stats`` when
     the stream ends or is closed.
 
-    A plain frame, untagged IPv4 with a 20-byte header and no fragment
-    offset carrying TCP or UDP in at least 38 captured bytes, is decoded
-    with one read.  So is the same frame behind one 802.1Q tag, in at least
-    42 bytes, with a second read 4 bytes on.  Every other frame takes the
-    general checks, on the fields those reads gave where further VLAN tags
-    do not move the IPv4 header.
+    There are two decode paths.  A plain frame, untagged IPv4 with a 20-byte
+    header and no fragment offset carrying TCP or UDP in at least 38
+    captured bytes, is decoded with one read.  So is the same frame behind
+    one 802.1Q tag, in at least 42 bytes, with a second read 4 bytes on.
+    Every other frame takes the general checks, which read its IPv4 header
+    once, wherever the VLAN tags put it, and then its ports.
 
     The file is read in ``_CHUNK_BYTES`` pieces into one buffer and parsed
     in place; a record that straddles two pieces is carried over to the
@@ -222,7 +222,7 @@ def read_pcap(
         unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
         fp.seek(start)
         unpack_frame = _ETH_IPV4_PORTS.unpack_from
-        unpack_ipv4 = _ETH_IPV4.unpack_from
+        unpack_ipv4 = _IPV4.unpack_from
         unpack_ports = _PORTS.unpack_from
         proto_names = _IP_PROTO_NAMES
         names = _DottedQuads()
@@ -255,13 +255,11 @@ def read_pcap(
                     pos = stop
                     frames += 1
                     if caplen >= 38:
-                        ip = frame + 14
                         ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
                             buf, frame + 12
                         )
                         if ethertype == ETHERTYPE_8021Q and caplen >= 42:
                             # One 802.1Q tag: the same fields, 4 bytes on.
-                            ip = frame + 18
                             ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
                                 buf, frame + 16
                             )
@@ -276,31 +274,21 @@ def read_pcap(
                                 TCP if proto_num == 6 else UDP, caplen,
                             )
                             continue
-                        ports_at = ip + 20  # where src_port and dst_port were read
-                    elif caplen < 34:  # ethernet + minimal IPv4
+                    # Every other frame takes the general checks, read from its
+                    # own bytes.
+                    if caplen < 34:  # ethernet + minimal IPv4
                         short += 1
                         continue
-                    else:
-                        ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, frame + 12)
-                        ip = frame + 14
-                        ports_at = -1  # no ports read
-                    # Every other layout takes the general checks, on the
-                    # fields read above unless more VLAN tags move the header.
-                    if ethertype != ETHERTYPE_IPV4:
+                    ip = frame + 14
+                    if (buf[frame + 12] << 8) | buf[frame + 13] != ETHERTYPE_IPV4:
                         ip = _untag(buf, frame)
                         if ip < 0:
                             non_ipv4 += 1
                             continue
-                        if stop - ip >= 24:
-                            ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
-                                buf, ip - 2
-                            )
-                            ports_at = ip + 20
-                        elif stop - ip >= 20:
-                            ethertype, ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, ip - 2)
-                        else:
-                            short += 1
-                            continue
+                    if stop - ip < 20:
+                        short += 1
+                        continue
+                    ver_ihl, frag, proto_num, src, dst = unpack_ipv4(buf, ip)
                     ihl = (ver_ihl & 0x0F) * 4
                     if ver_ihl >> 4 != 4 or ihl < 20:
                         non_ipv4 += 1
@@ -318,10 +306,10 @@ def read_pcap(
                         continue
                     if proto_num == 1:  # ICMP
                         src_port = dst_port = 0
-                    elif l4 != ports_at:
-                        if stop - l4 < 4:
-                            short += 1
-                            continue
+                    elif stop - l4 < 4:
+                        short += 1
+                        continue
+                    else:
                         src_port, dst_port = unpack_ports(buf, l4)
                     yield PacketRecord(
                         ts_sec + ts_frac / frac_scale, names[src], src_port, names[dst], dst_port, proto, caplen

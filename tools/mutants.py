@@ -197,17 +197,17 @@ MUTANTS = (
         ("tests/test_ingest.py::test_read_pcap_matches_reference",),
     ),
     Mutant(
-        "tagged-frame-header-untagged",
-        "scadascope/ingest.py",
-        "ip = frame + 18",
-        "ip = frame + 14",
-        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
-    ),
-    Mutant(
         "tagged-frame-from-38-bytes",
         "scadascope/ingest.py",
         "if ethertype == ETHERTYPE_8021Q and caplen >= 42:",
         "if ethertype == ETHERTYPE_8021Q and caplen >= 38:",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
+        "general-ports-behind-20-bytes",
+        "scadascope/ingest.py",
+        "unpack_ports(buf, l4)",
+        "unpack_ports(buf, ip + 20)",
         ("tests/test_ingest.py::test_read_pcap_matches_reference",),
     ),
     Mutant(
