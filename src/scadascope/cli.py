@@ -396,6 +396,8 @@ def cmd_inspect(args) -> int:
     if stats.skipped:
         print(f"skipped frames: {stats.skipped}")
         print("skip reasons: " + ", ".join(f"{r} {getattr(stats, r)}" for r in ingest.SKIP_REASONS))
+    if stats.snapped:
+        print(f"snapped frames: {stats.snapped}")
     print(f"devices: {len(ips)}, distinct ports: {len(ports)}")
     print(f"transports: {json.dumps(protos, sort_keys=True)}")
     if first is not None:

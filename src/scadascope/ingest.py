@@ -62,6 +62,8 @@ _CHUNK_BYTES = 1 << 20
 _TAIL_BYTES = 1 << 16
 # The largest captured length a pcap record may claim: libpcap's maximum
 # snapshot length for Ethernet, above which it refuses a record as invalid.
+# The reader bounds the wire length by it too, so that a corrupt one cannot
+# become a segment size that flattens every other 5-tuple's sR.
 MAX_RECORD_BYTES = 262_144
 # A 20-byte IPv4 header: the version/IHL byte, flags and fragment offset,
 # protocol, source and destination address.
@@ -108,7 +110,7 @@ class OutOfOrderError(ValueError):
 
 @dataclass(slots=True)
 class PacketRecord:
-    """One captured packet: time, endpoints, transport, captured byte size."""
+    """One captured packet: time, endpoints, transport, byte size on the wire."""
 
     ts: float
     src_ip: str
@@ -164,6 +166,8 @@ SKIP_REASONS = ("short", "non_ipv4", "fragment", "transport")
 class IngestStats:
     """Counters filled in while reading a capture.
 
+    ``snapped`` counts the frames captured short of their wire length, as a
+    capture with a snapshot length cuts them; they are read all the same.
     ``skipped`` is the total of the frames skipped for each reason:
     ``short``, too few captured bytes for the Ethernet and IPv4 headers, the
     IPv4 options or the TCP/UDP ports; ``non_ipv4``, another EtherType
@@ -176,6 +180,7 @@ class IngestStats:
     yielded: int = 0
     skipped: int = 0
     truncated: bool = False
+    snapped: int = 0
     short: int = 0
     non_ipv4: int = 0
     fragment: int = 0
@@ -193,15 +198,18 @@ def read_pcap(
 ) -> Iterator[PacketRecord]:
     """Yield one PacketRecord per TCP/UDP/ICMP packet with an IPv4 header.
 
-    ``size`` is the captured length from the pcap record header (frame
-    bytes, link layer included).  Up to two 802.1Q/802.1ad VLAN tags in
-    front of the IPv4 header are stripped.  Every other frame is counted in
-    ``stats.skipped`` and under its reason (see ``IngestStats``); that
-    includes non-first IPv4 fragments (non-zero fragment offset, so no
-    ports).  A truncated trailing record ends the stream cleanly with a
-    warning.  A record claiming more than ``MAX_RECORD_BYTES`` raises
-    PcapFormatError naming its byte offset.  The counts reach ``stats`` when
-    the stream ends or is closed.
+    ``size`` is the wire length (``orig_len`` in the pcap record header)
+    from the IPv4 header on, plus 14 for an untagged Ethernet header: an
+    untagged frame's whole wire length, so a frame cut short by a snapshot
+    length keeps its size, and a VLAN tag adds nothing.  Up to two
+    802.1Q/802.1ad VLAN tags in front of the IPv4 header are stripped.
+    Every other frame is counted in ``stats.skipped`` and under its reason
+    (see ``IngestStats``); that includes non-first IPv4 fragments (non-zero
+    fragment offset, so no ports).  A truncated trailing record ends the
+    stream cleanly with a warning.  A record claiming more than
+    ``MAX_RECORD_BYTES`` captured or wire bytes, or a wire length below its
+    captured length, raises PcapFormatError naming its byte offset.  The
+    counts reach ``stats`` when the stream ends or is closed.
 
     There are two decode paths.  A plain frame, untagged IPv4 with a 20-byte
     header and no fragment offset carrying TCP or UDP in at least 38
@@ -226,7 +234,7 @@ def read_pcap(
         unpack_ports = _PORTS.unpack_from
         proto_names = _IP_PROTO_NAMES
         names = _DottedQuads()
-        frames = short = non_ipv4 = fragment = transport = 0
+        frames = snapped = short = non_ipv4 = fragment = transport = 0
         chunk = _CHUNK_BYTES
         buf = bytearray(max(chunk, 16 + MAX_RECORD_BYTES))
         pos = end = 0  # next unread byte, end of the bytes read
@@ -242,24 +250,25 @@ def read_pcap(
                 while True:
                     if end - pos < 16:
                         break
-                    ts_sec, ts_frac, caplen, _orig_len = unpack_record(buf, pos)
-                    if caplen > MAX_RECORD_BYTES:
-                        raise PcapFormatError(
-                            f"{path}: record at byte offset {fp.tell() - end + pos} claims "
-                            f"{caplen} bytes, above the {MAX_RECORD_BYTES}-byte limit"
-                        )
+                    ts_sec, ts_frac, caplen, orig_len = unpack_record(buf, pos)
+                    if orig_len > MAX_RECORD_BYTES or caplen > orig_len:
+                        raise _refused_record(path, fp.tell() - end + pos, caplen, orig_len)
                     frame = pos + 16
                     stop = frame + caplen
                     if stop > end:
                         break
                     pos = stop
                     frames += 1
+                    if caplen < orig_len:
+                        snapped += 1
                     if caplen >= 38:
+                        size = orig_len
                         ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
                             buf, frame + 12
                         )
                         if ethertype == ETHERTYPE_8021Q and caplen >= 42:
                             # One 802.1Q tag: the same fields, 4 bytes on.
+                            size = orig_len - 4
                             ethertype, ver_ihl, frag, proto_num, src, dst, src_port, dst_port = unpack_frame(
                                 buf, frame + 16
                             )
@@ -271,7 +280,7 @@ def read_pcap(
                         ):
                             yield PacketRecord(
                                 ts_sec + ts_frac / frac_scale, names[src], src_port, names[dst], dst_port,
-                                TCP if proto_num == 6 else UDP, caplen,
+                                TCP if proto_num == 6 else UDP, size,
                             )
                             continue
                     # Every other frame takes the general checks, read from its
@@ -312,7 +321,8 @@ def read_pcap(
                     else:
                         src_port, dst_port = unpack_ports(buf, l4)
                     yield PacketRecord(
-                        ts_sec + ts_frac / frac_scale, names[src], src_port, names[dst], dst_port, proto, caplen
+                        ts_sec + ts_frac / frac_scale, names[src], src_port, names[dst], dst_port, proto,
+                        orig_len - (ip - frame) + 14,
                     )
             if pos < end:
                 stats.truncated = True
@@ -327,6 +337,7 @@ def read_pcap(
             # Every complete frame is yielded or skipped for exactly one reason.
             skipped = short + non_ipv4 + fragment + transport
             stats.frames += frames
+            stats.snapped += snapped
             stats.yielded += frames - skipped
             stats.short += short
             stats.non_ipv4 += non_ipv4
@@ -353,6 +364,21 @@ def _pcap_layout(path: str, header: bytes) -> tuple[Callable, float]:
     if link_type != 1:
         raise PcapFormatError(f"{path}: unsupported link-layer type {link_type}")
     return struct.Struct(endian + "IIII").unpack_from, frac_scale
+
+
+def _refused_record(path: str, offset: int, caplen: int, orig_len: int) -> PcapFormatError:
+    """The error for the record at ``offset`` whose captured length
+    ``caplen`` or wire length ``orig_len`` the reader refuses, worded for the
+    first of these that holds: ``caplen`` above ``MAX_RECORD_BYTES``,
+    ``orig_len`` below ``caplen``, ``orig_len`` above ``MAX_RECORD_BYTES``."""
+    where = f"{path}: record at byte offset {offset}"
+    if caplen > MAX_RECORD_BYTES:
+        return PcapFormatError(f"{where} claims {caplen} bytes, above the {MAX_RECORD_BYTES}-byte limit")
+    if orig_len < caplen:
+        return PcapFormatError(f"{where} has wire length {orig_len} below its captured length {caplen}")
+    return PcapFormatError(
+        f"{where} claims a wire length of {orig_len} bytes, above the {MAX_RECORD_BYTES}-byte limit"
+    )
 
 
 def _untag(buf: bytearray, frame: int) -> int:
@@ -673,8 +699,8 @@ def _pcap_tail(path: str) -> tuple[int, float | None]:
     frame earlier than T lies before it too.  The walk marks record-setting
     frames at least a window apart and keeps the last three marks, which
     include the last one earlier than the latest frame time less a window
-    when there is one.  It stops at a record longer than
-    ``MAX_RECORD_BYTES``, where the reader raises.
+    when there is one.  It stops at a record whose lengths the reader
+    refuses, where the reader raises.
     """
     with open(path, "rb") as fp:
         unpack_record, frac_scale = _pcap_layout(path, fp.read(24))
@@ -691,8 +717,8 @@ def _pcap_tail(path: str) -> tuple[int, float | None]:
                 i, size = 0, len(buf)
                 if size < 16:
                     break
-            ts_sec, ts_frac, caplen, _orig_len = unpack_record(buf, i)
-            if caplen > MAX_RECORD_BYTES:
+            ts_sec, ts_frac, caplen, orig_len = unpack_record(buf, i)
+            if orig_len > MAX_RECORD_BYTES or caplen > orig_len:
                 break
             ts = ts_sec + ts_frac / frac_scale
             if ts > latest:

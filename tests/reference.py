@@ -42,11 +42,13 @@ _REF_PCAP_FORMATS = {
 }
 
 
-def ref_parse_frame(data, ts, caplen):
+def ref_parse_frame(data, ts, wire_len):
     """One Ethernet frame -> (ts, src_ip, src_port, dst_ip, dst_port, proto, size),
     or the reason it is skipped, by slicing copies of the frame.
 
     Up to two VLAN tags (0x8100, 0x88a8) are stripped; ICMP has ports 0.
+    ``size`` is the frame's wire length less its VLAN tags: the bytes on the
+    wire from the IPv4 header on, plus a 14-byte Ethernet header.
     """
     if len(data) < 34:  # ethernet + minimal IPv4
         return "short"
@@ -83,7 +85,7 @@ def ref_parse_frame(data, ts, caplen):
             return "short"
         src_port = (l4[0] << 8) | l4[1]
         dst_port = (l4[2] << 8) | l4[3]
-    return (ts, src_ip, src_port, dst_ip, dst_port, proto, caplen)
+    return (ts, src_ip, src_port, dst_ip, dst_port, proto, wire_len - (l2 - 14))
 
 
 def ref_read_pcap(blob):
@@ -91,8 +93,9 @@ def ref_read_pcap(blob):
     a whole capture held in memory, with the names of ``IngestStats``.
 
     A bad magic, a link type other than Ethernet, or a record claiming more
-    than ``REF_MAX_RECORD_BYTES`` raises RefPcapFormatError, worded as the
-    library words it.
+    than ``REF_MAX_RECORD_BYTES`` captured bytes, a wire length below its
+    captured length or more than ``REF_MAX_RECORD_BYTES`` wire bytes raises
+    RefPcapFormatError, worded as the library words it.
     """
     if blob[:4] not in _REF_PCAP_FORMATS:
         raise RefPcapFormatError(f"bad magic 0x{int.from_bytes(blob[:4], 'little'):08x}")
@@ -100,7 +103,7 @@ def ref_read_pcap(blob):
     link_type = struct.unpack(endian + "I", blob[20:24])[0]
     if link_type != 1:
         raise RefPcapFormatError(f"unsupported link-layer type {link_type}")
-    counts = {"frames": 0, "yielded": 0, "skipped": 0, "truncated": False}
+    counts = {"frames": 0, "yielded": 0, "skipped": 0, "truncated": False, "snapped": 0}
     counts.update((reason, 0) for reason in REF_SKIP_REASONS)
     records = []
     off = 24
@@ -108,16 +111,24 @@ def ref_read_pcap(blob):
         if len(blob) - off < 16:
             counts["truncated"] = True
             break
-        ts_sec, ts_frac, incl_len, _ = struct.unpack(endian + "IIII", blob[off : off + 16])
+        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(endian + "IIII", blob[off : off + 16])
         if incl_len > REF_MAX_RECORD_BYTES:
             raise RefPcapFormatError(f"record at byte offset {off} claims {incl_len} bytes")
+        if orig_len < incl_len:
+            raise RefPcapFormatError(
+                f"record at byte offset {off} has wire length {orig_len} below its captured length {incl_len}"
+            )
+        if orig_len > REF_MAX_RECORD_BYTES:
+            raise RefPcapFormatError(f"record at byte offset {off} claims a wire length of {orig_len} bytes")
         data = blob[off + 16 : off + 16 + incl_len]
         if len(data) < incl_len:
             counts["truncated"] = True
             break
         off += 16 + incl_len
         counts["frames"] += 1
-        out = ref_parse_frame(data, ts_sec + ts_frac / scale, incl_len)
+        if incl_len < orig_len:
+            counts["snapped"] += 1
+        out = ref_parse_frame(data, ts_sec + ts_frac / scale, orig_len)
         if isinstance(out, str):
             counts[out] += 1
             counts["skipped"] += 1

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scadascope import ingest
-from scadascope.cli import EXIT_INPUT_ERROR, main
+from scadascope.cli import EXIT_INPUT_ERROR, EXIT_OK, main
 from scadascope.ingest import (
     DEFAULT_SERVICE_PORTS,
     FilterConfig,
@@ -23,6 +23,7 @@ from scadascope.ingest import (
     IngestStats,
     OutOfOrderError,
     PacketRecord,
+    MAX_RECORD_BYTES,
     PcapFormatError,
     RecordFormatError,
     ensure_time_order,
@@ -89,6 +90,19 @@ def rewrite_frames(blob, rewrite):
         sec, frac, caplen, orig_len = struct.unpack_from("<IIII", blob, off)
         frame = rewrite(blob[off + 16 : off + 16 + caplen])
         out += struct.pack("<IIII", sec, frac, len(frame), orig_len + len(frame) - caplen) + frame
+        off += 16 + caplen
+    return bytes(out)
+
+
+def snapped(blob, keep):
+    """A little-endian capture with every frame cut to its first ``keep``
+    bytes and its wire length kept, as a snapshot length cuts it."""
+    out = bytearray(blob[:24])
+    off = 24
+    while off < len(blob):
+        sec, frac, caplen, orig_len = struct.unpack_from("<IIII", blob, off)
+        frame = blob[off + 16 : off + 16 + min(caplen, keep)]
+        out += struct.pack("<IIII", sec, frac, len(frame), orig_len) + frame
         off += 16 + caplen
     return bytes(out)
 
@@ -222,9 +236,10 @@ def test_read_pcap_strips_vlan_tags(tmp_path):
     path.write_bytes(pcap_bytes(frames))
     stats = IngestStats()
     records = list(read_pcap(str(path), stats))
+    # A tag adds no bytes to the size: the untagged frame's 74.
     assert [(r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.size) for r in records] == [
-        ("192.168.1.10", 20000, "192.168.1.20", 51382, 78),
-        ("192.168.1.10", 20000, "192.168.1.20", 51382, 82),
+        ("192.168.1.10", 20000, "192.168.1.20", 51382, 74),
+        ("192.168.1.10", 20000, "192.168.1.20", 51382, 74),
     ]
     assert (stats.frames, stats.skipped, stats.non_ipv4) == (4, 2, 2)
 
@@ -285,7 +300,9 @@ def random_captures(draw):
     out = bytearray(struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1))
     for frame in draw(st.lists(random_frames(), max_size=12)):
         sec, frac = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
-        out += struct.pack(endian + "IIII", sec, frac, len(frame), len(frame)) + frame
+        # The wire length: the frame as captured, or cut short of it.
+        orig_len = len(frame) + draw(st.sampled_from([0, 0, 0, 1, 20, 1460, MAX_RECORD_BYTES - len(frame)]))
+        out += struct.pack(endian + "IIII", sec, frac, len(frame), orig_len) + frame
     cut = draw(st.sampled_from([0, 0, 0, 1, 5, 15, 16, 17, 40]))
     return bytes(out[: max(24, len(out) - cut)])
 
@@ -305,8 +322,12 @@ _TCP_54 = eth_ipv4_tcp("10.0.0.1", 40000, "10.0.0.2", 502, 54)
 _NEXT = eth_ipv4_tcp("10.0.0.3", 40001, "10.0.0.4", 503, 60)
 # 37 bytes: one byte of the destination port; the next record header follows.
 _TCP_37 = pcap_bytes([_TCP_54[:37], _NEXT])
+_TCP_34 = pcap_bytes([_TCP_54[:34], _NEXT])  # the IPv4 header and no port byte
 _TCP_38 = pcap_bytes([_TCP_54[:38], _NEXT])  # the shortest plain frame
 _TCP_IHL_6 = pcap_bytes([with_ip_option(_TCP_54)])  # the option bytes sit where ports would be
+# IHL 6 with three and with four bytes of the ports behind the option.
+_IHL_6_PORTS_3 = pcap_bytes([with_ip_option(_TCP_54)[:41], _NEXT])
+_IHL_6_PORTS_4 = pcap_bytes([with_ip_option(_TCP_54)[:42], _NEXT])
 _ONE_TAG = pcap_bytes([vlan_tagged(_TCP_54, 0x8100)])
 _ICMP_AND_GRE_FRAMES = [_TCP_54[:23] + bytes([proto]) + _TCP_54[24:] for proto in (1, 47)]
 _ICMP_AND_GRE = pcap_bytes(_ICMP_AND_GRE_FRAMES)
@@ -326,13 +347,22 @@ _TAGGED_FRAGMENT_IHL_5 = pcap_bytes([vlan_tagged(_FRAGMENT_FRAME, 0x8100)])
 _TAGGED_ARP = pcap_bytes([vlan_tagged(arp_frame(), 0x8100)])
 # An 802.1ad outer tag, and two 802.1Q tags: both take the general checks.
 _OTHER_TAGS = pcap_bytes([vlan_tagged(_TCP_54, 0x88A8), vlan_tagged(_TCP_54, 0x8100, 0x8100)])
+# Two tags with 19 and with 20 bytes of IPv4 behind them.
+_TWO_TAGS_IPV4_19 = pcap_bytes([vlan_tagged(_TCP_54, 0x88A8, 0x8100)[:41], _NEXT])
+_TWO_TAGS_IPV4_20 = pcap_bytes([vlan_tagged(_TCP_54, 0x88A8, 0x8100)[:42], _NEXT])
+# Frames cut short of their wire length, untagged, tagged and behind two tags.
+_SNAPPED = snapped(pcap_bytes([_TCP_54 + bytes(946), vlan_tagged(_TCP_54 + bytes(946), 0x8100),
+                               vlan_tagged(_TCP_54 + bytes(946), 0x88A8, 0x8100)]), 54)
 
 
 @given(random_captures(), st.sampled_from([1, 3, 16, 17, 50, ingest._CHUNK_BYTES]))
 @example(_STACKED_TAGS, ingest._CHUNK_BYTES)  # the second tag is stripped too
+@example(_TCP_34, ingest._CHUNK_BYTES)
 @example(_TCP_37, ingest._CHUNK_BYTES)
 @example(_TCP_38, ingest._CHUNK_BYTES)
 @example(_TCP_IHL_6, ingest._CHUNK_BYTES)
+@example(_IHL_6_PORTS_3, ingest._CHUNK_BYTES)
+@example(_IHL_6_PORTS_4, ingest._CHUNK_BYTES)
 @example(_ONE_TAG, ingest._CHUNK_BYTES)
 @example(_ICMP_AND_GRE, ingest._CHUNK_BYTES)
 @example(_FRAGMENT_IHL_5, ingest._CHUNK_BYTES)
@@ -345,6 +375,9 @@ _OTHER_TAGS = pcap_bytes([vlan_tagged(_TCP_54, 0x88A8), vlan_tagged(_TCP_54, 0x8
 @example(_TAGGED_FRAGMENT_IHL_5, ingest._CHUNK_BYTES)
 @example(_TAGGED_ARP, ingest._CHUNK_BYTES)
 @example(_OTHER_TAGS, ingest._CHUNK_BYTES)
+@example(_TWO_TAGS_IPV4_19, ingest._CHUNK_BYTES)
+@example(_TWO_TAGS_IPV4_20, ingest._CHUNK_BYTES)
+@example(_SNAPPED, ingest._CHUNK_BYTES)
 def test_read_pcap_matches_reference(tmp_path_factory, blob, chunk):
     path = tmp_path_factory.mktemp("cap") / "random.pcap"
     path.write_bytes(blob)
@@ -386,7 +419,8 @@ def test_read_pcap_mutated_headers_match_reference(tmp_path_factory, blob, chunk
 
 def test_read_pcap_reads_tagged_and_optioned_copies_alike(tmp_path):
     # The plain capture takes the one-read decode; a tag or an IPv4 option in
-    # every frame sends each through the general checks instead.
+    # every frame sends each through the general checks instead.  The tag
+    # adds no bytes to a size; the option, part of the IPv4 packet, adds 4.
     records = list(generate(dataset1_like(duration=300.0, seed=509, fds=4))[0])
     records[5:5] = [
         PacketRecord(records[5].ts, "10.0.9.1", 0, "10.0.9.2", 0, "icmp", 74),
@@ -397,12 +431,74 @@ def test_read_pcap_reads_tagged_and_optioned_copies_alike(tmp_path):
     want, want_stats = reader_output(plain)
     assert want_stats["yielded"] == len(records) - 1 and want_stats["transport"] == 1
     assert {r[5] for r in want} == {"tcp", "udp", "icmp"}
-    for name, rewrite in (("tagged", lambda f: vlan_tagged(f, 0x8100)), ("optioned", with_ip_option)):
+    for name, rewrite, grows in (
+        ("tagged", lambda f: vlan_tagged(f, 0x8100), 0), ("optioned", with_ip_option, 4)
+    ):
         path = tmp_path / f"{name}.pcap"
         path.write_bytes(rewrite_frames(plain.read_bytes(), rewrite))
         got, got_stats = reader_output(path)
-        assert got == [r[:6] + (r[6] + 4,) for r in want], name
+        assert got == [r[:6] + (r[6] + grows,) for r in want], name
         assert got_stats == want_stats, name
+
+
+def test_snapped_captures_give_the_uncut_report(tmp_path, capsys):
+    # A header-only capture, every frame cut to its first 54 bytes with its
+    # wire length kept, and the same capture with an 802.1Q tag in every
+    # frame give the whole capture's report; only the manifest and the count
+    # of snapped frames tell them apart, and inspect prints that count.
+    records = list(generate(dataset1_like(duration=600.0, seed=511, fds=4))[0])
+    whole = tmp_path / "whole.pcap"
+    write_pcap(records, str(whole))
+    cut = snapped(whole.read_bytes(), 54)
+    longer = sum(rec.size > 54 for rec in records)
+    assert longer
+
+    def analyze(path):
+        out = tmp_path / f"{path.stem}.json"
+        code = main(["--quiet", "analyze", str(path), "--out", str(out)])
+        report = json.loads(out.read_text())
+        del report["manifest"]
+        return code, report, report["metrics"]["ingest"].pop("snapped")
+
+    def inspect(path):
+        assert main(["--quiet", "inspect", str(path)]) == EXIT_OK
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("snapped")]
+
+    code, want, none = analyze(whole)
+    assert none == 0 and inspect(whole) == []
+    assert want["protocols"][0]["scada_port"] == 20000
+    for name, blob in (("cut", cut), ("cut-tagged", rewrite_frames(cut, lambda f: vlan_tagged(f, 0x8100)))):
+        path = tmp_path / f"{name}.pcap"
+        path.write_bytes(blob)
+        assert analyze(path) == (code, want, longer), name
+        assert inspect(path) == [f"snapped frames: {longer}"], name
+
+
+def test_read_pcap_refuses_a_wire_length_below_its_capture_or_above_the_limit(tmp_path, caplog):
+    # Either record is refused with its byte offset, and the CLI exits 2 on
+    # it, as on a captured length above the limit.
+    frame = eth_ipv4_tcp("10.0.0.1", 20000, "10.0.0.2", 51382, 100)
+    good = pcap_bytes([frame])
+    path = tmp_path / "wire.pcap"
+    for orig_len, words in (
+        (99, "has wire length 99 below its captured length 100"),
+        (MAX_RECORD_BYTES + 1, f"claims a wire length of {MAX_RECORD_BYTES + 1} bytes"),
+    ):
+        path.write_bytes(good + struct.pack("<IIII", 1001, 0, 100, orig_len) + frame)
+        stats = IngestStats()
+        with pytest.raises(PcapFormatError, match=f"record at byte offset {len(good)} {words}"):
+            for _ in read_pcap(str(path), stats):
+                pass
+        assert (stats.frames, stats.yielded) == (1, 1)
+        caplog.clear()
+        assert main(["--quiet", "inspect", str(path)]) == EXIT_INPUT_ERROR
+        assert f"record at byte offset {len(good)} {words}" in caplog.text
+
+    # The largest wire length a record may claim is read as a snapped frame.
+    path.write_bytes(good + struct.pack("<IIII", 1001, 0, 100, MAX_RECORD_BYTES) + frame)
+    stats = IngestStats()
+    assert [rec.size for rec in read_pcap(str(path), stats)] == [100, MAX_RECORD_BYTES]
+    assert (stats.frames, stats.snapped) == (2, 1)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 16, 33, 100, 250])
@@ -1038,16 +1134,18 @@ def test_last_timestamp_hint_of_empty_traces(tmp_path):
 
 def test_last_timestamp_hint_stops_at_a_bogus_record_length(tmp_path):
     # The header walk stops there, and the frames parsed after it raise as
-    # the full read does, at the same byte offset.
+    # the full read does, at the same byte offset: a captured length above
+    # the limit, or a wire length below the captured one or above the limit.
     frame = eth_ipv4_tcp("10.0.0.1", 20000, "10.0.0.2", 51382, 100)
-    bogus = struct.pack("<IIII", 2000, 0, ingest.MAX_RECORD_BYTES + 1, 0)
     path = tmp_path / "bogus.pcap"
-    path.write_bytes(pcap_bytes([frame] * 3) + bogus + frame * 400)
-    with pytest.raises(PcapFormatError) as full:
-        list(read_pcap(str(path)))
-    with pytest.raises(PcapFormatError) as hint:
-        ingest.last_timestamp_hint(str(path))
-    assert str(hint.value) == str(full.value)
+    for caplen, orig_len in ((MAX_RECORD_BYTES + 1, 0), (100, 99), (100, MAX_RECORD_BYTES + 1)):
+        bogus = struct.pack("<IIII", 2000, 0, caplen, orig_len)
+        path.write_bytes(pcap_bytes([frame] * 3) + bogus + frame * 400)
+        with pytest.raises(PcapFormatError) as full:
+            list(read_pcap(str(path)))
+        with pytest.raises(PcapFormatError) as hint:
+            ingest.last_timestamp_hint(str(path))
+        assert str(hint.value) == str(full.value)
 
 
 def test_sniff_format(tmp_path):

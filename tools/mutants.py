@@ -211,6 +211,30 @@ MUTANTS = (
         ("tests/test_ingest.py::test_read_pcap_matches_reference",),
     ),
     Mutant(
+        "tagged-size-counts-the-tag",
+        "scadascope/ingest.py",
+        "size = orig_len - 4",
+        "size = orig_len",
+        ("tests/test_ingest.py::test_read_pcap_matches_reference",),
+    ),
+    Mutant(
+        "wire-length-below-capture-accepted",
+        "scadascope/ingest.py",
+        "if orig_len > MAX_RECORD_BYTES or caplen > orig_len:\n                        raise",
+        "if orig_len > MAX_RECORD_BYTES or caplen > MAX_RECORD_BYTES:\n                        raise",
+        ("tests/test_ingest.py::test_read_pcap_refuses_a_wire_length_below_its_capture_or_above_the_limit",),
+    ),
+    Mutant(
+        "snapped-not-counted",
+        "scadascope/ingest.py",
+        "                        snapped += 1\n",
+        "                        pass\n",
+        (
+            "tests/test_ingest.py::test_read_pcap_matches_reference",
+            "tests/test_ingest.py::test_snapped_captures_give_the_uncut_report",
+        ),
+    ),
+    Mutant(
         "reorder-window-holds-its-edge",
         "scadascope/ingest.py",
         "while held and high - held[0].ts >= window:",
