@@ -21,9 +21,9 @@ from scadascope.ingest import (
     FilterConfig,
     FilterStats,
     IngestStats,
+    MAX_RECORD_BYTES,
     OutOfOrderError,
     PacketRecord,
-    MAX_RECORD_BYTES,
     PcapFormatError,
     RecordFormatError,
     ensure_time_order,
