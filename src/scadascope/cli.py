@@ -36,7 +36,7 @@ from scadascope.inference import (
     prefix_stability,
     report_to_dot,
 )
-from scadascope.segmentation import segment_stream, segment_to_json
+from scadascope.segmentation import StreamStats, segment_stream, segment_to_json
 
 log = logging.getLogger("scadascope")
 
@@ -358,40 +358,34 @@ def cmd_inspect(args) -> int:
     _refuse_overwrites({"the input trace": args.input}, {"--dump-segments": path})
     trace = _Trace(args)
     protos: dict[str, int] = {}
-    ips: set[str] = set()
-    ports: set[int] = set()
-    first = last = None
 
-    def watch(stream):
-        nonlocal first, last
+    def tally(stream):
         for rec in stream:
             protos[rec.proto] = protos.get(rec.proto, 0) + 1
-            ips.add(rec.src_ip)
-            ips.add(rec.dst_ip)
-            ports.add(rec.src_port)
-            ports.add(rec.dst_port)
-            if first is None:
-                first = rec.ts
-            last = rec.ts
             yield rec
 
     # The input yields its first record, or ends, before the dump is opened:
     # an input that fails at once leaves an existing dump as it was.
-    records = watch(iter(trace))
+    records = tally(iter(trace))
     head = next(records, None)
     records = records if head is None else chain((head,), records)
+    counted = StreamStats()
+    ips: set[str] = set()
+    ports: set[int] = set()
     seg_count = 0
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as dump:
-        for seg in segment_stream(records, t_comm=t_comm):
+        for seg in segment_stream(records, t_comm=t_comm, stats=counted):
             seg_count += 1
+            # Each record's endpoints are those of the segment it lands in.
+            ips.update((seg[0], seg[2]))
+            ports.update((seg[1], seg[3]))
             if dump:
                 dump.write(segment_to_json(seg))
                 dump.write("\n")
 
     stats, fstats = trace.stats, trace.fstats
-    filtered = trace.filter_config is not None
-    print(f"records: {fstats.kept if filtered else stats.yielded}")
-    if filtered:
+    print(f"records: {counted.records}")
+    if trace.filter_config is not None:
         print(f"filter: kept {fstats.kept}, dropped {fstats.dropped}")
     if stats.skipped:
         print(f"skipped frames: {stats.skipped}")
@@ -400,7 +394,8 @@ def cmd_inspect(args) -> int:
         print(f"snapped frames: {stats.snapped}")
     print(f"devices: {len(ips)}, distinct ports: {len(ports)}")
     print(f"transports: {json.dumps(protos, sort_keys=True)}")
-    if first is not None:
+    if head is not None:
+        first, last = head.ts, counted.last_ts
         print(f"time span: {first:.6f} .. {last:.6f} ({last - first:.3f}s)")
     print(f"segments (t_comm={t_comm:g}s): {seg_count}")
     return EXIT_OK

@@ -736,8 +736,11 @@ def _pcap_tail(path: str) -> tuple[int, float | None]:
 
 
 def sniff_format(path: str) -> str:
-    """Classify an input file as 'pcap' or 'records' by its leading bytes."""
+    """Classify an input file as 'pcap' or 'records' by its leading bytes; refuse one that cannot be seeked."""
     with open(path, "rb") as fp:
+        if not fp.seekable():  # every reader opens the file again
+            raise ValueError(f"{path}: not a seekable file; scadascope reads its input more than once, "
+                             "so save the stream to a file first")
         head = fp.read(4)
     if len(head) == 4:
         if struct.unpack("<I", head)[0] in _PCAP_MAGICS:

@@ -26,7 +26,16 @@ from scadascope import cli
 from scadascope.cli import EXIT_INPUT_ERROR, EXIT_LOW_CONFIDENCE, EXIT_OK, main
 from scadascope.features import RANKING_CSV_COLUMNS, RankedFt
 from scadascope.inference import InferenceConfig
-from scadascope.ingest import FilterConfig, FilterStats, PacketRecord, filter_packets, read_records
+from scadascope.ingest import (
+    DEFAULT_SERVICE_PORTS,
+    REORDER_WINDOW,
+    FilterConfig,
+    FilterStats,
+    PacketRecord,
+    ensure_time_order,
+    filter_packets,
+    read_records,
+)
 from scadascope.segmentation import FtCell
 from scadascope.synth import generate, load_scenario, write_pcap, write_records
 
@@ -1175,3 +1184,72 @@ def test_config_flags_keep_their_metavars(capsys, command):
     out = capsys.readouterr().out
     assert "--num-protocols NUM_PROTOCOLS" in out
     assert "--scada-fraction SCADA_FRACTION" in out
+
+
+def _run_cli(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter on this package, its output captured as bytes."""
+    src = str(Path(scadascope.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "scadascope.cli", *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
+@pytest.mark.parametrize("command", ["analyze", "rank", "inspect", "stability"])
+def test_piped_input_is_exit_2_naming_the_path(tmp_path, churn_traces, command, fmt):
+    # The format sniff would swallow a pipe's first bytes before the reader
+    # opens it again, so a stream that cannot be seeked is refused up front.
+    report = tmp_path / "report.json"
+    args = ["--out", str(report)] if command == "analyze" else []
+    proc = _run_cli(command, "/dev/stdin", *args, input=churn_traces["short", fmt].read_bytes())
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert b"ERROR scadascope: /dev/stdin: not a seekable file; " in proc.stderr
+    assert proc.stdout == b""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "pcap"])
+def test_analyze_reads_stdin_that_is_a_regular_file(tmp_path, churn_traces, fmt):
+    trace = churn_traces["short", fmt]
+    report = tmp_path / "report.json"
+    code = main(["--quiet", "analyze", str(trace), "--out", str(report)])
+    with open(trace, "rb") as stdin:
+        proc = _run_cli("--quiet", "analyze", "/dev/stdin", stdin=stdin)
+    assert proc.returncode == code, proc.stderr
+    piped, want = json.loads(proc.stdout), json.loads(report.read_text())
+    for payload in (piped, want):
+        del payload["manifest"]["duration_s"]
+    assert piped["manifest"].pop("inputs") == ["/dev/stdin"]
+    assert want["manifest"].pop("inputs") == [str(trace)]
+    assert piped == want
+
+
+def test_inspect_counts_the_stream_that_analyze_segments(tmp_path, churn_traces, capsys):
+    records = list(read_records(str(churn_traces["short", "jsonl"])))
+    config = FilterConfig(DEFAULT_SERVICE_PORTS | {6000})
+    kept = [i for i, rec in enumerate(records) if next(filter_packets((rec,), config), None)]
+    # Late records within the reorder window: the first two kept records,
+    # the last two and every 50th kept pair between change places where they
+    # lie less than the window apart.
+    for k in (0, *range(50, len(kept) - 2, 50), len(kept) - 2):
+        i, j = kept[k], kept[k + 1]
+        if 0 < records[j].ts - records[i].ts < REORDER_WINDOW:
+            records[i], records[j] = records[j], records[i]
+    trace = tmp_path / "late.jsonl"
+    write_records(records, str(trace))
+    ordered = list(filter_packets(ensure_time_order(records), config))
+    in_file = list(filter_packets(records, config))
+    assert ordered[0].ts < in_file[0].ts and ordered[-1].ts > in_file[-1].ts
+
+    report = tmp_path / "report.json"
+    code = main(["--quiet", "analyze", str(trace), "--filter-ports", "6000", "--out", str(report)])
+    assert code in (EXIT_OK, EXIT_LOW_CONFIDENCE)
+    payload = json.loads(report.read_text())
+    capsys.readouterr()
+    assert main(["--quiet", "inspect", str(trace), "--filter-ports", "6000"]) == EXIT_OK
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["records"] == str(payload["metrics"]["records"]) == str(len(ordered))
+    assert lines["segments (t_comm=1s)"] == str(payload["metrics"]["segments"])
+    assert lines["devices"].split(",")[0] == str(len(payload["evidence"]))
+    assert lines["time span"].startswith(f"{ordered[0].ts:.6f} .. {ordered[-1].ts:.6f} (")

@@ -379,6 +379,20 @@ MUTANTS = (
         "",
         _RELEASE_BEFORE_HASH,
     ),
+    Mutant(
+        "pipe-not-refused",
+        "scadascope/ingest.py",
+        "        if not fp.seekable():  # every reader opens the file again\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_piped_input_is_exit_2_naming_the_path",),
+    ),
+    Mutant(
+        "inspect-counts-initiators-only",
+        "scadascope/cli.py",
+        "ips.update((seg[0], seg[2]))",
+        "ips.add(seg[0])",
+        ("tests/test_cli.py::test_inspect_counts_the_stream_that_analyze_segments",),
+    ),
 )
 
 
